@@ -1,31 +1,28 @@
 """Trial-batched super-message routing over a :class:`BatchedClique`.
 
-The serial :class:`~repro.core.routing.SuperMessageRouter` executes one
-routing instance per trial; a campaign cell runs the *same* routing step in
-every trial, so the two clique rounds of each wave can move all trials at
-once.  Parity strategy:
+A campaign cell runs the *same* routing step in every trial, so each wave's
+two clique rounds move all trials at once.  :class:`BatchedRouter` has two
+front ends that schedule, then hand a :class:`~repro.core.routing.WavePlan`
+to the one wave kernel, :func:`~repro.core.routing.route_waves`:
 
-* chunking and (batch, block) scheduling reuse the serial router's own
-  ``_split_into_chunks`` / ``_schedule_blocks`` per trial — the schedules
-  are computed by exactly the code a serial run would use, so placements
-  (and hence round structure and payloads) are bit-identical;
-* trials run in lockstep only when every trial's schedule has the same
-  batch count (then every wave has the same plane width in every trial).
-  When schedules diverge — e.g. per-trial random shifts give different
-  target structures with different congestion — :class:`CellUnbatchable`
-  is raised and the caller falls back to per-trial serial execution;
-* within a wave, the staging OR-scatter runs once over the ``(trials, n,
-  n)`` stack (a trial-id column concatenates the per-trial item lists) and
-  ECC encode/decode batch across all trials' rows in one call.
+* :meth:`BatchedRouter.route_shared` — every trial sends the same message
+  structure: the serial router's ``_split_into_chunks`` /
+  ``_schedule_blocks`` run once and the schedule is broadcast to every
+  trial, so placements are exactly what a serial run computes;
+* :meth:`BatchedRouter.route_grouped` — shared message counts, lengths and
+  slots, but per-trial source and target node ids: each trial is scheduled
+  at message-run granularity by :func:`_grouped_greedy`
+  (placement-for-placement equal to ``_schedule_blocks``).  Trials run in
+  lockstep only when every trial's schedule has the same batch count;
+  otherwise :class:`CellUnbatchable` is raised and the caller falls back to
+  per-trial serial execution.
 
-Blocks mode only: that is what every protocol under the vmap backend uses;
-cover-free routing stays on the serial path.
+Blocks mode only: cover-free routing stays on the serial path.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -33,10 +30,11 @@ import numpy as np
 from repro.cliquesim.batched import BatchedClique
 from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
 from repro.core.routing import (
-    MessageKey,
-    RoutingResult,
+    BatchedRoutingResult,
     SuperMessage,
     SuperMessageRouter,
+    WavePlan,
+    route_waves,
 )
 from repro.obs import metrics, tracing
 
@@ -45,91 +43,6 @@ class CellUnbatchable(Exception):
     """The trials of this cell cannot run in lockstep (e.g. per-trial
     routing schedules diverge); the caller should fall back to per-trial
     serial execution."""
-
-
-@dataclass
-class SharedRoutingResult:
-    """Result of :meth:`BatchedRouter.route_shared`: decoded chunk rows for
-    the whole batch plus the index arrays to slice them back into
-    per-message bit strings.  ``decoded[t, e]`` is trial ``t``'s decode of
-    chunk-target row ``e``; rows map to messages through ``e_message`` /
-    ``e_target`` / ``e_start`` / ``e_size``."""
-
-    decoded: np.ndarray        # (trials, E, capacity) uint8
-    failed: np.ndarray         # (trials, E) bool decode-failure flags
-    e_message: np.ndarray      # (E,) message position of each chunk row
-    e_target: np.ndarray       # (E,) target node of each chunk row
-    e_start: np.ndarray        # (E,) bit offset of the chunk in its message
-    e_size: np.ndarray         # (E,) chunk payload bits
-    bit_length: int            # shared message length L
-    rounds: int
-    batches: int
-    codeword_bits: int
-    dropped: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-
-    def _assemble(self, rows: np.ndarray, slots: np.ndarray,
-                  num_slots: int) -> np.ndarray:
-        """Scatter chunk rows into a ``(trials, num_slots, L)`` tensor,
-        grouping by (start, size) so reassembly is a few slice writes."""
-        trials = self.decoded.shape[0]
-        out = np.zeros((trials, num_slots, self.bit_length), dtype=np.uint8)
-        for start in np.unique(self.e_start[rows]):
-            sel = rows[self.e_start[rows] == start]
-            size = int(self.e_size[sel[0]])
-            out[:, slots[sel], start:start + size] = \
-                self.decoded[:, sel, :size]
-        return out
-
-    def single_target_stack(self, num_messages: int) -> np.ndarray:
-        """``(trials, num_messages, L)`` received bits — message ``j``'s
-        row is what its (unique) target decoded.  Only valid when every
-        message has exactly one target."""
-        rows = np.arange(self.e_message.size)
-        return self._assemble(rows, self.e_message, num_messages)
-
-    def target_stack(self, message: int) -> np.ndarray:
-        """``(trials, n_targets, L)`` received bits of one (multi-target)
-        message, rows indexed by target node id order."""
-        rows = np.flatnonzero(self.e_message == message)
-        targets = np.unique(self.e_target[rows])
-        slot_of = {int(t): i for i, t in enumerate(targets)}
-        slots = np.array([slot_of[int(t)] for t in self.e_target[rows]])
-        return self._assemble(rows, slots, targets.size)
-
-
-@dataclass
-class GroupedRoutingResult:
-    """Result of :meth:`BatchedRouter.route_grouped`: decoded chunk rows in
-    one canonical chunk order shared by every trial.  ``decoded[t, c]`` is
-    trial ``t``'s decode of chunk ``c``; chunks map back to messages through
-    ``chunk_msg`` / ``chunk_start`` / ``chunk_size``."""
-
-    decoded: np.ndarray        # (trials, C, capacity) uint8
-    failed: np.ndarray         # (trials, C) bool decode-failure flags
-    chunk_msg: np.ndarray      # (C,) canonical message index of each chunk
-    chunk_start: np.ndarray    # (C,) bit offset of the chunk in its message
-    chunk_size: np.ndarray     # (C,) chunk payload bits
-    sizes: np.ndarray          # (M,) message bit lengths
-    rounds: int
-    batches: int
-    codeword_bits: int
-    dropped: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-
-    def message_bits(self) -> np.ndarray:
-        """``(trials, M, Lmax)`` received bits — message ``m``'s row is what
-        its (single) target decoded, chunks concatenated in index order
-        exactly as the serial reassembly concatenates them."""
-        trials = self.decoded.shape[0]
-        out = np.zeros((trials, self.sizes.size, int(self.sizes.max())),
-                       dtype=np.uint8)
-        # chunks sharing (start, size) scatter as one slice write
-        for start in np.unique(self.chunk_start):
-            sel = np.flatnonzero(self.chunk_start == start)
-            for size in np.unique(self.chunk_size[sel]):
-                sub = sel[self.chunk_size[sel] == size]
-                out[:, self.chunk_msg[sub], start:start + int(size)] = \
-                    self.decoded[:, sub, :int(size)]
-        return out
 
 
 def _grouped_greedy(srcs: np.ndarray, tgts: np.ndarray, counts: np.ndarray,
@@ -325,60 +238,66 @@ def _grouped_greedy(srcs: np.ndarray, tgts: np.ndarray, counts: np.ndarray,
 
 
 class BatchedRouter:
-    """Executes one routing instance per trial, lockstep over the batch."""
+    """Routes one instance per trial, lockstep over the batch."""
 
     def __init__(self, net: BatchedClique,
                  profile: ProtocolProfile = SIMULATION):
         self.net = net
         self.profile = profile
 
-    def route(self, trials_messages: Sequence[Sequence[SuperMessage]],
-              label: str = "routing") -> List[RoutingResult]:
-        """Route trial ``t``'s ``trials_messages[t]`` for every ``t``;
-        returns one serial-identical :class:`RoutingResult` per trial."""
-        with metrics.timed("routing.route"), \
-                tracing.maybe_span(f"{label}/route",
-                                   messages=sum(map(len, trials_messages)),
-                                   trials=len(trials_messages)):
-            return self._route(trials_messages, label)
-
     def route_shared(self, messages: Sequence[SuperMessage],
                      bits_stack: np.ndarray,
-                     label: str = "routing") -> SharedRoutingResult:
-        """Shared-structure fast path: every trial sends the *same* message
+                     label: str = "routing") -> BatchedRoutingResult:
+        """Shared-structure routing: every trial sends the *same* message
         structure (keys, lengths, targets — ``messages`` is the prototype)
         with per-trial payloads ``bits_stack[t, j]`` for message ``j``.
 
-        Chunking and scheduling then run **once** instead of per trial —
-        the schedule depends only on structure, so it equals the schedule a
-        serial run computes for every trial — and staging, ECC
-        encode/decode and the reassembly gathers are single array programs
-        over the whole batch.  Bit-parity with per-trial serial routing is
-        preserved: same placements, same OR-staging formula, same
-        per-codeword decode.
-        """
+        Chunking and scheduling run **once** — the schedule depends only on
+        structure, so it equals the schedule a serial run computes in every
+        trial — and the waves run as one array program over the batch.
+        Multi-target messages (broadcasts) are supported."""
+        net = self.net
         with metrics.timed("routing.route"), \
                 tracing.maybe_span(f"{label}/route",
-                                   messages=len(messages) * self.net.trials,
-                                   trials=self.net.trials):
-            return self._route_shared(messages, bits_stack, label)
+                                   messages=len(messages) * net.trials,
+                                   trials=net.trials):
+            bits_stack = np.ascontiguousarray(bits_stack, dtype=np.uint8)
+            if bits_stack.ndim != 3 or bits_stack.shape[:2] != (
+                    net.trials, len(messages)):
+                raise ValueError(
+                    f"bits_stack must be (trials={net.trials}, "
+                    f"messages={len(messages)}, L); got {bits_stack.shape}")
+            if any(len(m.bits) != bits_stack.shape[2] for m in messages):
+                raise ValueError("shared routing needs equal-length messages "
+                                 "matching bits_stack's last axis")
+            length, code = self.profile.select_routing_code(
+                net.n, net.adversary.alpha)
+            capacity = max(1, code.k)
+            chunks = SuperMessageRouter._split_into_chunks(None, messages,
+                                                           capacity)
+            batches = SuperMessageRouter._schedule_blocks(chunks,
+                                                          net.n // length)
+            plan = WavePlan.from_schedule(messages, chunks, batches,
+                                          capacity, net.trials)
+            return route_waves(net.round, net.n, net.bandwidth, code, length,
+                               plan, bits_stack, label)
 
     def route_grouped(self, sources: np.ndarray, slots: np.ndarray,
                       sizes: np.ndarray, targets: np.ndarray,
                       bits_stack: np.ndarray,
-                      label: str = "routing") -> GroupedRoutingResult:
-        """Grouped fast path for *structure-shared* routings with per-trial
+                      label: str = "routing") -> BatchedRoutingResult:
+        """Grouped routing for *structure-shared* routings with per-trial
         node ids: every trial sends the same number of messages with the
         same bit lengths and slots, but message ``m``'s source and (single)
         target node are per-trial values ``sources[t, m]`` /
         ``targets[t, m]`` (e.g. the adaptive compiler's partition-dependent
-        concentration and gather steps).
+        concentration and gather steps, nonadaptive's shift-dependent
+        return step).
 
         Chunk structure (counts, offsets, sizes) is computed once; each
         trial's greedy schedule runs at message-run granularity
         (:func:`_grouped_greedy`), placement-for-placement identical to the
-        serial scheduler on that trial's key-sorted message list.  Waves
-        execute as single array programs over all trials.  Raises
+        serial scheduler on that trial's key-sorted message list.  Raises
         :class:`CellUnbatchable` when per-trial batch counts diverge."""
         with metrics.timed("routing.route"), \
                 tracing.maybe_span(f"{label}/route",
@@ -389,7 +308,7 @@ class BatchedRouter:
                                        bits_stack, label)
 
     def _route_grouped(self, sources, slots, sizes, targets, bits_stack,
-                       label) -> GroupedRoutingResult:
+                       label) -> BatchedRoutingResult:
         net = self.net
         n, trials = net.n, net.trials
         sources = np.asarray(sources, dtype=np.int64)
@@ -456,415 +375,13 @@ class BatchedRouter:
                 f"per-trial schedules diverge: batch counts "
                 f"{sorted(batch_counts)}")
 
-        start_rounds = net.rounds_used
-        decoded_all = np.zeros((trials, total_chunks, capacity),
-                               dtype=np.uint8)
-        failed_all = np.zeros((trials, total_chunks), dtype=bool)
-        dropped = np.zeros(trials, dtype=np.int64)
-        bandwidth = net.bandwidth
-        arange_cap = np.arange(capacity)
-        arange_len = np.arange(length)
-        # pad with a zero tail so the final partial chunk of each message can
-        # gather a full capacity-wide window without per-wave index clamping
-        bits_padded = np.concatenate(
-            [bits_stack, np.zeros(bits_stack.shape[:2] + (capacity,),
-                                  dtype=np.uint8)], axis=2)
-        for wave_start in range(0, num_batches, bandwidth):
-            hi = min(wave_start + bandwidth, num_batches)
-            plane_count = hi - wave_start
-            wl = f"{label}/wave{wave_start // bandwidth}"
-            sel = (chunk_batch >= wave_start) & (chunk_batch < hi)
-            tr, ch = np.nonzero(sel)
-            planes = chunk_batch[tr, ch] - wave_start
-            blocks = chunk_block[tr, ch]
-            msgs = chunk_msg[ch]
-            srcs = sources[tr, msgs]
-            tgts = targets[tr, msgs]
-            starts = chunk_start[ch]
-            sz = chunk_size[ch]
-
-            # vectorized payload gather + one batched encode for the wave
-            col = starts[:, None] + arange_cap[None, :]
-            valid = arange_cap[None, :] < sz[:, None]
-            padded = np.where(
-                valid, bits_padded[tr[:, None], msgs[:, None], col], 0)
-            codewords = code.encode_many(padded).astype(np.int64)
-            relay_idx = blocks[:, None] * length + arange_len[None, :]
-
-            # round 1: source -> relay block.  Planes are distinct per
-            # (trial, src, relay) cell — each batch places one block per
-            # source — so OR-merging the shifted codeword bits is a plain
-            # sum, which bincount scatters far faster than ufunc.at
-            # (plane_count <= 62, so the sums are exact in float64)
-            shifted = codewords << planes[:, None]
-            keys1 = (((tr * n + srcs) * n)[:, None] + relay_idx).reshape(-1)
-            if plane_count <= 52:
-                values = np.bincount(
-                    keys1, weights=shifted.reshape(-1),
-                    minlength=trials * n * n).astype(np.int64)\
-                    .reshape(trials, n, n)
-            else:
-                values = np.zeros(trials * n * n, dtype=np.int64)
-                np.bitwise_or.at(values, keys1, shifted.reshape(-1))
-                values = values.reshape(trials, n, n)
-            present = np.zeros(trials * n * n, dtype=bool)
-            present[keys1] = True
-            present = present.reshape(trials, n, n)
-            delivered1 = net.round(np.where(present, values, -1),
-                                   width=plane_count, label=f"{wl}/r1")
-
-            # round 2: relay -> target (single target per chunk)
-            got1 = delivered1[tr[:, None], srcs[:, None], relay_idx]
-            neg1 = got1 < 0
-            if neg1.any():
-                np.add.at(dropped, tr,
-                          np.count_nonzero(neg1, axis=1).astype(np.int64))
-            bits1 = np.where(neg1, 0, (got1 >> planes[:, None]) & 1)
-            shifted1 = bits1 << planes[:, None]
-            keys2 = ((tr[:, None] * n + relay_idx) * n
-                     + tgts[:, None]).reshape(-1)
-            if plane_count <= 52:
-                values2 = np.bincount(
-                    keys2, weights=shifted1.reshape(-1),
-                    minlength=trials * n * n).astype(np.int64)\
-                    .reshape(trials, n, n)
-            else:
-                values2 = np.zeros(trials * n * n, dtype=np.int64)
-                np.bitwise_or.at(values2, keys2, shifted1.reshape(-1))
-                values2 = values2.reshape(trials, n, n)
-            present2 = np.zeros(trials * n * n, dtype=bool)
-            present2[keys2] = True
-            present2 = present2.reshape(trials, n, n)
-            delivered2 = net.round(np.where(present2, values2, -1),
-                                   width=plane_count, label=f"{wl}/r2")
-
-            # decode at every target: one gather + one batched decode
-            got2 = delivered2[tr[:, None], relay_idx, tgts[:, None]]
-            erase2 = got2 < 0
-            any_erased = bool(erase2.any())
-            if any_erased:
-                np.add.at(dropped, tr,
-                          np.count_nonzero(erase2, axis=1).astype(np.int64))
-            bits2 = np.where(erase2, 0,
-                             (got2 >> planes[:, None]) & 1).astype(np.uint8)
-            if any_erased and getattr(code, "supports_erasures", False):
-                decoded, failed = code.decode_many_flagged(bits2,
-                                                           erasures=erase2)
-            else:
-                decoded, failed = code.decode_many_flagged(bits2)
-            decoded_all[tr, ch] = decoded[:, :capacity]
-            failed_all[tr, ch] = np.asarray(failed, dtype=bool)
-
-        return GroupedRoutingResult(
-            decoded=decoded_all, failed=failed_all, chunk_msg=chunk_msg,
-            chunk_start=chunk_start, chunk_size=chunk_size, sizes=sizes,
-            rounds=net.rounds_used - start_rounds, batches=num_batches,
-            codeword_bits=length, dropped=dropped)
-
-    def _route_shared(self, messages, bits_stack, label) -> SharedRoutingResult:
-        net = self.net
-        n, trials = net.n, net.trials
-        bits_stack = np.ascontiguousarray(bits_stack, dtype=np.uint8)
-        if bits_stack.ndim != 3 or bits_stack.shape[:2] != (trials,
-                                                            len(messages)):
-            raise ValueError(
-                f"bits_stack must be (trials={trials}, "
-                f"messages={len(messages)}, L); got {bits_stack.shape}")
-        bit_length = bits_stack.shape[2]
-        if any(len(m.bits) != bit_length for m in messages):
-            raise ValueError("shared routing needs equal-length messages "
-                             "matching bits_stack's last axis")
-        length, code = self.profile.select_routing_code(
-            n, net.adversary.alpha)
-        capacity = max(1, code.k)
-
-        # chunk + schedule ONCE from the prototype structure — per-trial
-        # serial runs would compute this very schedule in every trial
-        chunks = SuperMessageRouter._split_into_chunks(None, messages,
-                                                       capacity)
-        batches = SuperMessageRouter._schedule_blocks(chunks, n // length)
-        position = {m.key: j for j, m in enumerate(messages)}
-        idx_of = {id(c): i for i, c in enumerate(chunks)}
-        chunk_m = np.array([position[(c.source, c.slot)] for c in chunks],
-                           dtype=np.int64)
-        chunk_start = np.array([c.index * capacity for c in chunks],
-                               dtype=np.int64)
-        chunk_size = np.array([c.bits.size for c in chunks], dtype=np.int64)
-
-        start_rounds = net.rounds_used
-        dropped = np.zeros(trials, dtype=np.int64)
-        parts: List[Dict[str, np.ndarray]] = []
-        bandwidth = net.bandwidth
-        for wave_start in range(0, len(batches), bandwidth):
-            wave = batches[wave_start:wave_start + bandwidth]
-            part = self._execute_wave_shared(
-                wave, length, code, bits_stack,
-                (idx_of, chunk_m, chunk_start, chunk_size), dropped,
-                f"{label}/wave{wave_start // bandwidth}")
-            if part is not None:
-                parts.append(part)
-
-        if parts:
-            decoded = np.concatenate([p["decoded"] for p in parts], axis=1)
-            failed = np.concatenate([p["failed"] for p in parts], axis=1)
-            e_message = np.concatenate([p["e_message"] for p in parts])
-            e_target = np.concatenate([p["e_target"] for p in parts])
-            e_start = np.concatenate([p["e_start"] for p in parts])
-            e_size = np.concatenate([p["e_size"] for p in parts])
-        else:
-            decoded = np.zeros((trials, 0, capacity), dtype=np.uint8)
-            failed = np.zeros((trials, 0), dtype=bool)
-            e_message = e_target = e_start = e_size = \
-                np.zeros(0, dtype=np.int64)
-        return SharedRoutingResult(
-            decoded=decoded, failed=failed, e_message=e_message,
-            e_target=e_target, e_start=e_start, e_size=e_size,
-            bit_length=bit_length, rounds=net.rounds_used - start_rounds,
-            batches=len(batches), codeword_bits=length, dropped=dropped)
-
-    def _execute_wave_shared(self, wave, length, code, bits_stack,
-                             chunk_meta, dropped, label):
-        """One shared-structure wave: index arrays are built once from the
-        shared schedule; per-trial payloads ride the leading batch axis."""
-        net = self.net
-        n, trials = net.n, net.trials
-        plane_count = len(wave)
-        all_items = [(plane, chunk, block)
-                     for plane, batch in enumerate(wave)
-                     for chunk, block in batch]
-        if not all_items:
-            return None
-        rows = len(all_items)
-        idx_of, chunk_m, chunk_start, chunk_size = chunk_meta
-        cpos = np.array([idx_of[id(c)] for _, c, _ in all_items],
-                        dtype=np.int64)
-        m_of, start_of, size_of = (chunk_m[cpos], chunk_start[cpos],
-                                   chunk_size[cpos])
-
-        # vectorized chunk gather: (trials, rows, k) payload bits
-        k = code.k
-        col = start_of[:, None] + np.arange(k)[None, :]
-        valid = np.arange(k)[None, :] < size_of[:, None]
-        padded = np.where(valid, bits_stack[:, m_of[:, None],
-                                            np.where(valid, col, 0)],
-                          0).astype(np.uint8)
-        codewords = code.encode_many(
-            padded.reshape(trials * rows, k)).astype(np.int64)
-        codewords = codewords.reshape(trials, rows, length)
-
-        planes = np.array([p for p, _, _ in all_items], dtype=np.int64)
-        sources = np.array([c.source for _, c, _ in all_items],
-                           dtype=np.int64)
-        blocks = np.array([b for _, _, b in all_items], dtype=np.int64)
-        relay_idx = blocks[:, None] * length + np.arange(length)[None, :]
-        t_col = np.arange(trials)[:, None]
-
-        # round 1: source -> relay block
-        values = np.zeros((trials, n, n), dtype=np.int64)
-        present = np.zeros((trials, n, n), dtype=bool)
-        shifted = codewords << planes[None, :, None]
-        src_flat = np.repeat(sources, length)
-        rel_flat = relay_idx.reshape(-1)
-        np.bitwise_or.at(values, (t_col, src_flat[None, :],
-                                  rel_flat[None, :]),
-                         shifted.reshape(trials, -1))
-        present[:, src_flat, rel_flat] = True
-        intended = np.where(present, values, -1)
-        delivered1 = net.round(intended, width=plane_count,
-                               label=f"{label}/r1")
-
-        # round 2: relay -> targets
-        got1 = delivered1[:, sources[:, None], relay_idx]
-        dropped += np.count_nonzero(got1 < 0, axis=(1, 2))
-        bits1 = np.where(got1 < 0, 0, (got1 >> planes[None, :, None]) & 1)
-        target_counts = np.array([len(c.targets)
-                                  for _, c, _ in all_items])
-        expand = np.repeat(np.arange(rows), target_counts)
-        targets = np.array([t for _, c, _ in all_items
-                            for t in c.targets], dtype=np.int64)
-
-        values2 = np.zeros((trials, n, n), dtype=np.int64)
-        present2 = np.zeros((trials, n, n), dtype=bool)
-        shifted1 = bits1 << planes[None, :, None]
-        rel2_flat = relay_idx[expand].reshape(-1)
-        tgt2_flat = np.repeat(targets, length)
-        np.bitwise_or.at(values2, (t_col, rel2_flat[None, :],
-                                   tgt2_flat[None, :]),
-                         shifted1[:, expand, :].reshape(trials, -1))
-        present2[:, rel2_flat, tgt2_flat] = True
-        intended2 = np.where(present2, values2, -1)
-        delivered2 = net.round(intended2, width=plane_count,
-                               label=f"{label}/r2")
-
-        # decode at every target: one gather + one batched decode for all
-        # trials' rows in the wave
-        got2 = delivered2[:, relay_idx[expand], targets[:, None]]
-        dropped += np.count_nonzero(got2 < 0, axis=(1, 2))
-        expanded_planes = planes[expand]
-        bits2 = np.where(got2 < 0, 0,
-                         (got2 >> expanded_planes[None, :, None]) & 1
-                         ).astype(np.uint8)
-        # thread round-2 drops into erasure-aware codes (mirrors the serial
-        # router's gating so drop-free runs stay on the exact legacy path)
-        erase2 = got2 < 0
-        if erase2.any() and getattr(code, "supports_erasures", False):
-            decoded, failed = code.decode_many_flagged(
-                bits2.reshape(trials * expand.size, length),
-                erasures=erase2.reshape(trials * expand.size, length))
-        else:
-            decoded, failed = code.decode_many_flagged(
-                bits2.reshape(trials * expand.size, length))
-        return {
-            "decoded": decoded.reshape(trials, expand.size, -1),
-            "failed": np.asarray(failed, dtype=bool).reshape(trials,
-                                                             expand.size),
-            "e_message": m_of[expand],
-            "e_target": targets,
-            "e_start": start_of[expand],
-            "e_size": size_of[expand],
-        }
-
-    def _route(self, trials_messages, label) -> List[RoutingResult]:
-        net = self.net
-        n, trials = net.n, net.trials
-        if len(trials_messages) != trials:
-            raise ValueError(
-                f"expected {trials} per-trial message lists, "
-                f"got {len(trials_messages)}")
-        length, code = self.profile.select_routing_code(
-            n, net.adversary.alpha)
-        capacity = max(1, code.k)
-
-        # chunk + schedule each trial with the serial router's own code
-        # (``_split_into_chunks`` never touches ``self``), so placements
-        # match a serial run exactly
-        trial_chunks = [
-            SuperMessageRouter._split_into_chunks(None, msgs, capacity)
-            for msgs in trials_messages]
-        trial_batches = [
-            SuperMessageRouter._schedule_blocks(chunks, n // length)
-            for chunks in trial_chunks]
-        batch_counts = {len(b) for b in trial_batches}
-        if len(batch_counts) > 1:
-            raise CellUnbatchable(
-                f"per-trial schedules diverge: batch counts "
-                f"{sorted(len(b) for b in trial_batches)}")
-        num_batches = batch_counts.pop()
-
-        start_rounds = net.rounds_used
-        raw = [defaultdict(lambda: defaultdict(dict)) for _ in range(trials)]
-        failures: List[List] = [[] for _ in range(trials)]
-        dropped = np.zeros(trials, dtype=np.int64)
-        bandwidth = net.bandwidth
-        for wave_start in range(0, num_batches, bandwidth):
-            waves = [batches[wave_start:wave_start + bandwidth]
-                     for batches in trial_batches]
-            self._execute_wave(waves, length, code, raw, failures, dropped,
-                               f"{label}/wave{wave_start // bandwidth}")
-
-        results = []
-        for t in range(trials):
-            outputs = SuperMessageRouter._reassemble(trials_messages[t],
-                                                     raw[t])
-            results.append(RoutingResult(
-                outputs=outputs,
-                rounds=net.rounds_used - start_rounds,
-                decode_failures=failures[t],
-                batches=num_batches,
-                codeword_bits=length,
-                dropped_entries=int(dropped[t])))
-        return results
-
-    def _execute_wave(self, waves, length, code, raw, failures, dropped,
-                      label):
-        """One wave for every trial: two lockstep rounds of width
-        ``len(wave)`` (equal across trials by the batch-count check)."""
-        net = self.net
-        n, trials = net.n, net.trials
-        plane_count = len(waves[0])
-        # concatenate the per-trial item lists with a trial-id column
-        all_items = [(t, plane, chunk, block)
-                     for t, wave in enumerate(waves)
-                     for plane, batch in enumerate(wave)
-                     for chunk, block in batch]
-        if not all_items:
-            return
-        rows = len(all_items)
-        padded = np.zeros((rows, code.k), dtype=np.uint8)
-        for row, (_, _, chunk, _) in enumerate(all_items):
-            padded[row, :chunk.bits.size] = chunk.bits
-        # one batched encode for every chunk of every trial in the wave
-        codewords = code.encode_many(padded).astype(np.int64)
-
-        trial_ids = np.array([t for t, _, _, _ in all_items], dtype=np.int64)
-        planes = np.array([p for _, p, _, _ in all_items], dtype=np.int64)
-        sources = np.array([c.source for _, _, c, _ in all_items],
-                           dtype=np.int64)
-        blocks = np.array([b for _, _, _, b in all_items], dtype=np.int64)
-        relay_idx = blocks[:, None] * length + np.arange(length)[None, :]
-
-        # round 1: source -> relay block, one OR-scatter over the whole
-        # (trials, n, n) stack
-        values = np.zeros((trials, n, n), dtype=np.int64)
-        present = np.zeros((trials, n, n), dtype=bool)
-        shifted = codewords << planes[:, None]
-        tr_flat = np.repeat(trial_ids, length)
-        src_flat = np.repeat(sources, length)
-        rel_flat = relay_idx.reshape(-1)
-        np.bitwise_or.at(values, (tr_flat, src_flat, rel_flat),
-                         shifted.reshape(-1))
-        present[tr_flat, src_flat, rel_flat] = True
-        intended = np.where(present, values, -1)
-        delivered1 = net.round(intended, width=plane_count,
-                               label=f"{label}/r1")
-
-        # round 2: relay -> targets, expanded one row per (chunk, target)
-        got1 = delivered1[trial_ids[:, None], sources[:, None], relay_idx]
-        np.add.at(dropped, trial_ids,
-                  np.count_nonzero(got1 < 0, axis=1).astype(np.int64))
-        bits1 = np.where(got1 < 0, 0, (got1 >> planes[:, None]) & 1)
-        target_counts = np.array([len(c.targets)
-                                  for _, _, c, _ in all_items])
-        expand = np.repeat(np.arange(rows), target_counts)
-        targets = np.array([t for _, _, c, _ in all_items
-                            for t in c.targets], dtype=np.int64)
-
-        values2 = np.zeros((trials, n, n), dtype=np.int64)
-        present2 = np.zeros((trials, n, n), dtype=bool)
-        shifted1 = bits1 << planes[:, None]
-        expanded_planes = planes[expand]
-        expanded_trials = trial_ids[expand]
-        tr2_flat = np.repeat(expanded_trials, length)
-        rel2_flat = relay_idx[expand].reshape(-1)
-        tgt2_flat = np.repeat(targets, length)
-        np.bitwise_or.at(values2, (tr2_flat, rel2_flat, tgt2_flat),
-                         shifted1[expand].reshape(-1))
-        present2[tr2_flat, rel2_flat, tgt2_flat] = True
-        intended2 = np.where(present2, values2, -1)
-        delivered2 = net.round(intended2, width=plane_count,
-                               label=f"{label}/r2")
-
-        # decode at every target: one gather + one batched decode for all
-        # trials' rows in the wave
-        got2 = delivered2[expanded_trials[:, None], relay_idx[expand],
-                          targets[:, None]]
-        np.add.at(dropped, expanded_trials,
-                  np.count_nonzero(got2 < 0, axis=1).astype(np.int64))
-        bits2 = np.where(got2 < 0, 0,
-                         (got2 >> expanded_planes[:, None]) & 1
-                         ).astype(np.uint8)
-        erase2 = got2 < 0
-        if erase2.any() and getattr(code, "supports_erasures", False):
-            decoded, failed = code.decode_many_flagged(bits2, erasures=erase2)
-        else:
-            decoded, failed = code.decode_many_flagged(bits2)
-        for e in range(expand.size):
-            trial, _, chunk, _ = all_items[expand[e]]
-            tgt = int(targets[e])
-            raw[trial][tgt][(chunk.source, chunk.slot)][chunk.index] = \
-                decoded[e][:chunk.bits.size]
-            if failed[e]:
-                failures[trial].append((tgt, (chunk.source, chunk.slot)))
+        plan = WavePlan(chunk_msg=chunk_msg, chunk_start=chunk_start,
+                        chunk_size=chunk_size, sizes=sizes,
+                        fanout=np.ones(num_messages, dtype=np.int64),
+                        sources=sources, targets=targets, batch=chunk_batch,
+                        block=chunk_block, num_batches=num_batches)
+        return route_waves(net.round, n, net.bandwidth, code, length, plan,
+                           bits_stack, label)
 
 
 def broadcast_many(router: BatchedRouter, source: int,
@@ -878,5 +395,5 @@ def broadcast_many(router: BatchedRouter, source: int,
     message = SuperMessage.make(source, 0, bits_stack[0], targets=range(n))
     result = router.route_shared([message], bits_stack[:, None, :],
                                  label=label)
-    # targets are 0..n-1, so target-sorted rows index directly by node id
-    return result.target_stack(0)
+    # targets are 0..n-1, so target-sorted pairs index directly by node id
+    return result.pair_bits()

@@ -29,6 +29,12 @@ Relay-set assignment supports two modes:
 Batches execute in *waves* of ``B`` (the bandwidth): B independent 1-bit
 instances ride in the B bit-planes of a single round, which is exactly the
 parallel-composition argument of Lemma 2.9 / the proof of Theorem 4.1.
+
+Blocks-mode waves have one implementation, :func:`route_waves`: an array
+program over ``(trials, chunks)`` index arrays that runs any number of
+lockstep trials.  :meth:`SuperMessageRouter.route` is its ``trials=1``
+case; :class:`~repro.core.batched_routing.BatchedRouter` feeds it whole
+campaign cells.
 """
 
 from __future__ import annotations
@@ -101,6 +107,254 @@ class RoutingResult:
         return self.outputs[target][(source, slot)]
 
 
+@dataclass
+class WavePlan:
+    """A scheduled blocks-mode routing over ``trials`` lockstep trials.
+
+    Chunk ``c`` carries bits ``[chunk_start[c], chunk_start[c] +
+    chunk_size[c])`` of message ``chunk_msg[c]``; these canonical arrays are
+    shared by every trial.  Node ids and placements are per trial: trial
+    ``t`` sends message ``m`` from ``sources[t, m]`` and places chunk ``c``
+    in ``(batch[t, c], block[t, c])``.  Message ``m`` has ``fanout[m]``
+    targets, so its (message, target) *pairs* are a ragged run of
+    ``targets[t, :]`` in message order."""
+
+    chunk_msg: np.ndarray      # (C,)
+    chunk_start: np.ndarray    # (C,)
+    chunk_size: np.ndarray     # (C,)
+    sizes: np.ndarray          # (M,) message bit lengths
+    fanout: np.ndarray         # (M,) targets per message
+    sources: np.ndarray        # (trials, M)
+    targets: np.ndarray        # (trials, P), P = fanout.sum()
+    batch: np.ndarray          # (trials, C)
+    block: np.ndarray          # (trials, C)
+    num_batches: int
+
+    @classmethod
+    def from_schedule(cls, messages: Sequence[SuperMessage],
+                      chunks: List[_Chunk],
+                      batches: List[List[Tuple[_Chunk, int]]],
+                      capacity: int, trials: int) -> "WavePlan":
+        """The plan of one chunking + schedule that every trial shares,
+        broadcast over ``trials``; message ``m`` is ``messages[m]``."""
+        position = {m.key: j for j, m in enumerate(messages)}
+        row_of = {id(c): i for i, c in enumerate(chunks)}
+        batch = np.empty(len(chunks), dtype=np.int64)
+        block = np.empty(len(chunks), dtype=np.int64)
+        for b, placed in enumerate(batches):
+            for chunk, blk in placed:
+                i = row_of[id(chunk)]
+                batch[i], block[i] = b, blk
+
+        def shared(values):
+            arr = np.array(values, dtype=np.int64)
+            return np.broadcast_to(arr, (trials,) + arr.shape)
+
+        return cls(
+            chunk_msg=np.array([position[c.source, c.slot] for c in chunks],
+                               dtype=np.int64),
+            chunk_start=np.array([c.index * capacity for c in chunks],
+                                 dtype=np.int64),
+            chunk_size=np.array([c.bits.size for c in chunks],
+                                dtype=np.int64),
+            sizes=np.array([len(m.bits) for m in messages], dtype=np.int64),
+            fanout=np.array([len(m.targets) for m in messages],
+                            dtype=np.int64),
+            sources=shared([m.source for m in messages]),
+            targets=shared([t for m in messages for t in m.targets]),
+            batch=shared(batch), block=shared(block),
+            num_batches=len(batches))
+
+
+@dataclass
+class BatchedRoutingResult:
+    """Decoded chunk rows of a :func:`route_waves` run.
+
+    Row ``e`` is one (chunk, target) delivery and ``decoded[t, e]`` is what
+    trial ``t``'s target decoded.  Rows are ordered by chunk, then by
+    target; row ``e`` carries bits ``[row_start[e], row_start[e] +
+    row_size[e])`` of the (message, target) pair ``row_pair[e]``, and pair
+    ``p`` belongs to message ``pair_msg[p]``."""
+
+    decoded: np.ndarray        # (trials, E, capacity) uint8
+    failed: np.ndarray         # (trials, E) bool decode-failure flags
+    row_pair: np.ndarray       # (E,)
+    row_start: np.ndarray      # (E,)
+    row_size: np.ndarray       # (E,)
+    pair_msg: np.ndarray       # (P,)
+    sizes: np.ndarray          # (M,) message bit lengths
+    rounds: int
+    batches: int
+    codeword_bits: int
+    dropped: np.ndarray        # (trials,) codeword bits silenced outright
+    erased: np.ndarray         # (trials,) drops decoded as erasures
+
+    def pair_bits(self) -> np.ndarray:
+        """``(trials, P, Lmax)`` received bits of every (message, target)
+        pair, chunks concatenated in index order."""
+        out = np.zeros((self.decoded.shape[0], self.pair_msg.size,
+                        int(self.sizes.max(initial=0))), dtype=np.uint8)
+        # rows sharing (start, size) scatter as one slice write
+        for start in np.unique(self.row_start):
+            sel = np.flatnonzero(self.row_start == start)
+            for size in np.unique(self.row_size[sel]):
+                sub = sel[self.row_size[sel] == size]
+                out[:, self.row_pair[sub], start:start + int(size)] = \
+                    self.decoded[:, sub, :int(size)]
+        return out
+
+    def message_bits(self) -> np.ndarray:
+        """``(trials, M, Lmax)`` received bits of a single-target routing:
+        message ``m``'s row is what its target decoded."""
+        if self.pair_msg.size != self.sizes.size:
+            raise ValueError("message_bits needs single-target messages")
+        return self.pair_bits()
+
+
+def _stage(keys: np.ndarray, shifted: np.ndarray, trials: int, n: int,
+           width: int) -> np.ndarray:
+    """``(trials, n, n)`` intended payloads: each row's shifted bits land in
+    cell ``keys``, ``-1`` where nothing is sent.  Each (trial, sender,
+    receiver) cell gets at most one bit per plane, so summing equals
+    OR-ing, and float64 sums stay exact up to 52 planes."""
+    size = trials * n * n
+    if width <= 52:
+        values = np.bincount(keys, weights=shifted.ravel(),
+                             minlength=size).astype(np.int64)
+    else:
+        values = np.zeros(size, dtype=np.int64)
+        np.bitwise_or.at(values, keys, shifted.ravel())
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    return np.where(present, values, -1).reshape(trials, n, n)
+
+
+def _per_trial(trial_of_row: np.ndarray, mask: np.ndarray,
+               trials: int) -> np.ndarray:
+    """Per-trial count of the set entries of ``mask``'s rows."""
+    return np.bincount(trial_of_row, weights=np.count_nonzero(mask, axis=1),
+                       minlength=trials).astype(np.int64)
+
+
+def _ragged(counts: np.ndarray):
+    """Index ``i`` repeated ``counts[i]`` times, and each copy's rank
+    within its run."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
+                                                    counts)
+
+
+def route_waves(send_round, n: int, bandwidth: int, code, length: int,
+                plan: WavePlan, bits: np.ndarray,
+                label: str) -> BatchedRoutingResult:
+    """Run ``plan``'s blocks-mode waves; the one wave implementation.
+
+    ``bits[t, m]`` is trial ``t``'s payload of message ``m``, zero-padded
+    to a common length.  ``send_round(intended, width, label)`` moves one
+    ``(trials, n, n)`` round and returns the delivered stack.  Each wave
+    packs up to ``bandwidth`` batches into bit-planes (Lemma 2.9) and takes
+    two rounds — source to relay block, relay block to target — around one
+    batched encode and one batched decode of every trial's rows."""
+    trials = plan.batch.shape[0]
+    capacity = max(1, code.k)
+    arange_cap = np.arange(capacity)
+    arange_len = np.arange(length)
+    last_col = max(0, bits.shape[2] - 1)
+    erasure_aware = getattr(code, "supports_erasures", False)
+    # ragged fan-out: chunk c expands into fanout rows starting at row_ptr
+    chunk_fan = plan.fanout[plan.chunk_msg]
+    row_ptr = np.cumsum(chunk_fan) - chunk_fan
+    pair_ptr = np.cumsum(plan.fanout) - plan.fanout
+    num_rows = int(chunk_fan.sum())
+    decoded_all = np.zeros((trials, num_rows, capacity), dtype=np.uint8)
+    failed_all = np.zeros((trials, num_rows), dtype=bool)
+    dropped = np.zeros(trials, dtype=np.int64)
+    erased = np.zeros(trials, dtype=np.int64)
+    waves = range(0, plan.num_batches, bandwidth)
+    for wave, lo in enumerate(waves):
+        width = min(bandwidth, plan.num_batches - lo)
+        wl = f"{label}/wave{wave}"
+        tr, ch = np.nonzero((plan.batch >= lo) & (plan.batch < lo + width))
+        planes = plan.batch[tr, ch] - lo
+        msgs = plan.chunk_msg[ch]
+        srcs = plan.sources[tr, msgs]
+        relay = plan.block[tr, ch][:, None] * length + arange_len
+
+        # one batched encode of every trial's chunks in the wave
+        col = np.minimum(plan.chunk_start[ch][:, None] + arange_cap,
+                         last_col)
+        valid = arange_cap < plan.chunk_size[ch][:, None]
+        payload = np.where(valid, bits[tr[:, None], msgs[:, None], col], 0)
+        del col, valid
+        codewords = code.encode_many(payload).astype(np.int64)
+        del payload
+
+        # round 1: source -> relay block
+        keys = (((tr * n + srcs) * n)[:, None] + relay).ravel()
+        intended = _stage(keys, codewords << planes[:, None], trials, n,
+                          width)
+        del keys, codewords
+        delivered = send_round(intended, width, f"{wl}/r1")
+        del intended
+        got = delivered[tr[:, None], srcs[:, None], relay]
+        del delivered
+        lost = got < 0
+        if lost.any():
+            dropped += _per_trial(tr, lost, trials)
+        relayed = np.where(lost, 0, (got >> planes[:, None]) & 1)
+        del got, lost
+
+        # fan out one row per (chunk, target)
+        rows = row_ptr[ch]
+        pairs = pair_ptr[msgs]
+        fan = chunk_fan[ch]
+        if int(fan.sum()) != fan.size:
+            expand, within = _ragged(fan)
+            tr, planes, relay, relayed = (tr[expand], planes[expand],
+                                          relay[expand], relayed[expand])
+            rows = rows[expand] + within
+            pairs = pairs[expand] + within
+        tgts = plan.targets[tr, pairs]
+
+        # round 2: relay block -> target
+        keys = ((tr[:, None] * n + relay) * n + tgts[:, None]).ravel()
+        intended = _stage(keys, relayed << planes[:, None], trials, n,
+                          width)
+        del keys, relayed
+        delivered = send_round(intended, width, f"{wl}/r2")
+        del intended
+        got = delivered[tr[:, None], relay, tgts[:, None]]
+        del delivered
+        erase = got < 0
+        received = np.where(erase, 0, (got >> planes[:, None]) & 1)\
+            .astype(np.uint8)
+        del got
+        # round-2 drops are receiver-known erasures: erasure-aware codes
+        # get them for the doubled pure-drop radius (gated so drop-free
+        # waves take the plain decode path)
+        declared = {}
+        if erase.any():
+            lost = _per_trial(tr, erase, trials)
+            dropped += lost
+            if erasure_aware:
+                erased += lost
+                declared["erasures"] = erase
+        decoded, failed = code.decode_many_flagged(received, **declared)
+        del received, erase, declared
+        decoded_all[tr, rows] = decoded[:, :capacity]
+        failed_all[tr, rows] = np.asarray(failed, dtype=bool)
+
+    row_chunk, within = _ragged(chunk_fan)
+    return BatchedRoutingResult(
+        decoded=decoded_all, failed=failed_all,
+        row_pair=pair_ptr[plan.chunk_msg[row_chunk]] + within,
+        row_start=plan.chunk_start[row_chunk],
+        row_size=plan.chunk_size[row_chunk],
+        pair_msg=np.repeat(np.arange(plan.fanout.size), plan.fanout),
+        sizes=plan.sizes, rounds=2 * len(waves), batches=plan.num_batches,
+        codeword_bits=length, dropped=dropped, erased=erased)
+
+
 class SuperMessageRouter:
     """Executes SuperMessagesRouting instances on a network."""
 
@@ -131,25 +385,49 @@ class SuperMessageRouter:
                label: str) -> RoutingResult:
         net = self.net
         n = net.n
-        alpha = net.adversary.alpha
-        length, code = self.profile.select_routing_code(n, alpha)
+        length, code = self.profile.select_routing_code(n, net.adversary.alpha)
         if self.mode == "coverfree":
-            # cover-freeness needs group size >> k/delta, so the relay sets
-            # stay small relative to n; low-rate codes absorb the overlap
-            length = max(8, n // 16)
-            code = self.profile.routing_code_at_rate(
-                length, min(self.profile.code_rate, 1.0 / 8))
+            return self._route_coverfree(messages, label)
         capacity = max(1, code.k)
-
         chunks = self._split_into_chunks(messages, capacity)
-        start_rounds = net.rounds_used
-        if self.mode == "blocks":
-            batches = self._schedule_blocks(chunks, n // length)
-            executor = self._execute_wave_blocks
-        else:
-            batches = self._schedule_capacity(chunks, self.coverfree_k)
-            executor = self._execute_wave_coverfree
+        batches = self._schedule_blocks(chunks, n // length)
+        plan = WavePlan.from_schedule(messages, chunks, batches, capacity, 1)
+        bits = np.zeros((1, len(messages), int(plan.sizes.max(initial=1))),
+                        dtype=np.uint8)
+        for j, msg in enumerate(messages):
+            bits[0, j, :len(msg.bits)] = msg.bits
+        # the serial network is the kernel's trials=1 case
+        result = route_waves(
+            lambda intended, width, wl: net.round(intended[0], width=width,
+                                                  label=wl)[None],
+            n, net.bandwidth, code, length, plan, bits, label)
 
+        received = result.pair_bits()[0]
+        pair_target = plan.targets[0]
+        outputs: Dict[int, Dict[MessageKey, np.ndarray]] = {}
+        for p, j in enumerate(result.pair_msg.tolist()):
+            msg = messages[j]
+            outputs.setdefault(int(pair_target[p]), {})[msg.key] = \
+                received[p, :len(msg.bits)]
+        failures = [(int(pair_target[p]), messages[result.pair_msg[p]].key)
+                    for p in result.row_pair[result.failed[0]]]
+        return RoutingResult(outputs=outputs, rounds=result.rounds,
+                             decode_failures=failures,
+                             batches=result.batches, codeword_bits=length,
+                             dropped_entries=int(result.dropped[0]),
+                             erased_entries=int(result.erased[0]))
+
+    def _route_coverfree(self, messages: Sequence[SuperMessage],
+                         label: str) -> RoutingResult:
+        net = self.net
+        # cover-freeness needs group size >> k/delta, so the relay sets
+        # stay small relative to n; low-rate codes absorb the overlap
+        length = max(8, net.n // 16)
+        code = self.profile.routing_code_at_rate(
+            length, min(self.profile.code_rate, 1.0 / 8))
+        chunks = self._split_into_chunks(messages, max(1, code.k))
+        batches = self._schedule_capacity(chunks, self.coverfree_k)
+        start_rounds = net.rounds_used
         raw: Dict[int, Dict[MessageKey, Dict[int, np.ndarray]]] = \
             defaultdict(lambda: defaultdict(dict))
         failures: List[Tuple[int, MessageKey]] = []
@@ -157,8 +435,9 @@ class SuperMessageRouter:
         bandwidth = net.bandwidth
         for wave_start in range(0, len(batches), bandwidth):
             wave = batches[wave_start:wave_start + bandwidth]
-            executor(wave, length, code, raw, failures, stats,
-                     f"{label}/wave{wave_start // bandwidth}")
+            self._execute_wave_coverfree(
+                wave, length, code, raw, failures, stats,
+                f"{label}/wave{wave_start // bandwidth}")
 
         outputs = self._reassemble(messages, raw)
         return RoutingResult(outputs=outputs,
@@ -351,92 +630,6 @@ class SuperMessageRouter:
                 for t in chunk.targets:
                     tgt_count[-1][t] = 1
         return batches
-
-    # -- execution: blocks mode ---------------------------------------------------
-    def _execute_wave_blocks(self, wave, length, code, raw, failures, stats,
-                             label):
-        net = self.net
-        n = net.n
-        plane_count = len(wave)
-        # encode every chunk in the wave in one batch call
-        all_items = [(plane, chunk, block)
-                     for plane, batch in enumerate(wave)
-                     for chunk, block in batch]
-        if not all_items:
-            return
-        rows = len(all_items)
-        padded = np.zeros((rows, code.k), dtype=np.uint8)
-        for row, (_, chunk, _) in enumerate(all_items):
-            padded[row, :chunk.bits.size] = chunk.bits
-        codewords = code.encode_many(padded).astype(np.int64)
-
-        planes = np.array([p for p, _, _ in all_items], dtype=np.int64)
-        sources = np.array([c.source for _, c, _ in all_items],
-                           dtype=np.int64)
-        blocks = np.array([b for _, _, b in all_items], dtype=np.int64)
-        # relay ids of every chunk, one row per chunk
-        relay_idx = blocks[:, None] * length + np.arange(length)[None, :]
-
-        # round 1: source -> relay block.  All planes of the wave stage into
-        # the word plane with a single OR-scatter: same-(source, relay)
-        # collisions only happen across planes, which OR resolves exactly
-        # (the schedule keeps each plane collision-free on its own bit).
-        values = np.zeros((n, n), dtype=np.int64)
-        present = np.zeros((n, n), dtype=bool)
-        shifted = codewords << planes[:, None]
-        src_flat = np.repeat(sources, length)
-        rel_flat = relay_idx.reshape(-1)
-        np.bitwise_or.at(values, (src_flat, rel_flat), shifted.reshape(-1))
-        present[src_flat, rel_flat] = True
-        intended = np.where(present, values, -1)
-        delivered1 = net.round(intended, width=plane_count,
-                               label=f"{label}/r1")
-
-        # round 2: relay -> targets.  Expand one row per (chunk, target) and
-        # stage with the same single OR-scatter.
-        got1 = delivered1[sources[:, None], relay_idx]
-        stats["dropped"] += int(np.count_nonzero(got1 < 0))
-        bits1 = np.where(got1 < 0, 0, (got1 >> planes[:, None]) & 1)
-        target_counts = np.array([len(c.targets) for _, c, _ in all_items])
-        expand = np.repeat(np.arange(rows), target_counts)
-        targets = np.array([t for _, c, _ in all_items for t in c.targets],
-                           dtype=np.int64)
-
-        values2 = np.zeros((n, n), dtype=np.int64)
-        present2 = np.zeros((n, n), dtype=bool)
-        shifted1 = bits1 << planes[:, None]
-        expanded_planes = planes[expand]
-        rel2_flat = relay_idx[expand].reshape(-1)
-        tgt2_flat = np.repeat(targets, length)
-        np.bitwise_or.at(values2, (rel2_flat, tgt2_flat),
-                         shifted1[expand].reshape(-1))
-        present2[rel2_flat, tgt2_flat] = True
-        intended2 = np.where(present2, values2, -1)
-        delivered2 = net.round(intended2, width=plane_count,
-                               label=f"{label}/r2")
-
-        # decode at every target: one gather + one batch decode for the wave
-        got2 = delivered2[relay_idx[expand], targets[:, None]]
-        stats["dropped"] += int(np.count_nonzero(got2 < 0))
-        bits2 = np.where(got2 < 0, 0,
-                         (got2 >> expanded_planes[:, None]) & 1
-                         ).astype(np.uint8)
-        # round-2 drops are receiver-known erasures; thread them into
-        # erasure-aware codes for the doubled pure-drop radius (gated so
-        # drop-free runs take the exact pre-existing decode path)
-        erase2 = got2 < 0
-        if erase2.any() and getattr(code, "supports_erasures", False):
-            stats["erased"] += int(erase2.sum())
-            decoded, failed = code.decode_many_flagged(bits2, erasures=erase2)
-        else:
-            decoded, failed = code.decode_many_flagged(bits2)
-        for e in range(expand.size):
-            _, chunk, _ = all_items[expand[e]]
-            t = int(targets[e])
-            raw[t][(chunk.source, chunk.slot)][chunk.index] = \
-                decoded[e][:chunk.bits.size]
-            if failed[e]:
-                failures.append((t, (chunk.source, chunk.slot)))
 
     # -- execution: cover-free mode -------------------------------------------------
     def _execute_wave_coverfree(self, wave, length, code, raw, failures,

@@ -13,13 +13,15 @@ serial control flow with a leading batch axis:
   the serial protocol derives it (nonadaptive's shift vectors), so batched
   outputs are bit-identical to serial ones;
 * when per-trial randomness changes the routing *structure* itself
-  (nonadaptive's return step targets depend on the shifts), schedules are
-  still computed per trial — at message-run granularity through
-  :meth:`~repro.core.batched_routing.BatchedRouter.route_grouped` when the
-  message counts and bit lengths are shared, or with the serial scheduler
-  otherwise; if batch counts diverge the router raises
+  (nonadaptive's return step targets depend on the shifts), message counts
+  and bit lengths are still shared, so each trial is scheduled at
+  message-run granularity through
+  :meth:`~repro.core.batched_routing.BatchedRouter.route_grouped`; if
+  batch counts diverge the router raises
   :class:`~repro.core.batched_routing.CellUnbatchable` and the caller
   falls back to per-trial serial execution;
+* every routing step, shared or grouped, runs its waves through the one
+  kernel :func:`~repro.core.routing.route_waves`;
 * the adaptive compiler batches natively
   (:class:`BatchedAdaptiveAllToAll`): its message *structure* (counts,
   lengths, slots) is partition-independent even though the node ids
@@ -115,7 +117,7 @@ class BatchedDetSqrtAllToAll:
         # S_i[j] reassembles its belief of M(S_i, S_j): message (v, j) is
         # row v*root+j of the stack, so the (t, i, j, source) gather is a
         # reshape + transpose, then one batched unpack
-        out1 = res1.single_target_stack(n * root)
+        out1 = res1.message_bits()
         rows1 = out1.reshape(trials, root, root, root, bit_len)\
             .transpose(0, 1, 3, 2, 4)
         held = unpack_rows(
@@ -138,7 +140,7 @@ class BatchedDetSqrtAllToAll:
         # -- Output: v = S_j[l] holds M(S_i, {v}) for every i ------------------
         # message (i, j, col) is row i*root²+j*root+col; gather to the
         # serial (t, j, col, i) row order with one transpose
-        out2 = res2.single_target_stack(n * root)
+        out2 = res2.message_bits()
         rows3 = out2.reshape(trials, root, root, root, bit_len)\
             .transpose(0, 2, 3, 1, 4)
         values = unpack_rows(
@@ -211,7 +213,7 @@ class BatchedDetLogAllToAll:
             # row u of the stack is what u's partner received FROM u, so
             # node u's inbox is row partner(u)
             partner_of = np.array([meta[u][3] for u in range(n)])
-            received_rows = res.single_target_stack(n)[:, partner_of]
+            received_rows = res.message_bits()[:, partner_of]
             num_sources = state[0][0].size
             num_keep = state[0][1].size // 2
             received_all = unpack_rows(
@@ -242,9 +244,9 @@ class BatchedNonAdaptiveAllToAll:
 
     Steps 0/1 batch cleanly (per-trial shift vectors are data, not
     structure).  The step-2 return routing targets *depend* on each trial's
-    shifts, so its schedules are computed per trial; when their batch
-    counts diverge the route raises ``CellUnbatchable`` and the caller
-    falls back to serial per-trial execution.
+    shifts, so it rides ``route_grouped`` with per-trial owners; when the
+    trials' batch counts diverge the route raises ``CellUnbatchable`` and
+    the caller falls back to serial per-trial execution.
     """
 
     name = "nonadaptive"
@@ -289,31 +291,29 @@ class BatchedNonAdaptiveAllToAll:
         delivered = net.exchange(payload, width=B, label="nonadaptive/spread")
 
         # -- Step 2: B routing instances bring the bit-columns home -----------
+        # message m = w * B + i (the serial key order): relay w returns
+        # bit-column i, the bits w received from every node, to its owner
+        # (w - r_i) mod n; counts and lengths are shared, owners per trial
         clean = np.where(delivered < 0, 0, delivered)
         bit_planes = unpack_bits(clean.astype(np.uint64)[..., None], B)
-        trials_messages = []
-        for t in range(trials):
-            msgs = []
-            for i in range(B):
-                r = int(shifts[t, i])
-                for w in range(n):
-                    owner = (w - r) % n
-                    msgs.append(SuperMessage.make(w, i,
-                                                  bit_planes[t, :, w, i],
-                                                  [owner]))
-            trials_messages.append(msgs)
-        results = router.route(trials_messages, label="nonadaptive/return")
+        relays = np.repeat(np.arange(n), B)
+        slots = np.tile(np.arange(B), n)
+        routed = router.route_grouped(
+            np.broadcast_to(relays, (trials, n * B)), slots,
+            np.full(n * B, n, dtype=np.int64),
+            (relays[None, :] - shifts[:, slots]) % n,
+            bit_planes.transpose(0, 2, 3, 1).reshape(trials, n * B, n),
+            label="nonadaptive/return")
 
         # -- Step 3: reassemble and decode ------------------------------------
-        words = np.empty((trials, n, n, B), dtype=np.uint8)
-        owners = np.arange(n)
-        for t in range(trials):
-            out = results[t].outputs
-            for i in range(B):
-                relay_of = (owners + int(shifts[t, i])) % n
-                gathered = np.stack([out[v][(int(relay_of[v]), i)]
-                                     for v in range(n)])
-                words[t, :, :, i] = gathered.T
+        # owner v's bit-column i came from relay (v + r_i) mod n;
+        # words[t, u, v, i] is its bit u
+        owner_relay = (np.arange(n)[None, :, None]
+                       + shifts[:, None, :]) % n           # (T, v, i)
+        got = routed.message_bits()[
+            np.arange(trials)[:, None, None],
+            owner_relay * B + np.arange(B)[None, None, :]]  # (T, v, i, u)
+        words = np.ascontiguousarray(got.transpose(0, 3, 1, 2))
         decoded, _ = code.decode_many_flagged(words.reshape(trials * n * n, B))
         weights = (np.int64(1) << np.arange(width, dtype=np.int64))
         beliefs = (decoded.astype(np.int64) * weights[None, :]).sum(axis=1)

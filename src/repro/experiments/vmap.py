@@ -12,8 +12,9 @@ Cells fall back to per-trial serial execution (the plain
 :func:`~repro.experiments.runner.execute_trial`) whenever lockstep
 batching is impossible or unprofitable:
 
-* the protocol has no batched port (the adaptive compiler branches on
-  per-trial network feedback);
+* the protocol has no batched port (nonadaptive, det-sqrt, det-logn and
+  the adaptive compiler all have one in
+  :data:`~repro.core.vmapped.BATCHED_PROTOCOLS`);
 * per-trial routing schedules diverge
   (:class:`~repro.core.batched_routing.CellUnbatchable` — e.g.
   nonadaptive's shift-dependent return step at unlucky seeds);
@@ -65,16 +66,20 @@ _PLANE_COPIES = 4
 
 
 def batch_byte_budget() -> int:
-    """The in-effect batch memory budget (env override or default)."""
+    """The in-effect batch memory budget (env override or default).
+    A set override must be a positive integer byte count; anything else
+    raises ``ValueError`` rather than silently running at the default."""
     raw = os.environ.get("REPRO_BATCH_BYTE_BUDGET")
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_BATCH_BYTE_BUDGET
+    if not raw:
+        return DEFAULT_BATCH_BYTE_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"REPRO_BATCH_BYTE_BUDGET must be a positive "
+                         f"integer byte count; got {raw!r}")
+    return value
 
 
 def trial_plane_bytes(trial: TrialSpec) -> int:

@@ -176,7 +176,9 @@ class VmapBackend(Backend):
     name = "vmap"
 
     def execute(self, run: CampaignRun) -> None:
-        from repro.experiments.vmap import group_cells, run_cell_batched
+        from repro.experiments.vmap import (batch_byte_budget, group_cells,
+                                            run_cell_batched)
+        batch_byte_budget()  # a malformed override fails before any cell
         for cell_trials in group_cells(run.pending).values():
             if run.out_of_time():
                 return

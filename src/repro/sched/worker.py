@@ -110,7 +110,9 @@ def _run_trials(trials: List[TrialSpec], store: TrialStore,
             on_row(row)
 
     if inner_backend == "vmap":
-        from repro.experiments.vmap import group_cells, run_cell_batched
+        from repro.experiments.vmap import (batch_byte_budget, group_cells,
+                                            run_cell_batched)
+        batch_byte_budget()  # a malformed override fails before any cell
         for cell_trials in group_cells(trials).values():
             for row in run_cell_batched(cell_trials, policy=policy):
                 record(row)

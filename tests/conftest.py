@@ -12,3 +12,17 @@ def rng():
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running end-to-end protocol tests")
+
+
+@pytest.fixture
+def require_batched(monkeypatch):
+    """Make every vmap cell that leaves the batched path fail loudly: the
+    serial fallback (``repro.experiments.vmap._rows_serial``) raises
+    instead of quietly producing serial-identical rows."""
+    from repro.experiments import vmap
+
+    def refuse(trials, policy=None):
+        raise AssertionError(
+            f"cell {trials[0].cell} fell back to serial execution")
+
+    monkeypatch.setattr(vmap, "_rows_serial", refuse)

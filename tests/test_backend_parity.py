@@ -75,18 +75,30 @@ class TestBackendParity:
         rows = digests["vmap"][1].rows()
         assert all(r["status"] == STATUS_UNSUPPORTED for r in rows)
 
-    def test_adaptive_protocol_batches_natively(self):
+    def test_adaptive_protocol_batches_natively(self, require_batched):
         # the adaptive compiler used to be the one protocol without a
-        # batched port; it now batches natively, so no trial may have
-        # taken the serial-fallback path
+        # batched port; it now batches natively, so no cell may take the
+        # serial-fallback path
         spec = free_grid(name="parity-adaptive-proto",
                          protocols=("adaptive",), adversaries=("null",),
                          ns=(16,), alphas=(0.0,), widths=(4,),
                          bandwidths=(8,), replicates=2)
         digests = run_backends(spec)
         assert digests["serial"][0] == digests["vmap"][0]
+
+    def test_nonadaptive_protocol_batches_natively(self, require_batched):
+        # the shift-dependent return step rides the grouped router, so
+        # every cell batches and matches serial row for row
+        spec = free_grid(name="parity-nonadaptive-proto",
+                         protocols=("nonadaptive",),
+                         adversaries=("null", "nonadaptive", "iid-erase"),
+                         ns=(16,), alphas=(1 / 16,), widths=(4,),
+                         bandwidths=(8,), replicates=2)
+        digests = run_backends(spec)
+        assert digests["serial"][0] == digests["vmap"][0]
         rows = digests["vmap"][1].rows()
-        assert not any("fallback" in r for r in rows)
+        assert all(r["status"] == STATUS_OK for r in rows)
+        assert any(r["entries_corrupted"] > 0 for r in rows)
 
     def test_unknown_backend_rejected(self):
         spec = free_grid(name="parity-bad", ns=(16,), alphas=(0.0,),

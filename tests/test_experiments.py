@@ -269,3 +269,31 @@ class TestRegistry:
     def test_overrides_thread_through(self):
         spec = build_campaign("smoke", replicates=1, base_seed=42)
         assert spec.replicates == 1 and spec.base_seed == 42
+
+
+class TestBatchByteBudget:
+    @pytest.mark.parametrize("raw", ["256M", "0", "-5", "1.5e8"])
+    def test_malformed_override_raises(self, monkeypatch, raw):
+        from repro.experiments.vmap import batch_byte_budget
+        monkeypatch.setenv("REPRO_BATCH_BYTE_BUDGET", raw)
+        with pytest.raises(ValueError, match="REPRO_BATCH_BYTE_BUDGET") \
+                as info:
+            batch_byte_budget()
+        assert repr(raw) in str(info.value)
+
+    def test_valid_override_and_default(self, monkeypatch):
+        from repro.experiments.vmap import (DEFAULT_BATCH_BYTE_BUDGET,
+                                            batch_byte_budget)
+        monkeypatch.setenv("REPRO_BATCH_BYTE_BUDGET", "1048576")
+        assert batch_byte_budget() == 1048576
+        monkeypatch.delenv("REPRO_BATCH_BYTE_BUDGET")
+        assert batch_byte_budget() == DEFAULT_BATCH_BYTE_BUDGET
+
+    def test_campaign_fails_before_any_cell_runs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCH_BYTE_BUDGET", "256M")
+        store = TrialStore(None)
+        with pytest.raises(ValueError, match="REPRO_BATCH_BYTE_BUDGET"):
+            run_campaign(build_campaign("smoke"), store=store,
+                         backend="vmap")
+        # only the campaign header was written: no trial ran
+        assert [r.get("kind") for r in store.rows()] == ["campaign"]
