@@ -12,11 +12,16 @@ These serve two roles:
 
 Message lengths are capped at 14 bits so that enumerating the full codebook
 (for exact minimum distance and ML decoding) stays cheap.
+
+Searched codes (:func:`search_linear_code`) are public constructions: every
+node derives the same generator from the same seed.  The search scores a
+chunk of candidate generators per array program, and each outcome, a
+failure included, is computed once per process.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +34,16 @@ _MAX_N = 48  # decode packs codewords into 48-bit integers
 
 _POPCOUNT_16 = np.array([bin(i).count("1") for i in range(1 << 16)],
                         dtype=np.int64)
+
+
+def _check_dimensions(k: int, n: int) -> None:
+    """Reject an [n, k] shape that no code of this module can take."""
+    if not 1 <= k <= _MAX_K:
+        raise ValueError(f"k={k} out of range: brute-force decoding needs "
+                         f"1 <= k <= {_MAX_K}")
+    if not k <= n <= _MAX_N:
+        raise ValueError(f"n={n} out of range: packed ML decoding needs "
+                         f"k={k} <= n <= {_MAX_N}")
 
 
 def _all_messages(k: int) -> np.ndarray:
@@ -51,12 +66,7 @@ class LinearBlockCode(BinaryCode):
         if generator.ndim != 2:
             raise ValueError("generator matrix must be 2-dimensional")
         k, n = generator.shape
-        if k > _MAX_K:
-            raise ValueError(f"k={k} too large for brute-force decoding")
-        if k == 0 or n < k:
-            raise ValueError(f"invalid code dimensions k={k}, n={n}")
-        if n > _MAX_N:
-            raise ValueError(f"n={n} too large for packed ML decoding")
+        _check_dimensions(k, n)
         self.k = k
         self.n = n
         self.generator = generator
@@ -175,7 +185,57 @@ def extended_hamming_8_4() -> LinearBlockCode:
     return LinearBlockCode(generator)
 
 
-_SEARCH_CACHE: Dict[Tuple[int, int, int, int], LinearBlockCode] = {}
+#: (candidate, message) pairs scored per chunk of the search
+_SEARCH_CHUNK_PAIRS = 1 << 11
+
+#: (k, n, target, seed, attempts) -> the code found, or the best distance
+#: of a failed search
+_SEARCH_MEMO: Dict[Tuple[int, int, int, int, int],
+                   Union[LinearBlockCode, int]] = {}
+
+
+def _systematic_distances(parity_rows: np.ndarray, r: int) -> np.ndarray:
+    """Exact minimum distance of every code ``[I | A]`` in a stack.
+
+    ``parity_rows`` is ``(count, k)``: row j of each ``A`` packed into an
+    ``r``-bit integer.  Message m has weight popcount(m) + popcount(mA);
+    the parities mA of all 2^k messages are built by doubling.
+    """
+    count, k = parity_rows.shape
+    parity = np.zeros((count, 1 << k), dtype=np.int64)
+    for j in range(k):
+        parity[:, 1 << j:2 << j] = parity[:, :1 << j] ^ parity_rows[:, j, None]
+    weights = np.tile(_POPCOUNT_16[:1 << k], (count, 1))
+    for shift in range(0, r, 16):
+        weights += _POPCOUNT_16[(parity >> shift) & 0xFFFF]
+    return weights[:, 1:].min(axis=1)
+
+
+def _search(k: int, n: int, target_distance: int, seed: int,
+            attempts: int) -> Union[LinearBlockCode, int]:
+    """The first of ``attempts`` seeded systematic generators whose code
+    reaches the target, or the largest distance seen when none does."""
+    rng = make_rng(seed ^ (k << 20) ^ (n << 10) ^ target_distance)
+    r = n - k
+    cells = k * r
+    # one attempt's (k, r) uint8 draw uses one byte per 32-bit word and
+    # drops the rest of its last word, so a (count, pad) draw cut to
+    # ``cells`` columns replays ``count`` attempts of the same stream
+    pad = 4 * -(-cells // 4)
+    bit_weights = np.int64(1) << np.arange(r, dtype=np.int64)
+    chunk = max(1, _SEARCH_CHUNK_PAIRS >> k)
+    best = 0
+    for start in range(0, attempts, chunk):
+        count = min(chunk, attempts - start)
+        draws = rng.integers(0, 2, size=(count, pad), dtype=np.uint8)
+        a = draws[:, :cells].reshape(count, k, r)
+        distances = _systematic_distances(a @ bit_weights, r)
+        hits = np.flatnonzero(distances >= target_distance)
+        if hits.size:
+            return LinearBlockCode(np.concatenate(
+                [np.eye(k, dtype=np.uint8), a[hits[0]]], axis=1))
+        best = max(best, int(distances.max()))
+    return best
 
 
 def search_linear_code(k: int, n: int, target_distance: int,
@@ -184,39 +244,30 @@ def search_linear_code(k: int, n: int, target_distance: int,
 
     Deterministic for a fixed seed.  Tries systematic generators [I | A] with
     random A; raises ``ValueError`` if no code is found within the attempt
-    budget (callers should lower the target).
+    budget (callers should lower the target).  Found codes and failures are
+    both memoized, so a repeated call costs a dict lookup.
     """
-    key = (k, n, target_distance, seed)
-    cached = _SEARCH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rng = make_rng(seed ^ (k << 20) ^ (n << 10) ^ target_distance)
-    best: Optional[LinearBlockCode] = None
-    for _ in range(attempts):
-        a = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
-        generator = np.concatenate([np.eye(k, dtype=np.uint8), a], axis=1)
-        try:
-            code = LinearBlockCode(generator)
-        except ValueError:
-            continue
-        if best is None or code.min_distance > best.min_distance:
-            best = code
-        if best.min_distance >= target_distance:
-            break
-    if best is None or best.min_distance < target_distance:
-        raise ValueError(
-            f"no [{n},{k}] code with distance >= {target_distance} found; "
-            f"best was {best.min_distance if best else 0}")
-    _SEARCH_CACHE[key] = best
-    return best
+    _check_dimensions(k, n)
+    key = (k, n, target_distance, seed, attempts)
+    outcome = _SEARCH_MEMO.get(key)
+    if outcome is None:
+        outcome = _SEARCH_MEMO[key] = _search(k, n, target_distance, seed,
+                                              attempts)
+    if isinstance(outcome, LinearBlockCode):
+        return outcome
+    raise ValueError(
+        f"no [{n},{k}] code with distance >= {target_distance} found; "
+        f"best was {outcome}")
 
 
 def best_effort_linear_code(k: int, n: int, seed: int = 0) -> LinearBlockCode:
     """Find a good [n, k] code, relaxing the distance target until one exists.
 
     Starts near the Gilbert–Varshamov-style guess ``(n - k) // 2 + 2`` and
-    walks down.  Always succeeds (distance 1 is trivially achievable).
+    walks down.  Always succeeds (distance 1 is trivially achievable) once
+    the dimensions are in range; out-of-range ones raise ``ValueError``.
     """
+    _check_dimensions(k, n)
     target = max(1, (n - k) // 2 + 2)
     while target > 1:
         try:

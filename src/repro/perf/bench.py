@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.cliquesim.network import CongestedClique
+from repro.coding import linear
 from repro.coding.justesen import make_justesen_code
 from repro.coding.linear import best_effort_linear_code
 from repro.coding.reed_solomon import ReedSolomonBinaryCode, ReedSolomonCodec
@@ -295,6 +296,37 @@ def bench_linear_ml_decode(count: int, repeats: int) -> Dict:
     ref = _best_of(lambda: reference.decode_many_loop(code, noisy), 1)
     batched = _best_of(lambda: code.decode_many_flagged(noisy), repeats)
     return _entry("linear-ml-decode", count, "words", ref, batched)
+
+
+def bench_linear_code_search(repeats: int) -> Dict:
+    """Code design: the array search kernel (exact minimum distance of a
+    chunk of candidate generators per array program) against the frozen
+    loop that builds one :class:`LinearBlockCode` per attempt.  Both
+    searches fail, so each side runs every attempt; the memo is cleared
+    before each timed kernel call, and the outcomes (failure messages)
+    are asserted equal first."""
+    # (k, n, target, seed): failing searches of the stochastic-iid and
+    # headline campaigns' code design, 4000 attempts each
+    searches = ((4, 16, 8, 2025), (8, 24, 10, 0))
+
+    def outcomes(search) -> List[str]:
+        out = []
+        for k, n, target, seed in searches:
+            try:
+                out.append(search(k, n, target, seed=seed).generator.tobytes())
+            except ValueError as exc:
+                out.append(str(exc))
+        return out
+
+    def kernel() -> List[str]:
+        linear._SEARCH_MEMO.clear()
+        return outcomes(linear.search_linear_code)
+
+    assert outcomes(reference.search_linear_code_loop) == kernel()
+    ref = _best_of(lambda: outcomes(reference.search_linear_code_loop), 1)
+    batched = _best_of(kernel, repeats)
+    return _entry("linear-code-search", len(searches), "searches", ref,
+                  batched)
 
 
 # -- network suite ------------------------------------------------------------
@@ -572,6 +604,8 @@ def _suite_plan(suite: str):
             ("linear-ml-decode",
              lambda smoke, r: bench_linear_ml_decode(512 if smoke else 4096,
                                                      r)),
+            ("linear-code-search",
+             lambda smoke, r: bench_linear_code_search(r)),
             ("sketch-add-many",
              lambda smoke, r: bench_sketch_add_many(2000 if smoke else 20000,
                                                     r)),

@@ -13,6 +13,8 @@ import numpy as np
 
 from repro.cliquesim.network import CongestedClique
 from repro.coding.interfaces import DecodingFailure
+from repro.coding.linear import LinearBlockCode
+from repro.utils.rng import make_rng
 
 
 def decode_many_loop(code, words: np.ndarray):
@@ -163,6 +165,32 @@ def stage_symbols_uint8(symbols: np.ndarray, sym_bits: int) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.int64)
     bits = ((symbols[..., None] >> np.arange(sym_bits)) & 1).astype(np.uint8)
     return pack_bits(bits.reshape(symbols.shape[:-1] + (-1,)))
+
+
+def search_linear_code_loop(k: int, n: int, target_distance: int,
+                            seed: int = 0, attempts: int = 4000):
+    """The pre-kernel ``search_linear_code`` without its cache: one
+    :class:`LinearBlockCode` built (and its codebook enumerated) per
+    attempt.  Frozen as the oracle the array search kernel must match
+    generator for generator, failure message included."""
+    rng = make_rng(seed ^ (k << 20) ^ (n << 10) ^ target_distance)
+    best = None
+    for _ in range(attempts):
+        a = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
+        generator = np.concatenate([np.eye(k, dtype=np.uint8), a], axis=1)
+        try:
+            code = LinearBlockCode(generator)
+        except ValueError:
+            continue
+        if best is None or code.min_distance > best.min_distance:
+            best = code
+        if best.min_distance >= target_distance:
+            break
+    if best is None or best.min_distance < target_distance:
+        raise ValueError(
+            f"no [{n},{k}] code with distance >= {target_distance} found; "
+            f"best was {best.min_distance if best else 0}")
+    return best
 
 
 def sketch_add_scalar_loop(spec, seed: int, ids: np.ndarray,

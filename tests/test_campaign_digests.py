@@ -30,6 +30,10 @@ PINS = [
      "aeda957623516d9296979ce2dc182121a96dc15a7cf1dbfdd3a1ed94315dc3d1"),
     ("byzantine-nodes", {"n": 32},
      "8c02459418629bf217c075724c96642477ed64d2a55e4a2cf4bfb017c7de3f48"),
+    # its n=128 trial routes with L=128, whose inner code is the searched
+    # [24, 8, 7] code reached after targets 10, 9 and 8 fail at seed 2025
+    ("headline-scaling", {},
+     "7508fee918897e4cb4fa8678837dda708ad7edbb575661f46ce60096f9e969e7"),
 ]
 
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding import linear
 from repro.coding.linear import (
     LinearBlockCode,
     best_effort_linear_code,
     extended_hamming_8_4,
     search_linear_code,
 )
+from repro.perf import reference
+from repro.utils.rng import make_rng
 
 
 class TestExtendedHamming:
@@ -112,3 +115,89 @@ class TestSearch:
         flip = rng.choice(24, budget, replace=False)
         noisy[flip] ^= 1
         assert np.array_equal(code.decode(noisy), msg)
+
+
+def _outcome(search, k, n, target, seed, attempts):
+    """The generator bytes a search returns, or its error message."""
+    try:
+        code = search(k, n, target, seed=seed, attempts=attempts)
+    except ValueError as exc:
+        return str(exc)
+    assert code.generator.dtype == np.uint8
+    return code.generator.tobytes()
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(linear, "_SEARCH_MEMO", {})
+
+
+@pytest.fixture
+def rng_calls(monkeypatch, empty_memo):
+    """How many generators the search has created so far."""
+    calls = []
+
+    def counting(seed):
+        calls.append(seed)
+        return make_rng(seed)
+
+    monkeypatch.setattr(linear, "make_rng", counting)
+    return calls
+
+
+class TestSearchKernel:
+    @pytest.mark.parametrize("k,n,target,seed,attempts", [
+        # k(n - k) not a multiple of 4: the padded draw is cut per attempt
+        (1, 8, 6, 3, 40), (1, 8, 8, 0, 10), (3, 10, 5, 1, 37),
+        (3, 10, 6, 1, 37), (1, 32, 20, 0, 5),
+        # n == k: no parity bits, no random draws
+        (5, 5, 1, 0, 3), (5, 5, 2, 0, 3),
+        # k = 14: one attempt per chunk
+        (14, 20, 3, 0, 3), (14, 22, 3, 4, 2),
+        # attempt counts that are not a multiple of the chunk
+        (4, 16, 7, 9, 1), (4, 16, 8, 9, 1), (6, 20, 8, 5, 37),
+        # the keys the campaign workloads search
+        (4, 16, 8, 2025, 4000), (4, 16, 7, 2025, 4000),
+        (8, 24, 10, 0, 4000), (8, 24, 9, 0, 4000), (8, 24, 8, 0, 4000),
+        # above the Singleton bound n - k + 1
+        (4, 6, 5, 0, 50),
+        # no attempts at all
+        (4, 12, 3, 0, 0),
+    ])
+    def test_kernel_matches_loop_oracle(self, empty_memo, k, n, target,
+                                        seed, attempts):
+        got = _outcome(search_linear_code, k, n, target, seed, attempts)
+        want = _outcome(reference.search_linear_code_loop, k, n, target,
+                        seed, attempts)
+        assert got == want
+
+    @pytest.mark.parametrize("target", [8, 7])  # fails / found at seed 2025
+    def test_repeated_search_creates_no_generator(self, rng_calls, target):
+        first = _outcome(search_linear_code, 4, 16, target, 2025, 4000)
+        assert _outcome(search_linear_code, 4, 16, target, 2025, 4000) \
+            == first
+        assert len(rng_calls) == 1
+        if target == 8:
+            assert first == \
+                "no [16,4] code with distance >= 8 found; best was 7"
+
+    def test_failure_memo_is_per_attempt_budget(self, rng_calls):
+        # (4, 16, 7) at seed 9 fails on its first draw but not within 4000
+        with pytest.raises(ValueError):
+            search_linear_code(4, 16, 7, seed=9, attempts=1)
+        code = search_linear_code(4, 16, 7, seed=9, attempts=4000)
+        assert code.min_distance >= 7
+        assert len(rng_calls) == 2
+
+    @pytest.mark.parametrize("k,n,bad,limit", [
+        (15, 20, "k=15", "k <= 14"), (4, 60, "n=60", "n <= 48"),
+        (16, 32, "k=16", "k <= 14"), (0, 8, "k=0", "1 <= k"),
+        (6, 5, "n=5", "k=6 <= n")])
+    def test_out_of_range_dimensions_fail_fast(self, rng_calls, k, n, bad,
+                                               limit):
+        for build in (best_effort_linear_code,
+                      lambda k, n: search_linear_code(k, n, 1)):
+            with pytest.raises(ValueError, match=bad) as info:
+                build(k, n)
+            assert limit in str(info.value)
+        assert rng_calls == []
