@@ -10,6 +10,8 @@ corrupted per round.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -18,10 +20,17 @@ class FaultBudgetViolation(Exception):
 
 
 def max_faulty_degree(n: int, alpha: float) -> int:
-    """The per-node budget floor(alpha * n)."""
+    """The per-node budget floor(alpha * n).
+
+    A product within 1e-9 of an integer counts as that integer, so a
+    fraction that float arithmetic rounds just below a whole number
+    (``0.29 * 100 == 28.999999999999996``) keeps its intended budget.
+    Every other ``floor(alpha * n)`` in the package goes through here, so
+    the adversary's budget and the budget a code is sized for agree.
+    """
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return int(np.floor(alpha * n))
+    return math.floor(alpha * n + 1e-9)
 
 
 def fault_degrees(edges: np.ndarray) -> np.ndarray:
@@ -88,6 +97,14 @@ def greedy_symmetric_selection(priorities: np.ndarray, budget: int,
     matrix with all degrees <= budget.  This is the work-horse of the
     adaptive strategies: score edges by how much damage corrupting them
     does, then greedily saturate the budget.
+
+    The walk over the sorted edges runs on Python ints and stops once
+    fewer than two nodes have budget left (no later edge could be taken).
+    The mask and the state left in ``rng`` must equal those of the frozen
+    per-edge loop,
+    :func:`repro.perf.reference.greedy_symmetric_selection_loop`: every
+    adaptive campaign's rows depend on both, so the draw and the
+    ``argsort`` call (which orders tied scores) stay exactly as they are.
     """
     n = priorities.shape[0]
     mask = np.zeros((n, n), dtype=bool)
@@ -97,11 +114,18 @@ def greedy_symmetric_selection(priorities: np.ndarray, budget: int,
     scores = priorities[iu, iv].astype(np.float64)
     scores += rng.random(scores.size) * 1e-9  # tie-break
     order = np.argsort(-scores)
-    degrees = np.zeros(n, dtype=np.int64)
-    for idx in order:
-        u, v = int(iu[idx]), int(iv[idx])
+    degrees = [0] * n
+    saturated = 0
+    rows, cols = [], []
+    for u, v in zip(iu[order].tolist(), iv[order].tolist()):
         if degrees[u] < budget and degrees[v] < budget:
-            mask[u, v] = mask[v, u] = True
+            rows.append(u)
+            cols.append(v)
             degrees[u] += 1
             degrees[v] += 1
+            saturated += (degrees[u] >= budget) + (degrees[v] >= budget)
+            if saturated > n - 2:
+                break
+    mask[rows, cols] = True
+    mask[cols, rows] = True
     return mask

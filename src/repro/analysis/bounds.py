@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.adversary.budget import max_faulty_degree
+
 
 def classical_fault_budget(n: int, c: float = 1.0) -> int:
     """Total corrupted edges per round in the classical model: Θ(n)."""
@@ -24,7 +26,7 @@ def classical_fault_budget(n: int, c: float = 1.0) -> int:
 def bounded_degree_fault_budget(n: int, alpha: float) -> int:
     """Total corrupted edges per round under deg(F) <= alpha*n: up to
     floor(alpha n) * n / 2."""
-    return int(math.floor(alpha * n)) * n // 2
+    return max_faulty_degree(n, alpha) * n // 2
 
 
 def fault_amplification(n: int, alpha: float, c: float = 1.0) -> float:
@@ -48,7 +50,7 @@ class RoutingFeasibility:
     @property
     def adversary_fraction(self) -> float:
         """Corrupted positions over the two routing rounds."""
-        return 2 * math.floor(self.alpha * self.n) / self.codeword_bits
+        return 2 * max_faulty_degree(self.n, self.alpha) / self.codeword_bits
 
     @property
     def total_loss(self) -> float:

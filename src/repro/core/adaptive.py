@@ -39,6 +39,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.adversary.budget import max_faulty_degree
 from repro.cliquesim.network import CongestedClique
 from repro.cliquesim.topology import (
     balanced_random_partition,
@@ -165,7 +166,7 @@ class AdaptiveAllToAll(AllToAllProtocol):
     @staticmethod
     def _num_parts(n: int, alpha: float) -> int:
         """The paper's alpha*n group count, rounded to a divisor of n."""
-        target = max(2, int(math.floor(alpha * n)))
+        target = max(2, max_faulty_degree(n, alpha))
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         candidates = [d for d in divisors if 2 <= d <= target]
         return max(candidates) if candidates else 2

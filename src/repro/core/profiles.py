@@ -19,9 +19,9 @@ Two profiles ship:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.adversary.budget import max_faulty_degree
 from repro.coding.interfaces import BinaryCode
 from repro.coding.justesen import make_justesen_code
 from repro.coding.linear import best_effort_linear_code
@@ -78,7 +78,7 @@ class ProtocolProfile:
         insufficient — alpha is simply too large for this n, the simulation
         analogue of the paper's alpha <= 1/(8*10^4) precondition.
         """
-        budget = 2 * int(math.floor(alpha * n)) + self.safety_errors
+        budget = 2 * max_faulty_degree(n, alpha) + self.safety_errors
         lengths = sorted({max(8, n // 16), max(8, n // 8), max(8, n // 4),
                           max(8, n // 2), n})
         rates = (self.code_rate, self.code_rate / 2, self.code_rate / 4)
@@ -111,7 +111,7 @@ class ProtocolProfile:
         quantities substituted for the worst-case terms.
         """
         code = self.routing_code(codeword_bits)
-        adversary_fraction = 2 * math.floor(alpha * n) / codeword_bits
+        adversary_fraction = 2 * max_faulty_degree(n, alpha) / codeword_bits
         loss = 2 * overlap + adversary_fraction
         if loss >= code.relative_distance / 2:
             raise ProfileError(

@@ -218,7 +218,7 @@ class ByzantineNodeAdversary(Adversary):
 
     def begin_protocol(self, n: int) -> None:
         super().begin_protocol(n)
-        f = int(np.floor(self.node_fraction * n))
+        f = max_faulty_degree(n, self.node_fraction)
         rng = derive(self.seed, f"byz-nodes:{n}")
         self.faulty_nodes = np.sort(rng.permutation(n)[:f])
         incident = np.zeros(n, dtype=bool)
@@ -358,7 +358,7 @@ class BatchedByzantineNodeAdversary(BatchedAdversary):
             raise ValueError(
                 f"{len(self.seeds)} seeds cannot cover {trials} trials")
         super().begin_protocol(n, trials)
-        f = int(np.floor(self.node_fraction * n))
+        f = max_faulty_degree(n, self.node_fraction)
         masks = np.zeros((trials, n, n), dtype=bool)
         for t, seed in enumerate(self.seeds):
             rng = derive(seed, f"byz-nodes:{n}")

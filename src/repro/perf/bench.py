@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.adversary.budget import greedy_symmetric_selection
 from repro.cliquesim.network import CongestedClique
 from repro.coding import linear
 from repro.coding.justesen import make_justesen_code
@@ -410,6 +411,30 @@ def bench_plane_staging(n: int, count: int, sym_bits: int,
     return _entry(f"plane-staging-n{n}", items, "symbols", ref, batched)
 
 
+def bench_greedy_selection(planes: int, repeats: int) -> Dict:
+    """Adaptive-adversary fault selection at the adv-logn-n64 shape:
+    ``planes`` all-loaded n=64 priority planes (every edge carries a
+    message both ways, so every edge scores 2 and only the tie-break draw
+    orders them), alternating budgets 1 and 2, one RNG seed per plane.
+    Races the list walk of ``greedy_symmetric_selection`` against the
+    frozen per-edge loop; the masks are asserted equal first."""
+    n = 64
+    priorities = np.full((n, n), 2.0)
+    np.fill_diagonal(priorities, 0.0)
+    cases = [(1 + plane % 2, 500 + plane) for plane in range(planes)]
+
+    def run(select) -> List[np.ndarray]:
+        return [select(priorities, budget, make_rng(seed))
+                for budget, seed in cases]
+
+    for fast, slow in zip(run(greedy_symmetric_selection),
+                          run(reference.greedy_symmetric_selection_loop)):
+        assert np.array_equal(fast, slow)
+    ref = _best_of(lambda: run(reference.greedy_symmetric_selection_loop), 1)
+    batched = _best_of(lambda: run(greedy_symmetric_selection), repeats)
+    return _entry("greedy-selection-n64", planes, "planes", ref, batched)
+
+
 def bench_trial_batch(n: int, trials: int, repeats: int) -> Dict:
     """Trial-batched campaign execution: one fault-free det-sqrt cell of
     ``trials`` trials run as a single tensor program over a
@@ -622,6 +647,8 @@ def _suite_plan(suite: str):
         ("plane-staging-n64",
          lambda smoke, r: bench_plane_staging(64, 32 if smoke else 128,
                                               7, r)),
+        ("greedy-selection-n64",
+         lambda smoke, r: bench_greedy_selection(16 if smoke else 64, r)),
         ("det-sqrt-end-to-end",
          lambda smoke, r: bench_protocol_end_to_end("det-sqrt", 64, 32)),
         ("trial-batch-n64",

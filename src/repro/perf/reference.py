@@ -193,6 +193,30 @@ def search_linear_code_loop(k: int, n: int, target_distance: int,
     return best
 
 
+def greedy_symmetric_selection_loop(priorities: np.ndarray, budget: int,
+                                    rng: np.random.Generator) -> np.ndarray:
+    """The pre-rewrite ``greedy_symmetric_selection``: every edge of the
+    argsorted order is visited, reading and writing numpy arrays one
+    scalar at a time.  Frozen as the oracle the list walk must match on
+    the mask and on the state it leaves ``rng`` in."""
+    n = priorities.shape[0]
+    mask = np.zeros((n, n), dtype=bool)
+    if budget <= 0:
+        return mask
+    iu, iv = np.triu_indices(n, k=1)
+    scores = priorities[iu, iv].astype(np.float64)
+    scores += rng.random(scores.size) * 1e-9  # tie-break
+    order = np.argsort(-scores)
+    degrees = np.zeros(n, dtype=np.int64)
+    for idx in order:
+        u, v = int(iu[idx]), int(iv[idx])
+        if degrees[u] < budget and degrees[v] < budget:
+            mask[u, v] = mask[v, u] = True
+            degrees[u] += 1
+            degrees[v] += 1
+    return mask
+
+
 def sketch_add_scalar_loop(spec, seed: int, ids: np.ndarray,
                            freqs: np.ndarray):
     """The pre-plane sketch update path: one scalar ``KSparseSketch.add``

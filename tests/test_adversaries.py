@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary.adaptive import (
     AdaptiveAdversary,
@@ -27,6 +28,7 @@ from repro.adversary.strategies import (
     corrupt_flip,
     corrupt_random,
 )
+from repro.perf.reference import greedy_symmetric_selection_loop
 from repro.utils.rng import make_rng
 
 
@@ -86,6 +88,129 @@ class TestBudget:
         rng = make_rng(5)
         mask = greedy_symmetric_selection(np.ones((8, 8)), 0, rng)
         assert not mask.any()
+
+    @pytest.mark.parametrize("n, alpha, budget", [
+        (100, 0.29, 29), (50, 0.58, 29), (90, 0.7, 63)])
+    def test_max_faulty_degree_counts_float_rounded_products(self, n, alpha,
+                                                             budget):
+        # alpha * n lands just below the integer in float arithmetic
+        assert alpha * n < budget
+        assert max_faulty_degree(n, alpha) == budget
+
+    def test_max_faulty_degree_still_floors_fractions(self):
+        assert max_faulty_degree(100, 0.295) == 29
+        assert max_faulty_degree(64, 1 / 32) == 2
+        assert max_faulty_degree(10, 1.0) == 10
+
+    def test_budget_copies_agree_with_max_faulty_degree(self):
+        from repro.analysis.bounds import (RoutingFeasibility,
+                                           bounded_degree_fault_budget)
+        from repro.core.adaptive import AdaptiveAllToAll
+        from repro.core.profiles import SIMULATION, ProfileError
+        from repro.faults.channels import ByzantineNodeAdversary
+
+        # code sizing: 2 * 29 + 1 errors, not 2 * 28 + 1
+        with pytest.raises(ProfileError, match=r"\+1=59 adversarial"):
+            SIMULATION.select_routing_code(50, 0.58)
+        assert bounded_degree_fault_budget(100, 0.29) == 29 * 100 // 2
+        feasibility = RoutingFeasibility(n=100, alpha=0.29, codeword_bits=58,
+                                         overlap=0.0, code_distance=0.5)
+        assert feasibility.adversary_fraction == 1.0
+        # (1/49) * 196 is 3.9999999999999996: the group count is 4, not 2
+        assert AdaptiveAllToAll._num_parts(196, 1 / 49) == 4
+        byzantine = ByzantineNodeAdversary(0.58)
+        byzantine.begin_protocol(50)
+        assert len(byzantine.faulty_nodes) == 29
+
+
+class _ZeroRng:
+    """An RNG stub whose tie-break draw is all zeros, so equal scores stay
+    equal and only ``argsort`` decides their order."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return np.zeros(size)
+
+
+class TestGreedySelectionOracle:
+    """The list walk must reproduce the frozen per-edge loop exactly: the
+    same mask, and the same RNG state afterwards (the ``random`` content
+    attack draws from the same stream next)."""
+
+    @staticmethod
+    def assert_matches_loop(priorities, budget, seed):
+        fast_rng, loop_rng = make_rng(seed), make_rng(seed)
+        fast = greedy_symmetric_selection(priorities, budget, fast_rng)
+        slow = greedy_symmetric_selection_loop(priorities, budget, loop_rng)
+        assert fast.dtype == slow.dtype == bool
+        assert np.array_equal(fast, slow)
+        assert fast_rng.random() == loop_rng.random()
+        return fast
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forced_ties_follow_argsort(self, budget, seed):
+        # three tied score classes in scrambled positions, where the
+        # unstable argsort need not keep edges in index order
+        priorities = make_rng(seed).integers(0, 3, size=(24, 24))
+        fast_rng, loop_rng = _ZeroRng(), _ZeroRng()
+        fast = greedy_symmetric_selection(priorities, budget, fast_rng)
+        slow = greedy_symmetric_selection_loop(priorities, budget, loop_rng)
+        assert np.array_equal(fast, slow)
+        assert fast_rng.sizes == loop_rng.sizes == [276]
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_loaded_workload_planes(self, budget, seed):
+        loaded = np.ones((64, 64))
+        np.fill_diagonal(loaded, 0.0)
+        mask = self.assert_matches_loop(loaded + loaded.T, budget, seed)
+        assert fault_degrees(mask).max() == budget
+
+    @pytest.mark.parametrize("kind", ["adaptive", "targeted", "sliding"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boosted_random_priorities(self, kind, seed):
+        n = 32
+        adversary = {
+            "adaptive": AdaptiveAdversary(3 / n),
+            "targeted": TargetedAdaptiveAdversary(3 / n, victims=[seed, 7]),
+            "sliding": SlidingWindowAdversary(3 / n),
+        }[kind]
+        adversary.begin_protocol(n)
+        rng = make_rng(100 + seed)
+        intended = np.where(rng.random((n, n)) < 0.5, 1, -1)
+        priorities = adversary.edge_priorities(
+            view_for(n, intended=intended, index=seed))
+        assert (priorities.max() > 2) == (kind != "adaptive")  # boosts
+        for budget in (1, 2, 5):
+            self.assert_matches_loop(priorities, budget, seed)
+
+    @pytest.mark.parametrize("budget", [7, 8, 20])
+    def test_budget_at_least_n_minus_one_takes_every_edge(self, budget):
+        mask = self.assert_matches_loop(make_rng(3).random((8, 8)), budget, 3)
+        assert np.array_equal(mask, ~np.eye(8, dtype=bool))
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_two_nodes(self, budget):
+        mask = self.assert_matches_loop(np.zeros((2, 2)), budget, 0)
+        assert mask[0, 1] and mask[1, 0] and not mask.diagonal().any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), budget=st.integers(0, 12),
+           levels=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def test_matches_loop_on_small_cliques(self, n, budget, levels, seed):
+        priorities = make_rng(seed).integers(0, levels, size=(n, n))
+        self.assert_matches_loop(priorities, budget, seed)
+
+    def test_zero_budget_draws_nothing(self):
+        mask = self.assert_matches_loop(np.ones((8, 8)), 0, 9)
+        assert not mask.any()
+        rng = make_rng(9)
+        greedy_symmetric_selection(np.ones((8, 8)), 0, rng)
+        assert rng.random() == make_rng(9).random()
 
 
 class TestStrategies:

@@ -100,6 +100,25 @@ class TestBackendParity:
         assert all(r["status"] == STATUS_OK for r in rows)
         assert any(r["entries_corrupted"] > 0 for r in rows)
 
+    def test_adaptive_adversary_family_batches_natively(self,
+                                                        require_batched):
+        # headline-scaling's smallest point (n=32, budget 1) under every
+        # greedy-selecting adversary: the per-trial wrapper keeps each cell
+        # on the batched engine, row for row equal to serial
+        spec = free_grid(name="parity-adaptive-family",
+                         protocols=("det-logn",),
+                         adversaries=("adaptive", "targeted",
+                                      "sliding-window"),
+                         ns=(32,), alphas=(1 / 32,), replicates=4)
+        digests = run_backends(spec)
+        assert digests["serial"][0] == digests["vmap"][0]
+        rows = digests["vmap"][1].rows()
+        assert len(rows) == 12
+        assert all(r["status"] == STATUS_OK for r in rows)
+        for kind in ("adaptive", "targeted", "sliding-window"):
+            assert any(r["entries_corrupted"] > 0 for r in rows
+                       if r["trial"]["adversary"] == kind), kind
+
     def test_unknown_backend_rejected(self):
         spec = free_grid(name="parity-bad", ns=(16,), alphas=(0.0,),
                          replicates=1)

@@ -15,6 +15,7 @@ from repro.perf import (
     write_results,
 )
 from repro.perf.bench import (
+    bench_greedy_selection,
     bench_linear_ml_decode,
     bench_plane_staging,
     bench_rs_batch_bm,
@@ -44,6 +45,13 @@ class TestBenchEntries:
         # beyond-radius rows that must flag on both sides
         entry = bench_rs_batch_bm(32, 1)
         assert entry["items"] == 32
+        assert entry["speedup"] > 0
+
+    def test_greedy_selection_entry(self):
+        # the benchmark asserts list walk == per-edge loop before timing
+        entry = bench_greedy_selection(4, 1)
+        assert entry["items"] == 4
+        assert entry["unit"] == "planes"
         assert entry["speedup"] > 0
 
     def test_plane_staging_entry(self):
