@@ -32,10 +32,6 @@ from repro.utils.rng import make_rng
 _MAX_K = 14
 _MAX_N = 48  # decode packs codewords into 48-bit integers
 
-_POPCOUNT_16 = np.array([bin(i).count("1") for i in range(1 << 16)],
-                        dtype=np.int64)
-
-
 def _check_dimensions(k: int, n: int) -> None:
     """Reject an [n, k] shape that no code of this module can take."""
     if not 1 <= k <= _MAX_K:
@@ -127,16 +123,13 @@ class LinearBlockCode(BinaryCode):
                 raise ValueError(
                     f"erasure mask shape {masks.shape} != {blocks.shape}")
             keep = ((~masks).astype(np.int64) * weights[None, :]).sum(axis=1)
-        table = _POPCOUNT_16
         out = np.empty(blocks.shape[0], dtype=np.int64)
         step = 1 << 14
         for start in range(0, packed.size, step):
             xor = packed[start:start + step, None] ^ codebook[None, :]
             if keep is not None:
                 xor &= keep[start:start + step, None]
-            dist = (table[xor & 0xFFFF] + table[(xor >> 16) & 0xFFFF]
-                    + table[(xor >> 32) & 0xFFFF])
-            out[start:start + step] = dist.argmin(axis=1)
+            out[start:start + step] = np.bitwise_count(xor).argmin(axis=1)
         return self._messages[out]
 
     def _full_decode_table(self) -> np.ndarray:
@@ -146,8 +139,8 @@ class LinearBlockCode(BinaryCode):
             every = np.arange(1 << self.n, dtype=np.int64)
             codebook = self._codebook.astype(np.int64) \
                 @ (np.int64(1) << np.arange(self.n, dtype=np.int64))
-            dist = _POPCOUNT_16[every[:, None] ^ codebook[None, :]]
-            self._decode_table = dist.argmin(axis=1)
+            self._decode_table = np.bitwise_count(
+                every[:, None] ^ codebook[None, :]).argmin(axis=1)
         return self._decode_table
 
     # -- batched BinaryCode interface -----------------------------------------
@@ -194,20 +187,19 @@ _SEARCH_MEMO: Dict[Tuple[int, int, int, int, int],
                    Union[LinearBlockCode, int]] = {}
 
 
-def _systematic_distances(parity_rows: np.ndarray, r: int) -> np.ndarray:
+def _systematic_distances(parity_rows: np.ndarray) -> np.ndarray:
     """Exact minimum distance of every code ``[I | A]`` in a stack.
 
     ``parity_rows`` is ``(count, k)``: row j of each ``A`` packed into an
-    ``r``-bit integer.  Message m has weight popcount(m) + popcount(mA);
+    integer.  Message m has weight popcount(m) + popcount(mA);
     the parities mA of all 2^k messages are built by doubling.
     """
     count, k = parity_rows.shape
     parity = np.zeros((count, 1 << k), dtype=np.int64)
     for j in range(k):
         parity[:, 1 << j:2 << j] = parity[:, :1 << j] ^ parity_rows[:, j, None]
-    weights = np.tile(_POPCOUNT_16[:1 << k], (count, 1))
-    for shift in range(0, r, 16):
-        weights += _POPCOUNT_16[(parity >> shift) & 0xFFFF]
+    weights = np.bitwise_count(np.arange(1 << k, dtype=np.int64)) \
+        + np.bitwise_count(parity)
     return weights[:, 1:].min(axis=1)
 
 
@@ -229,7 +221,7 @@ def _search(k: int, n: int, target_distance: int, seed: int,
         count = min(chunk, attempts - start)
         draws = rng.integers(0, 2, size=(count, pad), dtype=np.uint8)
         a = draws[:, :cells].reshape(count, k, r)
-        distances = _systematic_distances(a @ bit_weights, r)
+        distances = _systematic_distances(a @ bit_weights)
         hits = np.flatnonzero(distances >= target_distance)
         if hits.size:
             return LinearBlockCode(np.concatenate(

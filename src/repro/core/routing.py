@@ -30,18 +30,22 @@ Batches execute in *waves* of ``B`` (the bandwidth): B independent 1-bit
 instances ride in the B bit-planes of a single round, which is exactly the
 parallel-composition argument of Lemma 2.9 / the proof of Theorem 4.1.
 
-Blocks-mode waves have one implementation, :func:`route_waves`: an array
-program over ``(trials, chunks)`` index arrays that runs any number of
-lockstep trials.  :meth:`SuperMessageRouter.route` is its ``trials=1``
-case; :class:`~repro.core.batched_routing.BatchedRouter` feeds it whole
-campaign cells.
+Blocks mode has one scheduler, one plan builder and one wave kernel.  The
+schedule depends only on message structure — sources, slots, sizes and
+targets, public by Theorem 4.1's assumption — so :func:`plan_waves` builds
+a :class:`WavePlan` from those index arrays, placing every message's run
+of chunks with :func:`_grouped_greedy`; :func:`route_waves` then moves the
+payload of any number of lockstep trials.  :meth:`SuperMessageRouter.route`
+converts its message list to the arrays and runs as one trial;
+:class:`~repro.core.batched_routing.BatchedRouter` feeds whole campaign
+cells.  Cover-free mode keeps its own chunker, scheduler and executor.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +80,17 @@ class SuperMessage:
         return (self.source, self.slot)
 
 
+def _structure(messages: Sequence[SuperMessage]):
+    """The index arrays of a message list: sources, slots, sizes, the
+    targets of every message in turn, and each message's target count."""
+    return (np.array([m.source for m in messages], dtype=np.int64),
+            np.array([m.slot for m in messages], dtype=np.int64),
+            np.array([len(m.bits) for m in messages], dtype=np.int64),
+            np.array([t for m in messages for t in m.targets],
+                     dtype=np.int64),
+            np.array([len(m.targets) for m in messages], dtype=np.int64))
+
+
 @dataclass
 class _Chunk:
     source: int
@@ -107,6 +122,12 @@ class RoutingResult:
         return self.outputs[target][(source, slot)]
 
 
+class CellUnbatchable(Exception):
+    """The trials of this cell cannot run in lockstep (e.g. per-trial
+    routing schedules diverge); the caller should fall back to per-trial
+    serial execution."""
+
+
 @dataclass
 class WavePlan:
     """A scheduled blocks-mode routing over ``trials`` lockstep trials.
@@ -129,41 +150,6 @@ class WavePlan:
     batch: np.ndarray          # (trials, C)
     block: np.ndarray          # (trials, C)
     num_batches: int
-
-    @classmethod
-    def from_schedule(cls, messages: Sequence[SuperMessage],
-                      chunks: List[_Chunk],
-                      batches: List[List[Tuple[_Chunk, int]]],
-                      capacity: int, trials: int) -> "WavePlan":
-        """The plan of one chunking + schedule that every trial shares,
-        broadcast over ``trials``; message ``m`` is ``messages[m]``."""
-        position = {m.key: j for j, m in enumerate(messages)}
-        row_of = {id(c): i for i, c in enumerate(chunks)}
-        batch = np.empty(len(chunks), dtype=np.int64)
-        block = np.empty(len(chunks), dtype=np.int64)
-        for b, placed in enumerate(batches):
-            for chunk, blk in placed:
-                i = row_of[id(chunk)]
-                batch[i], block[i] = b, blk
-
-        def shared(values):
-            arr = np.array(values, dtype=np.int64)
-            return np.broadcast_to(arr, (trials,) + arr.shape)
-
-        return cls(
-            chunk_msg=np.array([position[c.source, c.slot] for c in chunks],
-                               dtype=np.int64),
-            chunk_start=np.array([c.index * capacity for c in chunks],
-                                 dtype=np.int64),
-            chunk_size=np.array([c.bits.size for c in chunks],
-                                dtype=np.int64),
-            sizes=np.array([len(m.bits) for m in messages], dtype=np.int64),
-            fanout=np.array([len(m.targets) for m in messages],
-                            dtype=np.int64),
-            sources=shared([m.source for m in messages]),
-            targets=shared([t for m in messages for t in m.targets]),
-            batch=shared(batch), block=shared(block),
-            num_batches=len(batches))
 
 
 @dataclass
@@ -242,6 +228,279 @@ def _ragged(counts: np.ndarray):
     owner = np.repeat(np.arange(counts.size), counts)
     return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
                                                     counts)
+
+
+def _low_bits(mask: int, count: int) -> int:
+    """The lowest ``count`` set bits of ``mask``."""
+    if count >= mask.bit_count():
+        return mask
+    low = 0
+    for _ in range(count):
+        bit = mask & -mask
+        low |= bit
+        mask ^= bit
+    return low
+
+
+def _grouped_greedy(srcs: np.ndarray, tgts: np.ndarray, counts: np.ndarray,
+                    num_blocks: int, fanout: np.ndarray):
+    """The blocks-mode scheduler: a greedy (batch, block) placement in
+    which no two chunks of a batch share a (source, block) or a (target,
+    block) pair.
+
+    Message ``m`` is a run of ``counts[m]`` chunks from ``srcs[m]`` to its
+    ``fanout[m]`` targets, the next ``fanout[m]`` entries of ``tgts``.
+    Each run takes the lowest free blocks of each feasible batch, which is
+    placement-for-placement what the chunk-at-a-time greedy
+    (``repro.perf.reference``) does: a run's chunks share their conflicts,
+    so that greedy takes exactly the lowest remaining free bits.  Returns
+    per-chunk batch and block arrays in message order, and the batch
+    count."""
+    full = (1 << num_blocks) - 1
+    srcs_l = srcs.tolist()
+    tgts_l = tgts.tolist()
+    nodes = max(srcs_l + tgts_l, default=-1) + 1
+    # per-node occupancy columns as plain Python int lists (bit b of entry
+    # i: block b of batch i is taken) — scalar probes and updates on them
+    # are several times cheaper than numpy item access.  A run first pads
+    # its columns to the batch count.
+    src_cols: List[List[int]] = [[] for _ in range(nodes)]
+    tgt_cols: List[List[int]] = [[] for _ in range(nodes)]
+    first_open = [0] * nodes
+    num_batches = 0
+    run_batch: List[int] = []
+    run_mask: List[int] = []
+    run_take: List[int] = []
+
+    def place(cols, batch, mask, take):
+        run_batch.append(batch)
+        run_mask.append(mask)
+        run_take.append(take)
+        for col in cols:
+            col[batch] |= mask
+
+    prev_key = None
+    prev_batch = -1
+    prev_free = 0
+    ptr = 0
+    for src, remaining, fan in zip(srcs_l, counts.tolist(), fanout.tolist()):
+        targets = tgts_l[ptr:ptr + fan]
+        ptr += fan
+        key = (src, targets)
+        # a multi-target run probes the OR of its columns and writes each
+        # placement back to every one of them
+        cols = [src_cols[src]] + [tgt_cols[t] for t in targets]
+        for col in cols:
+            if len(col) < num_batches:
+                col.extend([0] * (num_batches - len(col)))
+        scol = cols[0]
+        # a run only ever conflicts with its *own* placements, so the open
+        # suffix seen at run start stays valid for the whole run: the
+        # chunk-at-a-time greedy's later scans (always from prev_batch + 1)
+        # see exactly these masks
+        if key == prev_key:
+            scan_from = prev_batch + 1
+            if prev_free:
+                take = min(remaining, prev_free.bit_count())
+                mask = _low_bits(prev_free, take)
+                place(cols, prev_batch, mask, take)
+                prev_free &= ~mask
+                remaining -= take
+        else:
+            fo = first_open[src]
+            while fo < num_batches and scol[fo] == full:
+                fo += 1
+            first_open[src] = fo
+            scan_from = fo
+        if remaining and scan_from < num_batches \
+                and remaining <= 4 * num_blocks:
+            # short run: a scalar scan with early exit (the first open
+            # batch is almost always within a step or two).  If the scan
+            # runs dry every batch past scan_from is closed for this key,
+            # so falling through to the append path is correct.
+            for batch in range(scan_from, num_batches):
+                used = 0
+                for col in cols:
+                    used |= col[batch]
+                free = full & ~used
+                if not free:
+                    continue
+                take = min(remaining, free.bit_count())
+                mask = _low_bits(free, take)
+                place(cols, batch, mask, take)
+                prev_batch = batch
+                prev_free = free & ~mask
+                remaining -= take
+                if not remaining:
+                    break
+        elif remaining and scan_from < num_batches:
+            # long run: every batch up to the one where the free blocks
+            # reach ``remaining`` is consumed whole, and that last batch
+            # gives its lowest bits
+            free = full & ~np.bitwise_or.reduce(
+                np.array([col[scan_from:] for col in cols], dtype=np.int64))
+            opened = np.flatnonzero(free)
+            if opened.size:
+                last = min(int(np.searchsorted(
+                    np.cumsum(np.bitwise_count(free[opened])), remaining)),
+                    opened.size - 1)
+                for batch, free_b in zip(
+                        (scan_from + opened[:last + 1]).tolist(),
+                        free[opened[:last + 1]].tolist()):
+                    take = min(remaining, free_b.bit_count())
+                    mask = _low_bits(free_b, take)
+                    place(cols, batch, mask, take)
+                    prev_batch = batch
+                    prev_free = free_b & ~mask
+                    remaining -= take
+        if remaining:
+            # nothing open at or past the scan head: the chunk-at-a-time
+            # greedy appends one batch per chunk of blocks, each taking the
+            # lowest remaining bits — place the whole tail at once
+            n_full, leftover = divmod(remaining, num_blocks)
+            masks = [full] * n_full + ([(1 << leftover) - 1] if leftover
+                                       else [])
+            run_batch.extend(range(num_batches, num_batches + len(masks)))
+            run_mask.extend(masks)
+            run_take.extend([num_blocks] * n_full
+                            + ([leftover] if leftover else []))
+            for col in cols:
+                col.extend(masks)
+            num_batches += len(masks)
+            prev_batch = num_batches - 1
+            prev_free = full & ~masks[-1]
+        prev_key = key
+    takes = np.array(run_take, dtype=np.int64)
+    batch_out = np.repeat(np.array(run_batch, dtype=np.int64), takes)
+    bit_rows = (np.array(run_mask, dtype=np.int64)[:, None]
+                >> np.arange(num_blocks)[None, :]) & 1
+    block_out = np.nonzero(bit_rows)[1]  # row-major: ascending per run
+    return batch_out, block_out, num_batches
+
+
+def _key_order(n: int, sources: np.ndarray, slots: np.ndarray,
+               sizes: np.ndarray, targets: np.ndarray,
+               fanout: np.ndarray) -> np.ndarray:
+    """One trial's messages in (source, slot) key order, the order the
+    greedy places them in.  Rejects what no routing can carry: empty
+    messages, messages without targets, node ids outside ``[0, n)``,
+    repeated targets and duplicate keys."""
+    def key(m):
+        return int(sources[m]), int(slots[m])
+
+    for bad, what in ((sizes < 1, "is empty"),
+                      (fanout < 1, "has no targets")):
+        if bad.any():
+            raise ValueError(f"super-message {key(np.argmax(bad))} {what}")
+    outside = (sources < 0) | (sources >= n)
+    if outside.any():
+        m = int(np.argmax(outside))
+        raise ValueError(f"super-message {key(m)} has source {sources[m]} "
+                         f"outside [0, {n})")
+    pair_msg = np.repeat(np.arange(sizes.size), fanout)
+    outside = (targets < 0) | (targets >= n)
+    if outside.any():
+        p = int(np.argmax(outside))
+        raise ValueError(f"super-message {key(pair_msg[p])} has target "
+                         f"{targets[p]} outside [0, {n})")
+    if targets.size > sizes.size:
+        codes = np.sort(pair_msg * n + targets)
+        twice = np.flatnonzero(codes[1:] == codes[:-1])
+        if twice.size:
+            m, t = divmod(int(codes[twice[0]]), n)
+            raise ValueError(f"super-message {key(m)} lists target {t} "
+                             f"twice")
+    order = np.lexsort((slots, sources))
+    same = (sources[order[1:]] == sources[order[:-1]]) \
+        & (slots[order[1:]] == slots[order[:-1]])
+    if same.any():
+        raise ValueError("duplicate super-message key "
+                         f"{key(order[np.argmax(same)])}")
+    return order
+
+
+def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
+               sources, slots, sizes, targets,
+               fanout=None) -> WavePlan:
+    """Schedule a blocks-mode routing of ``trials`` lockstep trials; the
+    one place a :class:`WavePlan` is built.
+
+    Message ``m`` sends ``sizes[m]`` bits, cut into ``capacity``-bit
+    chunks, from node ``sources[m]`` (slot ``slots[m]``) to its
+    ``fanout[m]`` targets, the next ``fanout[m]`` entries of ``targets``
+    (one each by default).  Theorem 4.1 makes this structure public, so
+    the schedule depends on nothing else.  Shared ``(M,)`` sources and
+    ``(P,)`` targets are scheduled once and broadcast; per-trial ``(trials,
+    M)`` / ``(trials, P)`` ones are scheduled trial by trial, in each
+    trial's (source, slot) key order.  Raises :class:`CellUnbatchable`
+    when per-trial batch counts differ, since the trials then take
+    different round counts, and :class:`ProfileError` unless there are 1
+    to 62 relay blocks."""
+    if not 1 <= num_blocks <= 62:  # block masks must fit an int64
+        raise ProfileError(f"{num_blocks} relay blocks of n={n} nodes; the "
+                           f"scheduler takes 1 to 62")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    num_messages = sizes.size
+    slots = np.asarray(slots, dtype=np.int64)
+    fanout = np.ones(num_messages, dtype=np.int64) if fanout is None \
+        else np.asarray(fanout, dtype=np.int64)
+    num_pairs = int(fanout.sum())
+    sources = np.asarray(sources, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if slots.shape != (num_messages,) or fanout.shape != (num_messages,) \
+            or sources.shape not in ((num_messages,), (trials, num_messages)) \
+            or targets.shape not in ((num_pairs,), (trials, num_pairs)):
+        raise ValueError(
+            f"{num_messages} messages over {trials} trials need (M,) slots "
+            f"and fanout, (M,) or (trials, M) sources and (P,) or (trials, "
+            f"P) targets; got {slots.shape}, {fanout.shape}, "
+            f"{sources.shape} and {targets.shape}")
+    shared = sources.ndim == 1 and targets.ndim == 1
+    sources = np.broadcast_to(sources, (trials, num_messages))
+    targets = np.broadcast_to(targets, (trials, num_pairs))
+
+    n_chunks = -(-sizes // capacity)
+    chunk_msg, within = _ragged(n_chunks)
+    chunk_start = within * capacity
+    first_chunk = np.cumsum(n_chunks) - n_chunks
+    pair_ptr = np.cumsum(fanout) - fanout
+
+    def schedule(src, tgt):
+        # greedy in key order, scattered back into message order
+        order = _key_order(n, src, slots, sizes, tgt, fanout)
+        owner, rank = _ragged(fanout[order])
+        batch_o, block_o, num_batches = _grouped_greedy(
+            src[order], tgt[pair_ptr[order][owner] + rank], n_chunks[order],
+            num_blocks, fanout[order])
+        owner, rank = _ragged(n_chunks[order])
+        canon = first_chunk[order][owner] + rank
+        batch = np.empty(chunk_msg.size, dtype=np.int64)
+        block = np.empty(chunk_msg.size, dtype=np.int64)
+        batch[canon] = batch_o
+        block[canon] = block_o
+        return batch, block, num_batches
+
+    if shared:
+        batch, block, num_batches = schedule(sources[0], targets[0])
+        batch = np.broadcast_to(batch, (trials, batch.size))
+        block = np.broadcast_to(block, (trials, block.size))
+    else:
+        batch = np.empty((trials, chunk_msg.size), dtype=np.int64)
+        block = np.empty((trials, chunk_msg.size), dtype=np.int64)
+        counts = set()
+        for t in range(trials):
+            batch[t], block[t], num_batches = schedule(sources[t],
+                                                       targets[t])
+            counts.add(num_batches)
+        if len(counts) > 1:
+            raise CellUnbatchable(f"per-trial schedules diverge: batch "
+                                  f"counts {sorted(counts)}")
+    return WavePlan(chunk_msg=chunk_msg, chunk_start=chunk_start,
+                    chunk_size=np.minimum(capacity,
+                                          sizes[chunk_msg] - chunk_start),
+                    sizes=sizes, fanout=fanout, sources=sources,
+                    targets=targets, batch=batch, block=block,
+                    num_batches=num_batches)
 
 
 def route_waves(send_round, n: int, bandwidth: int, code, length: int,
@@ -388,10 +647,8 @@ class SuperMessageRouter:
         length, code = self.profile.select_routing_code(n, net.adversary.alpha)
         if self.mode == "coverfree":
             return self._route_coverfree(messages, label)
-        capacity = max(1, code.k)
-        chunks = self._split_into_chunks(messages, capacity)
-        batches = self._schedule_blocks(chunks, n // length)
-        plan = WavePlan.from_schedule(messages, chunks, batches, capacity, 1)
+        plan = plan_waves(1, n, n // length, max(1, code.k),
+                          *_structure(messages))
         bits = np.zeros((1, len(messages), int(plan.sizes.max(initial=1))),
                         dtype=np.uint8)
         for j, msg in enumerate(messages):
@@ -417,6 +674,7 @@ class SuperMessageRouter:
                              dropped_entries=int(result.dropped[0]),
                              erased_entries=int(result.erased[0]))
 
+    # -- cover-free mode ----------------------------------------------------------
     def _route_coverfree(self, messages: Sequence[SuperMessage],
                          label: str) -> RoutingResult:
         net = self.net
@@ -448,158 +706,18 @@ class SuperMessageRouter:
                              dropped_entries=stats["dropped"],
                              erased_entries=stats["erased"])
 
-    # -- chunking ---------------------------------------------------------------
     def _split_into_chunks(self, messages: Sequence[SuperMessage],
                            capacity: int) -> List[_Chunk]:
-        seen = set()
         chunks: List[_Chunk] = []
-        for msg in sorted(messages, key=lambda m: m.key):
-            if msg.key in seen:
-                raise ValueError(f"duplicate super-message key {msg.key}")
-            seen.add(msg.key)
+        for j in _key_order(self.net.n, *_structure(messages)).tolist():
+            msg = messages[j]
             bits = np.array(msg.bits, dtype=np.uint8)
-            if bits.size == 0:
-                raise ValueError(f"super-message {msg.key} is empty")
-            if not msg.targets:
-                raise ValueError(f"super-message {msg.key} has no targets")
             for index, start in enumerate(range(0, bits.size, capacity)):
                 chunks.append(_Chunk(source=msg.source, slot=msg.slot,
                                      index=index,
                                      bits=bits[start:start + capacity],
                                      targets=msg.targets))
         return chunks
-
-    # -- scheduling ---------------------------------------------------------------
-    @staticmethod
-    def _schedule_blocks(chunks: List[_Chunk],
-                         num_blocks: int) -> List[List[Tuple[_Chunk, int]]]:
-        """Greedy (batch, block) assignment avoiding same-source-same-block
-        and same-target-same-block conflicts within a batch.
-
-        Bitmask formulation of :meth:`_schedule_blocks_reference` — one
-        int64 mask per (batch, node) replaces the per-block set probes, and
-        each chunk's batch scan is a single vectorized search over the open
-        suffix.  Placements are identical to the reference greedy: the scan
-        order, the lowest-free-block choice and the ``first_open`` advance
-        rule (move past the contiguous run of source-full batches at the
-        scan head) are preserved exactly.
-        """
-        if num_blocks < 1:
-            raise ProfileError("codeword longer than the network")
-        if num_blocks > 62:  # block masks must fit an int64
-            return SuperMessageRouter._schedule_blocks_reference(chunks,
-                                                                 num_blocks)
-        if not chunks:
-            return []
-        full = (1 << num_blocks) - 1
-        nodes = 1 + max(max(c.source for c in chunks),
-                        max(t for c in chunks for t in c.targets))
-        cap = 64
-        src_used = np.zeros((cap, nodes), dtype=np.int64)
-        tgt_used = np.zeros((cap, nodes), dtype=np.int64)
-        num_batches = 0
-        first_open: Dict[int, int] = defaultdict(int)
-        placements: List[Tuple[_Chunk, int, int]] = []
-        # consecutive chunks of one multi-chunk message share (source,
-        # targets); nothing is placed between them, so the previous chunk's
-        # scan outcome (its batch and the blocks still free there) stays
-        # valid and the run places with pure bit arithmetic
-        prev_key = None
-        prev_batch = -1
-        prev_free = 0
-        for chunk in chunks:
-            src = chunk.source
-            targets = list(chunk.targets)
-            key = (src, chunk.targets)
-            batch_index = -1
-            free_mask = full
-            if key == prev_key and prev_free:
-                batch_index = prev_batch
-                free_mask = prev_free
-            else:
-                if key == prev_key:
-                    scan_from = prev_batch + 1
-                else:
-                    fo = first_open[src]
-                    while fo < num_batches and src_used[fo, src] == full:
-                        fo += 1
-                    first_open[src] = fo
-                    scan_from = fo
-                if scan_from < num_batches:
-                    conflicts = src_used[scan_from:num_batches, src]
-                    if len(targets) == 1:
-                        conflicts = conflicts | tgt_used[
-                            scan_from:num_batches, targets[0]]
-                    else:
-                        conflicts = conflicts | np.bitwise_or.reduce(
-                            tgt_used[scan_from:num_batches, targets], axis=1)
-                    free = ~conflicts & full
-                    hits = np.flatnonzero(free)
-                    if hits.size:
-                        batch_index = scan_from + int(hits[0])
-                        free_mask = int(free[hits[0]])
-                if batch_index < 0:
-                    batch_index = num_batches
-                    num_batches += 1
-                    if num_batches > cap:
-                        cap *= 2
-                        src_used = np.vstack(
-                            [src_used, np.zeros_like(src_used)])
-                        tgt_used = np.vstack(
-                            [tgt_used, np.zeros_like(tgt_used)])
-            block = (free_mask & -free_mask).bit_length() - 1
-            placements.append((chunk, batch_index, block))
-            bit = np.int64(1 << block)
-            src_used[batch_index, src] |= bit
-            for t in targets:
-                tgt_used[batch_index, t] |= bit
-            prev_key = key
-            prev_batch = batch_index
-            prev_free = free_mask & ~(1 << block)
-        batches: List[List[Tuple[_Chunk, int]]] = \
-            [[] for _ in range(num_batches)]
-        for chunk, batch_index, block in placements:
-            batches[batch_index].append((chunk, block))
-        return batches
-
-    @staticmethod
-    def _schedule_blocks_reference(chunks: List[_Chunk],
-                                   num_blocks: int
-                                   ) -> List[List[Tuple[_Chunk, int]]]:
-        """Original set-based greedy; the oracle `_schedule_blocks` must
-        match placement-for-placement (and the >62-block fallback)."""
-        batches: List[List[Tuple[_Chunk, int]]] = []
-        source_used: List[Dict[int, set]] = []
-        target_used: List[Dict[int, set]] = []
-        first_open: Dict[int, int] = defaultdict(int)
-        for chunk in chunks:
-            batch_index = first_open[chunk.source]
-            placed = False
-            while not placed:
-                if batch_index == len(batches):
-                    batches.append([])
-                    source_used.append(defaultdict(set))
-                    target_used.append(defaultdict(set))
-                used_src = source_used[batch_index][chunk.source]
-                if len(used_src) < num_blocks:
-                    for block in range(num_blocks):
-                        if block in used_src:
-                            continue
-                        if any(block in target_used[batch_index][t]
-                               for t in chunk.targets):
-                            continue
-                        batches[batch_index].append((chunk, block))
-                        used_src.add(block)
-                        for t in chunk.targets:
-                            target_used[batch_index][t].add(block)
-                        placed = True
-                        break
-                if not placed:
-                    if len(used_src) >= num_blocks and \
-                            batch_index == first_open[chunk.source]:
-                        first_open[chunk.source] = batch_index + 1
-                    batch_index += 1
-        return batches
 
     @staticmethod
     def _schedule_capacity(chunks: List[_Chunk],
@@ -631,7 +749,6 @@ class SuperMessageRouter:
                     tgt_count[-1][t] = 1
         return batches
 
-    # -- execution: cover-free mode -------------------------------------------------
     def _execute_wave_coverfree(self, wave, length, code, raw, failures,
                                 stats, label):
         net = self.net

@@ -8,25 +8,25 @@ serial control flow with a leading batch axis:
 * message *structure* (sources, slots, targets, round sequence) is shared
   across the batch whenever the protocol's structure is data-independent —
   det-sqrt's segment grid and det-logn's butterfly are fixed by ``n``
-  alone, so their packing/unpacking and routing batch perfectly;
+  alone, so their packing/unpacking batches perfectly and their routing
+  is scheduled once;
 * per-trial *randomness* is derived from each trial's own seed exactly as
   the serial protocol derives it (nonadaptive's shift vectors), so batched
   outputs are bit-identical to serial ones;
 * when per-trial randomness changes the routing *structure* itself
   (nonadaptive's return step targets depend on the shifts), message counts
-  and bit lengths are still shared, so each trial is scheduled at
-  message-run granularity through
-  :meth:`~repro.core.batched_routing.BatchedRouter.route_grouped`; if
-  batch counts diverge the router raises
-  :class:`~repro.core.batched_routing.CellUnbatchable` and the caller
-  falls back to per-trial serial execution;
-* every routing step, shared or grouped, runs its waves through the one
-  kernel :func:`~repro.core.routing.route_waves`;
+  and bit lengths are still shared, so the port passes per-trial node ids
+  and each trial is scheduled on its own; if batch counts diverge the
+  planner raises :class:`~repro.core.routing.CellUnbatchable` and the
+  caller falls back to per-trial serial execution;
+* every routing step passes index arrays to
+  :meth:`~repro.core.batched_routing.BatchedRouter.route`, whose plan runs
+  through the one wave kernel :func:`~repro.core.routing.route_waves`;
 * the adaptive compiler batches natively
   (:class:`BatchedAdaptiveAllToAll`): its message *structure* (counts,
   lengths, slots) is partition-independent even though the node ids
-  carrying it are per-trial random, so concentration and gather ride
-  ``route_grouped``, the sketch algebra runs as one
+  carrying it are per-trial random, so concentration and gather route
+  per-trial node ids over one structure, the sketch algebra runs as one
   :class:`~repro.sketch.ksparse.SketchPlaneStack` across all trials'
   sketches, and the one genuinely divergent transport — the query-answer
   exchange, whose width is a per-trial random quantity — uses the ragged
@@ -50,12 +50,11 @@ from repro.cliquesim.topology import (balanced_random_partition,
 from repro.coding.linear import best_effort_linear_code
 from repro.core.adaptive import (AdaptiveAllToAll, AdaptiveParameters,
                                  design_ldc_for_sketch)
-from repro.core.batched_routing import (BatchedRouter, CellUnbatchable,
-                                        broadcast_many)
+from repro.core.batched_routing import BatchedRouter, broadcast_many
 from repro.core.messages import AllToAllInstance, ProtocolReport, verify_beliefs
 from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
 from repro.core.protocol import pack_block, pack_rows, unpack_block, unpack_rows
-from repro.core.routing import SuperMessage
+from repro.core.routing import CellUnbatchable
 from repro.sketch.ksparse import (SketchPlaneStack, SketchRecoveryError,
                                   SketchSpec, planes_supported)
 from repro.utils.bits import pack_bits, pack_symbols, unpack_bits, unpack_symbols
@@ -95,23 +94,23 @@ class BatchedDetSqrtAllToAll:
         if root * root != n:
             raise ValueError(f"n={n} must be a perfect square "
                              f"(Lemma 2.8 reduces the general case)")
-        segments = sqrt_segments(n)
+        segments = np.asarray(sqrt_segments(n))
         router = BatchedRouter(net, self.profile)
         stacked = np.stack([inst.messages for inst in instances])
 
         # -- Step 1: v in S_i sends M°({v}, S_j) to S_i[j] --------------------
         # segments are consecutive blocks, so M°({v}, S_j) is one reshape
         # away; every (trial, v, j) block packs in a single pack_rows call.
-        # The message structure is fixed by n alone, so one prototype list
-        # drives the router's shared fast path for the whole batch.
+        # Message (v, j) is row v*root+j; the structure is fixed by n alone,
+        # so one schedule serves the whole batch.
         vals1 = stacked.reshape(trials, n, root, root)
         packed1 = pack_rows(vals1.reshape(trials * n * root, root), width)
         bit_len = packed1.shape[1]
-        proto1 = [SuperMessage.make(v, j, packed1[v * root + j],
-                                    [int(segments[v // root][j])])
-                  for v in range(n) for j in range(root)]
-        res1 = router.route_shared(
-            proto1, packed1.reshape(trials, n * root, bit_len),
+        v_of, j_of = np.divmod(np.arange(n * root), root)
+        res1 = router.route(
+            v_of, j_of, np.full(n * root, bit_len),
+            segments[v_of // root, j_of],
+            packed1.reshape(trials, n * root, bit_len),
             label="det-sqrt/step1")
 
         # S_i[j] reassembles its belief of M(S_i, S_j): message (v, j) is
@@ -128,13 +127,13 @@ class BatchedDetSqrtAllToAll:
         vals2 = held.transpose(0, 1, 2, 4, 3).reshape(
             trials * root * root * root, root)
         packed2 = pack_rows(vals2, width)
-        proto2 = [SuperMessage.make(int(segments[i][j]), col,
-                                    packed2[(i * root + j) * root + col],
-                                    [int(segments[j][col])])
-                  for i in range(root) for j in range(root)
-                  for col in range(root)]
-        res2 = router.route_shared(
-            proto2, packed2.reshape(trials, n * root, bit_len),
+        # message (i, j, col) is row (i*root+j)*root+col, from S_i[j] to
+        # S_j[col]
+        i_of, j_of, col_of = np.indices((root, root, root)).reshape(3, -1)
+        res2 = router.route(
+            segments[i_of, j_of], col_of, np.full(n * root, bit_len),
+            segments[j_of, col_of],
+            packed2.reshape(trials, n * root, bit_len),
             label="det-sqrt/step2")
 
         # -- Output: v = S_j[l] holds M(S_i, {v}) for every i ------------------
@@ -198,21 +197,20 @@ class BatchedDetLogAllToAll:
                 sends.append(send_vals.reshape(trials, -1))
                 meta[u] = (sources, keep_t, keep_vals, partner)
             # pack every trial's n send-rows at once, row order (t, u);
-            # the butterfly pairing is fixed by n, so one prototype list
-            # drives the router's shared fast path
+            # the butterfly pairing is fixed by n, so one schedule serves
+            # the whole batch
             packed = pack_rows(
                 np.stack(sends).transpose(1, 0, 2).reshape(trials * n, -1),
                 width)
             bit_len = packed.shape[1]
-            proto = [SuperMessage.make(u, 0, packed[u], [meta[u][3]])
-                     for u in range(n)]
-            res = router.route_shared(
-                proto, packed.reshape(trials, n, bit_len),
+            partner_of = np.array([meta[u][3] for u in range(n)])
+            res = router.route(
+                np.arange(n), np.zeros(n), np.full(n, bit_len), partner_of,
+                packed.reshape(trials, n, bit_len),
                 label=f"det-logn/iter{i}")
 
             # row u of the stack is what u's partner received FROM u, so
             # node u's inbox is row partner(u)
-            partner_of = np.array([meta[u][3] for u in range(n)])
             received_rows = res.message_bits()[:, partner_of]
             num_sources = state[0][0].size
             num_keep = state[0][1].size // 2
@@ -244,9 +242,9 @@ class BatchedNonAdaptiveAllToAll:
 
     Steps 0/1 batch cleanly (per-trial shift vectors are data, not
     structure).  The step-2 return routing targets *depend* on each trial's
-    shifts, so it rides ``route_grouped`` with per-trial owners; when the
-    trials' batch counts diverge the route raises ``CellUnbatchable`` and
-    the caller falls back to serial per-trial execution.
+    shifts, so it routes per-trial owners; when the trials' batch counts
+    diverge the route raises ``CellUnbatchable`` and the caller falls back
+    to serial per-trial execution.
     """
 
     name = "nonadaptive"
@@ -298,9 +296,8 @@ class BatchedNonAdaptiveAllToAll:
         bit_planes = unpack_bits(clean.astype(np.uint64)[..., None], B)
         relays = np.repeat(np.arange(n), B)
         slots = np.tile(np.arange(B), n)
-        routed = router.route_grouped(
-            np.broadcast_to(relays, (trials, n * B)), slots,
-            np.full(n * B, n, dtype=np.int64),
+        routed = router.route(
+            relays, slots, np.full(n * B, n, dtype=np.int64),
             (relays[None, :] - shifts[:, slots]) % n,
             bit_planes.transpose(0, 2, 3, 1).reshape(trials, n * B, n),
             label="nonadaptive/return")
@@ -329,13 +326,13 @@ class BatchedAdaptiveAllToAll:
     is a concentration holder for exactly one ``(group, segment)`` cell,
     leaders and gather groupings are fixed by member *index*, and segment
     contents are deterministic.  Only the node *ids* carrying that
-    structure are per-trial random, which is exactly the contract of
-    :meth:`~repro.core.batched_routing.BatchedRouter.route_grouped`.  The
-    sketch algebra runs as single :class:`SketchPlaneStack` calls over
-    every (trial, group, target) sketch at once, and LDC encode/decode
-    collapse to whole-batch ``encode_many`` / ``local_decode_many`` calls
-    (line decoding is position-independent, so rows from different trials
-    batch together).
+    structure are per-trial random, and
+    :meth:`~repro.core.batched_routing.BatchedRouter.route` takes them as
+    per-trial node ids.  The sketch algebra runs as single
+    :class:`SketchPlaneStack` calls over every (trial, group, target)
+    sketch at once, and LDC encode/decode collapse to whole-batch
+    ``encode_many`` / ``local_decode_many`` calls (line decoding is
+    position-independent, so rows from different trials batch together).
 
     One transport genuinely diverges: the query-answer exchange, whose
     width is determined by each trial's R3 query plan.  It runs through
@@ -403,11 +400,10 @@ class BatchedAdaptiveAllToAll:
             stacked.reshape(trials, n, part_size, seg_size)
             .reshape(trials * M1, seg_size), width)
         L1 = packed1.shape[1]
-        sources1 = np.broadcast_to(v_of_m, (trials, M1))
         targets1 = members_mat[t_idx[:, None], part_of[:, v_of_m],
                                i_of_m[None, :]]
-        routed = router.route_grouped(
-            sources1, i_of_m, np.full(M1, L1, dtype=np.int64), targets1,
+        routed = router.route(
+            v_of_m, i_of_m, np.full(M1, L1, dtype=np.int64), targets1,
             packed1.reshape(trials, M1, L1), label="adaptive/concentrate")
         out1 = routed.message_bits()
         # unpacked1[t, v, i, c] = what P_j[i] received of m[v, segments[i][c]]
@@ -499,7 +495,7 @@ class BatchedAdaptiveAllToAll:
         for m, (j, i, l, vs, slot) in enumerate(meta):
             bits2[:, m, :sizes2[m]] = \
                 sketch_pad[:, j, list(vs)].reshape(trials, -1)
-        gathered = router.route_grouped(
+        gathered = router.route(
             members_mat[:, j_of, i_of], slots2, sizes2,
             members_mat[:, j_of, l_of], bits2, label="adaptive/gather")
         gbits = gathered.message_bits()

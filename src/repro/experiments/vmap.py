@@ -16,7 +16,7 @@ batching is impossible or unprofitable:
   the adaptive compiler all have one in
   :data:`~repro.core.vmapped.BATCHED_PROTOCOLS`);
 * per-trial routing schedules diverge
-  (:class:`~repro.core.batched_routing.CellUnbatchable` — e.g.
+  (:class:`~repro.core.routing.CellUnbatchable` — e.g.
   nonadaptive's shift-dependent return step at unlucky seeds);
 * per-trial metrics snapshots were requested (``REPRO_OBS_METRICS=1``) —
   a batched run cannot scope counters to one trial;

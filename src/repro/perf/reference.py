@@ -9,11 +9,15 @@ keep both sides honest).  Nothing outside ``repro.perf`` should import these
 
 from __future__ import annotations
 
+from collections import defaultdict
+from typing import Dict, List, Tuple
+
 import numpy as np
 
 from repro.cliquesim.network import CongestedClique
 from repro.coding.interfaces import DecodingFailure
 from repro.coding.linear import LinearBlockCode
+from repro.core.routing import _Chunk
 from repro.utils.rng import make_rng
 
 
@@ -280,3 +284,64 @@ def exchange_chunked(net: CongestedClique, intended: np.ndarray,
     for chunk, offset in chunks:
         out |= chunk << offset
     return np.where(missing, -1, out)
+
+
+def schedule_blocks_reference(chunks: List[_Chunk],
+                              num_blocks: int
+                              ) -> List[List[Tuple[_Chunk, int]]]:
+    """Original set-based greedy, one chunk at a time; the oracle the
+    blocks-mode scheduler must match placement-for-placement."""
+    batches: List[List[Tuple[_Chunk, int]]] = []
+    source_used: List[Dict[int, set]] = []
+    target_used: List[Dict[int, set]] = []
+    first_open: Dict[int, int] = defaultdict(int)
+    for chunk in chunks:
+        batch_index = first_open[chunk.source]
+        placed = False
+        while not placed:
+            if batch_index == len(batches):
+                batches.append([])
+                source_used.append(defaultdict(set))
+                target_used.append(defaultdict(set))
+            used_src = source_used[batch_index][chunk.source]
+            if len(used_src) < num_blocks:
+                for block in range(num_blocks):
+                    if block in used_src:
+                        continue
+                    if any(block in target_used[batch_index][t]
+                           for t in chunk.targets):
+                        continue
+                    batches[batch_index].append((chunk, block))
+                    used_src.add(block)
+                    for t in chunk.targets:
+                        target_used[batch_index][t].add(block)
+                    placed = True
+                    break
+            if not placed:
+                if len(used_src) >= num_blocks and \
+                        batch_index == first_open[chunk.source]:
+                    first_open[chunk.source] = batch_index + 1
+                batch_index += 1
+    return batches
+
+
+def schedule_runs_reference(srcs, tgts, counts, num_blocks: int, fanout):
+    """:func:`schedule_blocks_reference` in the signature of the blocks-mode
+    scheduler ``repro.core.routing._grouped_greedy``: message ``m`` becomes
+    a run of ``counts[m]`` chunks from ``srcs[m]`` to its ``fanout[m]``
+    targets (the next entries of ``tgts``), and the placements come back
+    as per-chunk batch and block arrays in message order, plus the batch
+    count."""
+    ends = np.cumsum(fanout, dtype=np.int64).tolist()
+    chunks = [_Chunk(source=int(src), slot=m, index=index,
+                     bits=np.ones(1, dtype=np.uint8),
+                     targets=tuple(int(t) for t in tgts[end - int(fan):end]))
+              for m, (src, count, fan, end)
+              in enumerate(zip(srcs, counts, fanout, ends))
+              for index in range(int(count))]
+    batches = schedule_blocks_reference(chunks, num_blocks)
+    where = {id(chunk): (b, block)
+             for b, placed in enumerate(batches) for chunk, block in placed}
+    placements = np.array([where[id(c)] for c in chunks],
+                          dtype=np.int64).reshape(-1, 2)
+    return placements[:, 0], placements[:, 1], len(batches)

@@ -119,6 +119,20 @@ class TestBackendParity:
             assert any(r["entries_corrupted"] > 0 for r in rows
                        if r["trial"]["adversary"] == kind), kind
 
+    def test_n128_cells_batch_bit_identically(self, require_batched):
+        # 16 relay blocks: det-logn's long message runs take the
+        # scheduler's vectorised branch, and nonadaptive's shift broadcast
+        # its multi-target runs
+        spec = free_grid(name="parity-n128",
+                         protocols=("nonadaptive", "det-logn"),
+                         adversaries=("null",), ns=(128,), alphas=(0.0,),
+                         widths=(4,), bandwidths=(8,), replicates=2)
+        digests = run_backends(spec)
+        assert digests["serial"][0] == digests["vmap"][0]
+        rows = digests["vmap"][1].rows()
+        assert len(rows) == 4
+        assert all(r["status"] == STATUS_OK for r in rows)
+
     def test_unknown_backend_rejected(self):
         spec = free_grid(name="parity-bad", ns=(16,), alphas=(0.0,),
                          replicates=1)

@@ -11,6 +11,8 @@ from repro.adversary import (
     RoundRobinMatchingStrategy,
 )
 from repro.cliquesim import CongestedClique
+from repro.cliquesim.batched import BatchedClique
+from repro.core.batched_routing import BatchedRouter
 from repro.core.profiles import ProfileError, SIMULATION
 from repro.core.routing import (
     RoutingResult,
@@ -188,3 +190,36 @@ class TestBroadcast:
         payload = rng.integers(0, 2, 32).astype(np.uint8)
         out = broadcast(router, 0, payload)
         assert all(np.array_equal(out[v], payload) for v in range(64))
+
+
+class TestNodeIds:
+    """A source or target outside [0, n), or a target listed twice, is
+    refused by name instead of being routed under a wrapped id."""
+
+    @pytest.mark.parametrize("node", [-1, 64])
+    @pytest.mark.parametrize("role", ["source", "target"])
+    def test_serial_rejects(self, role, node):
+        source, target = (node, 5) if role == "source" else (0, node)
+        msg = SuperMessage.make(source, 1, [1, 0, 1, 1], [target])
+        with pytest.raises(ValueError,
+                           match=rf"{role} {node} outside \[0, 64\)"):
+            route_instance(64, [msg])
+
+    @pytest.mark.parametrize("node", [-1, 64])
+    @pytest.mark.parametrize("role", ["source", "target"])
+    @pytest.mark.parametrize("per_trial", [False, True])
+    def test_batched_rejects(self, role, node, per_trial):
+        router = BatchedRouter(BatchedClique(64, 2, bandwidth=8))
+        ids = np.array([[node, 7], [3, 7]]) if per_trial \
+            else np.array([node, 7])
+        good = np.array([[0, 1], [0, 1]]) if per_trial else np.array([0, 1])
+        sources, targets = (ids, good) if role == "source" else (good, ids)
+        bits = np.array([[[1, 0, 1, 1]] * 2] * 2, dtype=np.uint8)
+        with pytest.raises(ValueError,
+                           match=rf"{role} {node} outside \[0, 64\)"):
+            router.route(sources, [1, 1], [4, 4], targets, bits)
+
+    def test_repeated_target_rejected(self):
+        msg = SuperMessage(source=0, slot=0, bits=(1, 0), targets=(3, 3))
+        with pytest.raises(ValueError, match="target 3 twice"):
+            route_instance(16, [msg])

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary import NullAdversary
 from repro.cliquesim import CongestedClique
-from repro.core.routing import SuperMessage, SuperMessageRouter
+from repro.core.routing import (SuperMessage, SuperMessageRouter,
+                                 _structure, plan_waves)
 
 
 def build_router(n=32, bandwidth=8):
@@ -78,14 +79,13 @@ class TestRouterProperties:
         ]
         router, _ = build_router()
         length, code = router.profile.select_routing_code(32, 0.0)
-        chunks = router._split_into_chunks(messages, code.k)
-        batches = router._schedule_blocks(chunks, 32 // length)
-        for batch in batches:
-            seen_source = set()
-            seen_target = set()
-            for chunk, block in batch:
-                assert (chunk.source, block) not in seen_source
-                seen_source.add((chunk.source, block))
-                for t in chunk.targets:
-                    assert (t, block) not in seen_target
-                    seen_target.add((t, block))
+        plan = plan_waves(1, 32, 32 // length, code.k,
+                          *_structure(messages))
+        batch = plan.batch[0]
+        block = plan.block[0]
+        assert plan.chunk_msg.size > plan.num_batches > 1
+        source = plan.sources[0, plan.chunk_msg]
+        target = plan.targets[0, plan.chunk_msg]  # one target per message
+        for node in (source, target):
+            cells = batch * 32 * 32 + node * 32 + block
+            assert np.unique(cells).size == cells.size
