@@ -30,7 +30,7 @@ from repro.coding.justesen import (
     make_justesen_code,
 )
 from repro.coding.hadamard import HadamardLDC
-from repro.coding.reed_muller import ReedMullerLDC, berlekamp_welch
+from repro.coding.reed_muller import ReedMullerLDC
 
 __all__ = [
     "BinaryCode",
@@ -50,5 +50,4 @@ __all__ = [
     "make_justesen_code",
     "HadamardLDC",
     "ReedMullerLDC",
-    "berlekamp_welch",
 ]

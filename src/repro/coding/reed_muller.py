@@ -22,15 +22,19 @@ lattice points ``{x : sum(x) <= d}`` (a classical unique-interpolation set),
 and the codeword is the evaluation over all of GF(p)^m.  Local decoding of
 message coordinate ``i`` therefore reduces to locally *correcting* the
 codeword position of lattice point ``i``: pick a random line through it,
-Berlekamp–Welch-decode the restriction (a univariate polynomial of degree
-≤ d) from the ``p - 1`` other points of the line, and evaluate at the
-decoded point.
+decode the restriction (a univariate polynomial of degree ≤ d, i.e. a
+Reed–Solomon word of length ``p - 1``) from the ``p - 1`` other points of
+the line, and evaluate at the decoded point.  Rows are decoded a batch at
+a time: one product finds the rows that are already codewords, and every
+other row of the batch goes through one lockstep bounded-distance decoder
+(:meth:`ReedMullerLDC.local_decode_many`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -53,78 +57,29 @@ def _monomials(m: int, degree: int) -> List[Tuple[int, ...]]:
     return _lattice_points(m, degree)
 
 
-def poly_divmod(field: PrimeField, numerator: np.ndarray,
-                denominator: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Polynomial division over GF(p); coefficients low-to-high."""
-    num = np.asarray(numerator, dtype=np.int64) % field.p
-    den = np.asarray(denominator, dtype=np.int64) % field.p
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    if len(den) == 1 and den[0] == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    num = num.copy()
-    d_den = len(den) - 1
-    lead_inv = int(field.inv(int(den[-1])))
-    quot = np.zeros(max(1, len(num) - d_den), dtype=np.int64)
-    for i in range(len(num) - 1, d_den - 1, -1):
-        coeff = num[i] * lead_inv % field.p
-        if coeff:
-            quot[i - d_den] = coeff
-            num[i - d_den:i + 1] = (num[i - d_den:i + 1]
-                                    - coeff * den) % field.p
-    remainder = num[:d_den] if d_den > 0 else np.zeros(1, dtype=np.int64)
-    return quot, remainder
-
-
-def berlekamp_welch(field: PrimeField, xs: np.ndarray, ys: np.ndarray,
-                    degree: int) -> np.ndarray:
-    """Recover a polynomial of degree <= ``degree`` from noisy evaluations.
-
-    Given ``q`` distinct points with at most ``e = (q - degree - 1) // 2``
-    wrong values, returns the coefficient vector.  Raises
-    :class:`LocalDecodingFailure` when no consistent polynomial exists.
-    """
-    xs = np.asarray(xs, dtype=np.int64) % field.p
-    ys = np.asarray(ys, dtype=np.int64) % field.p
-    q = len(xs)
-    if q != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    max_errors = (q - degree - 1) // 2
-    if max_errors < 0:
-        raise ValueError(f"{q} points cannot determine degree {degree}")
-    for e in range(max_errors, -1, -1):
-        # unknowns: E (monic, degree e -> e coefficients) and Q (degree <= degree+e)
-        n_q = degree + e + 1
-        # equation per point: Q(x) - y * (E(x)) = 0 with E monic:
-        #   sum_j Q_j x^j - y * (x^e + sum_{j<e} E_j x^j) = 0
-        powers = np.ones((q, max(n_q, e + 1)), dtype=np.int64)
-        for j in range(1, powers.shape[1]):
-            powers[:, j] = powers[:, j - 1] * xs % field.p
-        A = np.zeros((q, n_q + e), dtype=np.int64)
-        A[:, :n_q] = powers[:, :n_q]
-        if e > 0:
-            A[:, n_q:] = (-(ys[:, None] * powers[:, :e])) % field.p
-        b = ys * powers[:, e] % field.p
-        try:
-            solution = field.solve(A, b)
-        except ValueError:
-            continue
-        q_coeffs = solution[:n_q]
-        e_coeffs = np.concatenate(
-            [solution[n_q:], np.array([1], dtype=np.int64)])
-        quot, rem = poly_divmod(field, q_coeffs, e_coeffs)
-        if np.any(rem % field.p):
-            continue
-        # verify against the points within the error budget
-        fitted = field.poly_eval(quot[:degree + 1], xs)
-        if int(np.count_nonzero(fitted != ys)) <= e:
-            out = np.zeros(degree + 1, dtype=np.int64)
-            out[:min(len(quot), degree + 1)] = quot[:degree + 1]
-            return out
-    raise LocalDecodingFailure("Berlekamp–Welch found no consistent polynomial")
-
+#: rows x (r + 1)^2 elements the lockstep decoder takes per pass.  Its
+#: (rows, r or r + 1, r + 1) locator system is the one array that outgrows
+#: the (rows, q) input, and a pass peaks near twice its size.  Measured on
+#: 1000 random rows at p = 127, degree 1 (r = 62): 63.7 MB traced in one
+#: pass, 5.2 MB in passes of 66 rows.  table1's codes (p = 31, degree >= 8)
+#: take at least 2166 rows per pass, more than a whole run ever decodes
+_DECODE_PASS_ELEMENTS = 1 << 18
 
 _LDC_CACHE: dict = {}
+
+
+@dataclass(frozen=True)
+class _LineOperators:
+    """Fixed matrices of line decoding over the q = p - 1 points
+    t = 1 .. p-1 of a line, for one (p, degree)."""
+
+    vander: np.ndarray        # (q, q): t^j for j < q
+    inverse: np.ndarray       # inverse Vandermonde of the first d+1 points
+    predict_tail: np.ndarray  # float64: first d+1 values -> the other q-d-1
+    c0: np.ndarray            # float64: first d+1 values -> g(0)
+    hankel: np.ndarray        # syndrome indices of the locator system
+    head_inverse: np.ndarray  # inverse Vandermonde of the first d+r+1 points
+    inverses: np.ndarray      # a -> a^-1 mod p, with 0 -> 0
 
 
 def cached_reed_muller(p: int, m: int, degree: int) -> "ReedMullerLDC":
@@ -248,41 +203,47 @@ class ReedMullerLDC(LocallyDecodableCode):
         return (points * weights[None, :]).sum(axis=1)
 
     def local_decode(self, index: int, values: np.ndarray, seed: int) -> int:
+        """One row through :meth:`local_decode_many`; raises
+        :class:`LocalDecodingFailure` where the batch would return -1."""
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (self.p - 1,):
             raise ValueError(
                 f"expected {self.p - 1} queried values, got {values.shape}")
-        ts = np.arange(1, self.p, dtype=np.int64)
-        coeffs = berlekamp_welch(self.field, ts, values % self.p, self.degree)
-        return int(coeffs[0])  # g(0) = f(decoded point)
+        decoded = int(self.local_decode_many(index, values[None, :], seed)[0])
+        if decoded < 0:
+            raise LocalDecodingFailure(
+                "no degree-d polynomial within the line's error radius")
+        return decoded  # g(0) = f(decoded point)
 
-    def _line_operators(self):
-        """Cached (interpolation inverse, full Vandermonde) pair for the
-        line-decoding fast path — both depend only on (p, degree)."""
+    def _line_operators(self) -> _LineOperators:
+        """Cached fixed matrices of line decoding, which depend only on
+        (p, degree)."""
         cached = getattr(self, "_line_ops", None)
         if cached is not None:
             return cached
-        ts = np.arange(1, self.p, dtype=np.int64)
-        d = self.degree
-        head = ts[:d + 1]
-        vander = np.ones((d + 1, d + 1), dtype=np.int64)
-        for j in range(1, d + 1):
-            vander[:, j] = vander[:, j - 1] * head % self.p
-        inverse = np.stack(
-            [self.field.solve(vander, np.eye(d + 1, dtype=np.int64)[:, j])
-             for j in range(d + 1)], axis=1)
-        full_vander = np.ones((self.p - 1, d + 1), dtype=np.int64)
-        for j in range(1, d + 1):
-            full_vander[:, j] = full_vander[:, j - 1] * ts % self.p
+        p, d, q = self.p, self.degree, self.p - 1
+        r = self.max_line_errors()
+        ts = np.arange(1, p, dtype=np.int64)
+        vander = np.ones((q, q), dtype=np.int64)
+        for j in range(1, q):
+            vander[:, j] = vander[:, j - 1] * ts % p
+        inverse = self.field.inv_matrix(vander[:d + 1, :d + 1])
         # fused "head values -> tail predictions" operator, kept in float64
         # for the batched fast path (entries < p, so every accumulated
         # product below stays < p^2 * (d+1) < 2^53 and is exact).  The fit
         # interpolates the first d+1 points exactly, so only the remaining
         # q - (d+1) coordinates can disagree and need predicting
-        predict = self.field.matmul(inverse.T, full_vander.T)
-        self._line_ops = (inverse, full_vander,
-                          predict[:, d + 1:].astype(np.float64),
-                          inverse[0].astype(np.float64))
+        predict = self.field.matmul(inverse.T, vander[:, :d + 1].T)
+        # equation k of the locator system reads syndromes k+1 .. k+r+1
+        hankel = (np.arange(q - d - 1 - r)[:, None]
+                  + np.arange(r + 1)[None, :])
+        width = d + r + 1
+        self._line_ops = _LineOperators(
+            vander=vander, inverse=inverse,
+            predict_tail=predict[:, d + 1:].astype(np.float64),
+            c0=inverse[0].astype(np.float64), hankel=hankel,
+            head_inverse=self.field.inv_matrix(vander[:width, :width]),
+            inverses=np.concatenate(([0], self.field.inv(ts))))
         return self._line_ops
 
     def local_decode_many(self, index: int, values: np.ndarray,
@@ -295,8 +256,10 @@ class ReedMullerLDC(LocallyDecodableCode):
 
         Fast path: fit a degree-d polynomial through the first d+1 query
         values of every row in one matrix product and keep rows whose fit
-        explains all q values; only inconsistent (i.e. corrupted) rows pay
-        for Berlekamp–Welch.  Rows that fail BW come back as -1.
+        explains all q values.  Every other (corrupted) row of the call
+        goes through one lockstep bounded-distance decoder,
+        :meth:`_decode_dirty`.  Rows with no degree-d polynomial within
+        :meth:`max_line_errors` of them come back as -1.
         """
         values = np.asarray(values, dtype=np.int64)
         if values.ndim != 2 or values.shape[1] != self.p - 1:
@@ -306,28 +269,103 @@ class ReedMullerLDC(LocallyDecodableCode):
         if values.size and (values.min() < 0 or values.max() >= self.p):
             values = values % self.p
         d = self.degree
-        inverse, full_vander, predict_tail_f, c0_f = self._line_operators()
+        ops = self._line_operators()
         if self.p * self.p * (d + 1) < 1 << 53:
             # one BLAS product head -> tail predictions; exact in float64
             head_f = values[:, :d + 1].astype(np.float64)
-            predicted = np.remainder(head_f @ predict_tail_f, float(self.p))
+            predicted = np.remainder(head_f @ ops.predict_tail, float(self.p))
             clean = np.all(predicted == values[:, d + 1:], axis=1)
-            c0 = np.remainder(head_f @ c0_f, float(self.p))
+            c0 = np.remainder(head_f @ ops.c0, float(self.p))
             out = np.full(values.shape[0], -1, dtype=np.int64)
             out[clean] = c0[clean].astype(np.int64)
         else:
-            coeffs = self.field.matmul(values[:, :d + 1], inverse.T)
+            coeffs = self.field.matmul(values[:, :d + 1], ops.inverse.T)
             # predictions at all q points
-            predicted = self.field.matmul(coeffs, full_vander.T)
+            predicted = self.field.matmul(coeffs, ops.vander[:, :d + 1].T)
             clean = np.all(predicted == values, axis=1)
             out = np.full(values.shape[0], -1, dtype=np.int64)
             out[clean] = coeffs[clean, 0]
-        for row in np.flatnonzero(~clean):
-            try:
-                out[row] = self.local_decode(index, values[row], seed)
-            except LocalDecodingFailure:
-                out[row] = -1
+        dirty = np.flatnonzero(~clean)
+        step = max(1, _DECODE_PASS_ELEMENTS
+                   // (self.max_line_errors() + 1) ** 2)
+        for start in range(0, dirty.size, step):
+            part = dirty[start:start + step]
+            out[part] = self._decode_dirty(values[part])
         return out
+
+    def _decode_dirty(self, values: np.ndarray) -> np.ndarray:
+        """Decode reduced rows that are not codewords, all in lockstep:
+        Berlekamp–Welch at the full radius ``r`` solved as one array
+        program.  Returns the coefficient at 0 of the degree-≤d
+        polynomial within ``r`` of each row, or -1 where there is none.
+
+        The Berlekamp–Welch system ``Q(t) = y E(t)`` (E monic of degree
+        r, deg Q <= d + r) is split in two.  Its Vandermonde block is
+        shared by every row, and the syndromes ``s_l = sum y t^l`` for
+        ``l = 1 .. q-d-1`` annihilate it: over all of GF(p)*, ``sum t^l``
+        vanishes for ``0 < l < p - 1``.  What is left per row is the
+        Hankel system ``sum_j s_{k+j+1} E_j = 0`` (r or r+1 equations in
+        E's r free coefficients), solved by Gauss–Jordan with per-row
+        pivots.  Q then interpolates ``y E`` at its first d+r+1 points,
+        and synthetic division by the monic E gives the candidate f.
+
+        One solve at ``e = r`` returns exactly what the descending-e loop
+        returns.  If some f lies within r of the row, every solution has
+        ``Q = f E``: ``Q1 E2 - Q2 E1`` has degree at most d + 2r < q and
+        vanishes at all q points.  If no f does, no candidate can pass the
+        final mismatch count, so that count alone decides every row.
+        """
+        p, d, q = self.p, self.degree, self.p - 1
+        r = self.max_line_errors()
+        field = self.field
+        ops = self._line_operators()
+        rows = values.shape[0]
+        # augmented locator system [A | -b]: unknowns E_0 .. E_{r-1}
+        system = field.matmul(values, ops.vander[:, 1:q - d])[:, ops.hankel]
+        system[:, :, r] = (-system[:, :, r]) % p
+        equations = system.shape[1]
+        sel = np.arange(rows)
+        eq = np.arange(equations)
+        rank = np.zeros(rows, dtype=np.intp)
+        pivot_col = np.zeros((rows, r), dtype=np.intp)
+        for col in range(r):
+            # rank <= col < equations here, so every row owns an equation
+            # at index rank to pivot into (a no-op where none is found)
+            candidates = (system[:, :, col] != 0) & (eq >= rank[:, None])
+            found = candidates.any(axis=1)
+            pivot = np.where(found, candidates.argmax(axis=1), rank)
+            top = system[sel, rank]
+            system[sel, rank] = system[sel, pivot]
+            system[sel, pivot] = top
+            scale = np.where(found, ops.inverses[system[sel, rank, col]], 1)
+            pivot_row = system[sel, rank] * scale[:, None] % p
+            factors = system[:, :, col] * found[:, None]
+            factors[sel, rank] = 0
+            system -= factors[:, :, None] * pivot_row[:, None, :]
+            system %= p
+            system[sel, rank] = pivot_row
+            pivot_col[sel[found], rank[found]] = col
+            rank += found
+        # one solution per row, free unknowns 0; an inconsistent row keeps
+        # whatever this yields and fails the mismatch count below
+        locator = np.zeros((rows, r + 1), dtype=np.int64)
+        locator[:, r] = 1
+        hit_rows, hit_eqs = np.nonzero(np.arange(r)[None, :] < rank[:, None])
+        locator[hit_rows, pivot_col[hit_rows, hit_eqs]] = \
+            system[hit_rows, hit_eqs, r]
+        width = d + r + 1
+        weighted = values[:, :width] * field.matmul(
+            locator, ops.vander[:width, :r + 1].T) % p
+        numerator = field.matmul(weighted, ops.head_inverse.T)
+        quotient = np.empty((rows, d + 1), dtype=np.int64)
+        for i in range(d, -1, -1):
+            lead = numerator[:, i + r].copy()
+            quotient[:, i] = lead
+            numerator[:, i:i + r + 1] = (numerator[:, i:i + r + 1]
+                                         - lead[:, None] * locator) % p
+        misses = np.count_nonzero(
+            field.matmul(quotient, ops.vander[:, :d + 1].T) != values, axis=1)
+        return np.where(misses <= r, quotient[:, 0], -1)
 
     # -- convenience -----------------------------------------------------------
     def systematic_positions(self) -> np.ndarray:

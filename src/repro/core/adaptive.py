@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def design_ldc_for_sketch(t_bits: int, n: int, alpha: float,
     the sketch (maximising the Berlekamp–Welch margin) and score
     ``lines * P(Poisson > margin)``.
     """
-    best: Optional[ReedMullerLDC] = None
+    best: Optional[Tuple[int, int]] = None  # (p, degree)
     best_score = float("inf")
     # each queried value crosses two transport hops (scatter + answer), and
     # a mobile adversary corrupts an alpha fraction of a node's edges in
@@ -134,7 +134,7 @@ def design_ldc_for_sketch(t_bits: int, n: int, alpha: float,
         mu = (p - 1) * exposure
         score = needed * _poisson_tail(mu, margin)
         if score < best_score:
-            best = cached_reed_muller(p, 2, degree)
+            best = (p, degree)
             best_score = score
     if best is None:
         raise ProfileError(
@@ -145,7 +145,7 @@ def design_ldc_for_sketch(t_bits: int, n: int, alpha: float,
         raise ProfileError(
             f"estimated sketch failure {best_score:.3f} too high at n={n}, "
             f"alpha={alpha} (t={t_bits} bits); shrink the sketch or alpha")
-    return best
+    return cached_reed_muller(best[0], 2, best[1])
 
 
 class AdaptiveAllToAll(AllToAllProtocol):

@@ -633,9 +633,10 @@ class BatchedAdaptiveAllToAll:
             answer_widths, label="adaptive/answers")
 
         # ===== Step III end: local LDC decoding of own sketch slots ==========
-        # line decoding ignores the queried index and seed (Berlekamp–Welch
-        # over the shared evaluation points), so rows from every trial,
-        # index and group batch into one call per offset slot
+        # line decoding ignores the queried index and seed (every row is a
+        # word over the same evaluation points, decoded in lockstep), so
+        # rows from every trial, index and group batch into one call per
+        # offset slot
         decoded_sk = np.zeros((trials, num_parts, n, t_pad), dtype=np.uint8)
         sketch_ok = np.ones((trials, num_parts, n), dtype=bool)
         for offset_slot in range(sketches_per_piece):

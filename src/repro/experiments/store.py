@@ -21,10 +21,18 @@ or a torn page after power loss), ``_load`` detects the unterminated
 final line, quarantines it to a ``<path>.torn`` sidecar, and truncates
 the store back to the last complete row so the trial re-runs as pending;
 mid-file garbage lines are quarantined the same way and skipped.
+
+Concurrent writers: a reader can see another process's ``os.write`` half
+done, and truncating that "torn" tail would delete the row in flight and
+every row appended after the read.  So each append holds an advisory
+shared ``flock`` around its one write, and ``_load`` holds an exclusive
+one around its read, check and truncate: a torn tail seen under the
+exclusive lock can only come from a writer that died.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from typing import Dict, Iterable, Iterator, List, Optional
@@ -85,18 +93,18 @@ class TrialStore:
 
     def _load(self) -> None:
         with open(self.path, "rb") as fh:
+            # waits out every append in flight; closing the file unlocks
+            fcntl.flock(fh, fcntl.LOCK_EX)
             data = fh.read()
-        if not data:
-            return
-        if not data.endswith(b"\n"):
-            # torn tail: a writer died mid-line.  Quarantine the fragment
-            # and truncate the store back to the last complete row — the
-            # trial it belonged to is simply pending again.
-            cut = data.rfind(b"\n") + 1
-            self._quarantine(data[cut:])
-            with open(self.path, "r+b") as fh:
-                fh.truncate(cut)
-            data = data[:cut]
+            if data and not data.endswith(b"\n"):
+                # torn tail: a writer died mid-line.  Quarantine the
+                # fragment and truncate the store back to the last
+                # complete row — its trial is simply pending again.
+                cut = data.rfind(b"\n") + 1
+                self._quarantine(data[cut:])
+                with open(self.path, "r+b") as rw:
+                    rw.truncate(cut)
+                data = data[:cut]
         for raw in data.split(b"\n"):
             if not raw.strip():
                 continue
@@ -162,9 +170,14 @@ class TrialStore:
                                    0o644)
             # one os.write per row: O_APPEND makes the line land atomically
             # at the end of the file, so a SIGKILL between rows can never
-            # interleave or tear a line of this writer
-            os.write(self._fd,
-                     (json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+            # interleave or tear a line of this writer.  The shared lock
+            # keeps a concurrent _load from truncating it mid-write
+            line = (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
+            fcntl.flock(self._fd, fcntl.LOCK_SH)
+            try:
+                os.write(self._fd, line)
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
 
     def extend(self, rows: Iterable[Dict]) -> None:
         for row in rows:

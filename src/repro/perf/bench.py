@@ -27,6 +27,7 @@ from repro.cliquesim.network import CongestedClique
 from repro.coding import linear
 from repro.coding.justesen import make_justesen_code
 from repro.coding.linear import best_effort_linear_code
+from repro.coding.reed_muller import cached_reed_muller
 from repro.coding.reed_solomon import ReedSolomonBinaryCode, ReedSolomonCodec
 from repro.core import AllToAllInstance, make_protocol, verify_beliefs
 from repro.fields.gf2m import GF2m
@@ -330,6 +331,35 @@ def bench_linear_code_search(repeats: int) -> Dict:
                   batched)
 
 
+def bench_rm_line_decode(count: int, repeats: int) -> Dict:
+    """Reed–Muller line decoding at table1's shape: p=31 and degree 17, so
+    each row holds q=30 queried values and the line radius is r=6.  Row i
+    carries i mod (r+3) errors, spreading the rows over 0..r+2 errors, so
+    some are clean and some lie beyond the radius and must come back -1.
+    Races ``local_decode_many`` (one lockstep decoder over every dirty
+    row) against the frozen Berlekamp–Welch loop, one row at a time; the
+    outputs are asserted equal first.  A kernel call takes about a
+    millisecond, so it is timed best of ten times as many calls."""
+    ldc = cached_reed_muller(31, 2, 17)
+    r = ldc.max_line_errors()
+    q = ldc.query_count
+    rng = make_rng(109)
+    ts = np.arange(1, ldc.p)
+    rows = np.stack([ldc.field.poly_eval(coeffs, ts) for coeffs in
+                     rng.integers(0, ldc.p, size=(count, ldc.degree + 1))])
+    for i, row in enumerate(rows):
+        positions = rng.choice(q, i % (r + 3), replace=False)
+        row[positions] = (row[positions]
+                          + rng.integers(1, ldc.p, positions.size)) % ldc.p
+    decoded = ldc.local_decode_many(0, rows, 0)
+    assert np.array_equal(reference.rm_line_decode_loop(ldc, rows), decoded)
+    assert (decoded < 0).any() and (decoded >= 0).any()
+    ref = _best_of(lambda: reference.rm_line_decode_loop(ldc, rows), repeats)
+    batched = _best_of(lambda: ldc.local_decode_many(0, rows, 0),
+                       10 * repeats)
+    return _entry("rm-line-decode", count, "rows", ref, batched)
+
+
 # -- network suite ------------------------------------------------------------
 
 def _fresh_net(n: int, bandwidth: int) -> CongestedClique:
@@ -631,6 +661,9 @@ def _suite_plan(suite: str):
                                                      r)),
             ("linear-code-search",
              lambda smoke, r: bench_linear_code_search(r)),
+            ("rm-line-decode",
+             lambda smoke, r: bench_rm_line_decode(100 if smoke else 400,
+                                                   r)),
             ("sketch-add-many",
              lambda smoke, r: bench_sketch_add_many(2000 if smoke else 20000,
                                                     r)),

@@ -16,8 +16,10 @@ import numpy as np
 
 from repro.cliquesim.network import CongestedClique
 from repro.coding.interfaces import DecodingFailure
+from repro.coding.ldc_interfaces import LocalDecodingFailure
 from repro.coding.linear import LinearBlockCode
 from repro.core.routing import _Chunk
+from repro.fields.gfp import PrimeField
 from repro.utils.rng import make_rng
 
 
@@ -345,3 +347,93 @@ def schedule_runs_reference(srcs, tgts, counts, num_blocks: int, fanout):
     placements = np.array([where[id(c)] for c in chunks],
                           dtype=np.int64).reshape(-1, 2)
     return placements[:, 0], placements[:, 1], len(batches)
+
+
+# The pre-kernel Reed–Muller line decoder, verbatim: Berlekamp–Welch with
+# a descending error count, one Python Gaussian elimination per attempt.
+# ``ReedMullerLDC.local_decode_many`` must return exactly what it returns
+# (the coefficient at 0, or -1 where it raises).
+
+def poly_divmod(field: PrimeField, numerator: np.ndarray,
+                denominator: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Polynomial division over GF(p); coefficients low-to-high."""
+    num = np.asarray(numerator, dtype=np.int64) % field.p
+    den = np.asarray(denominator, dtype=np.int64) % field.p
+    while len(den) > 1 and den[-1] == 0:
+        den = den[:-1]
+    if len(den) == 1 and den[0] == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    num = num.copy()
+    d_den = len(den) - 1
+    lead_inv = int(field.inv(int(den[-1])))
+    quot = np.zeros(max(1, len(num) - d_den), dtype=np.int64)
+    for i in range(len(num) - 1, d_den - 1, -1):
+        coeff = num[i] * lead_inv % field.p
+        if coeff:
+            quot[i - d_den] = coeff
+            num[i - d_den:i + 1] = (num[i - d_den:i + 1]
+                                    - coeff * den) % field.p
+    remainder = num[:d_den] if d_den > 0 else np.zeros(1, dtype=np.int64)
+    return quot, remainder
+
+
+def berlekamp_welch(field: PrimeField, xs: np.ndarray, ys: np.ndarray,
+                    degree: int) -> np.ndarray:
+    """Recover a polynomial of degree <= ``degree`` from noisy evaluations.
+
+    Given ``q`` distinct points with at most ``e = (q - degree - 1) // 2``
+    wrong values, returns the coefficient vector.  Raises
+    :class:`LocalDecodingFailure` when no consistent polynomial exists.
+    """
+    xs = np.asarray(xs, dtype=np.int64) % field.p
+    ys = np.asarray(ys, dtype=np.int64) % field.p
+    q = len(xs)
+    if q != len(ys):
+        raise ValueError("xs and ys must have the same length")
+    max_errors = (q - degree - 1) // 2
+    if max_errors < 0:
+        raise ValueError(f"{q} points cannot determine degree {degree}")
+    for e in range(max_errors, -1, -1):
+        # unknowns: E (monic, degree e -> e coefficients) and Q (degree <= degree+e)
+        n_q = degree + e + 1
+        # equation per point: Q(x) - y * (E(x)) = 0 with E monic:
+        #   sum_j Q_j x^j - y * (x^e + sum_{j<e} E_j x^j) = 0
+        powers = np.ones((q, max(n_q, e + 1)), dtype=np.int64)
+        for j in range(1, powers.shape[1]):
+            powers[:, j] = powers[:, j - 1] * xs % field.p
+        A = np.zeros((q, n_q + e), dtype=np.int64)
+        A[:, :n_q] = powers[:, :n_q]
+        if e > 0:
+            A[:, n_q:] = (-(ys[:, None] * powers[:, :e])) % field.p
+        b = ys * powers[:, e] % field.p
+        try:
+            solution = field.solve(A, b)
+        except ValueError:
+            continue
+        q_coeffs = solution[:n_q]
+        e_coeffs = np.concatenate(
+            [solution[n_q:], np.array([1], dtype=np.int64)])
+        quot, rem = poly_divmod(field, q_coeffs, e_coeffs)
+        if np.any(rem % field.p):
+            continue
+        # verify against the points within the error budget
+        fitted = field.poly_eval(quot[:degree + 1], xs)
+        if int(np.count_nonzero(fitted != ys)) <= e:
+            out = np.zeros(degree + 1, dtype=np.int64)
+            out[:min(len(quot), degree + 1)] = quot[:degree + 1]
+            return out
+    raise LocalDecodingFailure("Berlekamp–Welch found no consistent polynomial")
+
+
+def rm_line_decode_loop(ldc, rows: np.ndarray) -> np.ndarray:
+    """Line decoding one row at a time through :func:`berlekamp_welch`:
+    g(0) of each row of a :class:`ReedMullerLDC` line, or -1 where it
+    raises."""
+    ts = np.arange(1, ldc.p, dtype=np.int64)
+    out = np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(np.asarray(rows, dtype=np.int64) % ldc.p):
+        try:
+            out[i] = berlekamp_welch(ldc.field, ts, row, ldc.degree)[0]
+        except LocalDecodingFailure:
+            out[i] = -1
+    return out

@@ -19,11 +19,16 @@ On-disk layout, next to a campaign store ``runs/x.jsonl``::
         shard-<id>.done          # completion marker
 
 Shard stores inherit :class:`~repro.experiments.store.TrialStore`'s
-concurrent-writer safety: every row is one ``os.write`` to an ``O_APPEND``
-descriptor, so even the lease-break race (two workers briefly appending to
-the same shard store) can only produce whole duplicate lines, never torn
-or interleaved ones — and duplicates carry identical payloads, which the
-merge compactor folds away.
+concurrent-writer safety.  In the lease-break race two workers briefly
+share a shard store, and the second one opens (loads) it while the first
+is appending.  Two guarantees keep that race harmless.  Every row is one
+``os.write`` to an ``O_APPEND`` descriptor, so two appenders never tear
+or interleave each other's lines.  And appends hold a shared ``flock``
+that the load's exclusive one waits out, so the load never truncates a
+row in flight as if it were a torn tail.  The race therefore leaves whole
+duplicate lines with identical payloads, which the merge compactor folds
+away.  Without the lock, that truncation could delete the row in flight
+and every row appended after the load's read.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ exercising the pieces without paying for full pipeline runs."""
 import numpy as np
 import pytest
 
+from repro.coding import reed_muller
 from repro.core.adaptive import (
     AdaptiveAllToAll,
     AdaptiveParameters,
@@ -58,10 +59,15 @@ class TestDesigner:
         ldc = design_ldc_for_sketch(400, 64, 0.0, params)
         assert ldc.k * ((ldc.p - 1).bit_length() - 1) >= 400
 
-    def test_hopeless_alpha_rejected(self):
+    def test_hopeless_alpha_rejected(self, monkeypatch):
         params = AdaptiveParameters()
+        cache = {}
+        monkeypatch.setattr(reed_muller, "_LDC_CACHE", cache)
         with pytest.raises(ProfileError):
             design_ldc_for_sketch(400, 64, 0.2, params)
+        # the capacity walk-down rejects many specs; none may pay for an
+        # LDC construction
+        assert cache == {}
 
     def test_capacity_walkdown_prefers_larger(self):
         """At generous n/alpha the compiler should keep the preferred

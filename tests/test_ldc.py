@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coding.hadamard import HadamardLDC
 from repro.coding.ldc_interfaces import LocalDecodingFailure
-from repro.coding.reed_muller import ReedMullerLDC, berlekamp_welch, poly_divmod
+from repro.coding import reed_muller
+from repro.coding.reed_muller import ReedMullerLDC, cached_reed_muller
 from repro.fields.gfp import PrimeField
+from repro.perf.reference import (berlekamp_welch, poly_divmod,
+                                  rm_line_decode_loop)
 
 
 class TestHadamard:
@@ -169,12 +172,9 @@ class TestReedMuller:
         # corrupt some rows further
         values[2, :3] = (values[2, :3] + 1) % 13
         batch = rm.local_decode_many(idx, values, seed=21)
-        for row in range(6):
-            try:
-                expected = rm.local_decode(idx, values[row], seed=21)
-            except LocalDecodingFailure:
-                expected = -1
-            assert batch[row] == expected
+        # the row-by-row Berlekamp-Welch oracle, not the batch-of-one
+        # scalar path, which runs the same kernel
+        assert np.array_equal(batch, rm_line_decode_loop(rm, values))
 
     def test_design(self):
         code = ReedMullerLDC.design(max_codeword_symbols=200,
@@ -201,3 +201,102 @@ class TestReedMuller:
         bad = rng.choice(len(values), budget, replace=False)
         values[bad] = (values[bad] + 1 + rng.integers(0, 11, budget)) % 13
         assert rm.local_decode(index, values, seed=seed) == msg[index]
+
+
+def line_words(rm, errors, count, rng):
+    """``count`` restrictions of random degree-d polynomials to a line,
+    each with exactly ``errors`` wrong values, plus their g(0)."""
+    q = rm.p - 1
+    coeffs = rng.integers(0, rm.p, (count, rm.degree + 1))
+    ts = np.arange(1, rm.p)
+    rows = np.stack([rm.field.poly_eval(c, ts) for c in coeffs])
+    for row in rows:
+        bad = rng.choice(q, errors, replace=False)
+        row[bad] = (row[bad] + rng.integers(1, rm.p, errors)) % rm.p
+    return rows, coeffs[:, 0]
+
+
+# every degree the line decoder admits at small p, and table1's field
+KERNEL_CASES = ([(p, d) for p in (7, 11, 13) for d in range(1, p - 1)]
+                + [(31, d) for d in (8, 10, 12, 15, 17)])
+
+
+class TestLineDecodeKernel:
+    """The lockstep decoder behind ``local_decode_many`` against the
+    Berlekamp–Welch oracle, at and around the line's error radius r."""
+
+    @pytest.mark.parametrize("p, degree", KERNEL_CASES)
+    def test_matches_oracle_around_the_radius(self, p, degree):
+        rm = cached_reed_muller(p, 2, degree)
+        q, r = p - 1, rm.max_line_errors()
+        rng = np.random.default_rng(100 * p + degree)
+        counts = sorted({0, r - 1, r, r + 1, r + 2, q // 2, q}
+                        & set(range(q + 1)))
+        blocks = [line_words(rm, errors, 4, rng) for errors in counts]
+        rows = np.concatenate([b[0] for b in blocks]
+                              + [rng.integers(0, p, (4, q))])
+        decoded = rm.local_decode_many(0, rows, 0)
+        assert np.array_equal(decoded, rm_line_decode_loop(rm, rows))
+        for errors, (_, g0) in zip(counts, blocks):
+            if errors <= r:  # inside the radius the message comes back
+                start = 4 * counts.index(errors)
+                assert np.array_equal(decoded[start:start + 4], g0)
+
+    def test_clean_and_dirty_rows_in_one_call(self, rng):
+        rm = cached_reed_muller(31, 2, 17)
+        r = rm.max_line_errors()
+        rows, g0 = line_words(rm, 0, 24, rng)
+        for i, row in enumerate(rows[1::2]):  # every other row goes dirty
+            bad = rng.choice(30, 1 + i % (r + 3), replace=False)
+            row[bad] = (row[bad] + rng.integers(1, 31, bad.size)) % 31
+        decoded = rm.local_decode_many(3, rows, 5)
+        assert np.array_equal(decoded, rm_line_decode_loop(rm, rows))
+        assert np.array_equal(decoded[0::2], g0[0::2])
+        assert (decoded[1::2] == -1).any() and (decoded[1::2] >= 0).any()
+
+    def test_unreduced_values_are_reduced(self, rng):
+        rm = cached_reed_muller(13, 2, 4)
+        rows, _ = line_words(rm, 3, 6, rng)
+        shifted = rows + 13 * rng.integers(-2, 3, rows.shape)
+        assert np.array_equal(rm.local_decode_many(0, shifted, 0),
+                              rm_line_decode_loop(rm, rows))
+
+    def test_empty_input(self):
+        rm = cached_reed_muller(31, 2, 17)
+        out = rm.local_decode_many(0, np.zeros((0, 30), dtype=np.int64), 0)
+        assert out.shape == (0,) and out.dtype == np.int64
+
+    def test_passes_split_large_batches(self, rng, monkeypatch):
+        rm = cached_reed_muller(13, 2, 3)
+        rows = np.concatenate([line_words(rm, e, 5, rng)[0]
+                               for e in range(0, 9)])
+        whole = rm.local_decode_many(0, rows, 0)
+        monkeypatch.setattr(reed_muller, "_DECODE_PASS_ELEMENTS", 1)
+        assert np.array_equal(rm.local_decode_many(0, rows, 0), whole)
+        assert np.array_equal(whole, rm_line_decode_loop(rm, rows))
+
+    def test_scalar_raises_exactly_when_oracle_raises(self, rng):
+        rm = cached_reed_muller(11, 2, 3)
+        r = rm.max_line_errors()
+        rows = np.concatenate([line_words(rm, e, 3, rng)[0]
+                               for e in (0, r, r + 1, r + 2, 10)])
+        wanted = rm_line_decode_loop(rm, rows)
+        assert (wanted < 0).any() and (wanted >= 0).any()
+        for row, want in zip(rows, wanted):
+            if want < 0:
+                with pytest.raises(LocalDecodingFailure):
+                    rm.local_decode(0, row, seed=1)
+            else:
+                assert rm.local_decode(0, row, seed=1) == want
+
+    @given(st.sampled_from(KERNEL_CASES), st.integers(0, 2**31 - 1),
+           st.integers(0, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sweep(self, case, seed, errors):
+        p, degree = case
+        rm = cached_reed_muller(p, 2, degree)
+        rng = np.random.default_rng(seed)
+        rows, _ = line_words(rm, min(errors, p - 1), 3, rng)
+        rows = np.concatenate([rows, rng.integers(0, p, (1, p - 1))])
+        assert np.array_equal(rm.local_decode_many(0, rows, seed),
+                              rm_line_decode_loop(rm, rows))

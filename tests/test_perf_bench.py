@@ -18,6 +18,7 @@ from repro.perf.bench import (
     bench_greedy_selection,
     bench_linear_ml_decode,
     bench_plane_staging,
+    bench_rm_line_decode,
     bench_rs_batch_bm,
     bench_rs_symbol_decode,
     store_rows,
@@ -52,6 +53,14 @@ class TestBenchEntries:
         entry = bench_greedy_selection(4, 1)
         assert entry["items"] == 4
         assert entry["unit"] == "planes"
+        assert entry["speedup"] > 0
+
+    def test_rm_line_decode_entry(self):
+        # the benchmark asserts the lockstep decoder == the Berlekamp–Welch
+        # loop, with rows on both sides of the line radius, before timing
+        entry = bench_rm_line_decode(12, 1)
+        assert entry["items"] == 12
+        assert entry["unit"] == "rows"
         assert entry["speedup"] > 0
 
     def test_plane_staging_entry(self):
