@@ -15,13 +15,15 @@ leading batch axis:
    trial's own faulty edges may differ from that trial's intended payloads.
 
 Per-trial randomness stays independent inside the batch: every trial's
-streams are derived from its own seed exactly as the serial engine derives
-them, which is what makes a batched cell bit-identical to running its
-trials one at a time.  :class:`PerTrialAdversaryBatch` is the generic
+streams are derived from its own seed exactly as a serial adversary
+derives them, which is what makes a batched cell bit-identical to running
+its trials one at a time.  :class:`PerTrialAdversaryBatch` is the generic
 fallback — it wraps one serial adversary instance per trial, so every
-existing adversary works unbatched under the batched engine;
-:class:`BatchedNonAdaptiveAdversary` is the natively batched α-NBD
-adversary whose masks are assembled with tensor ops.
+existing adversary works unbatched under the batched engine (the serial
+:class:`~repro.cliquesim.network.CongestedClique` runs its adversary as a
+one-slot batch of this kind); :class:`BatchedNonAdaptiveAdversary` is the
+natively batched α-NBD adversary whose masks are assembled with tensor
+ops.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class BatchRoundView:
 
     def trial_view(self, t: int) -> RoundView:
         """Serial view of trial ``t`` — what a wrapped per-trial adversary
-        would have seen from a serial engine."""
+        would have seen in a run of that trial alone."""
         history = self.histories[t] if len(self.histories) else []
         return RoundView(index=self.index, width=self.trial_width(t),
                          intended=self.intended[t], history=history,
@@ -148,18 +150,26 @@ class PerTrialAdversaryBatch(BatchedAdversary):
     each trial's instance is consulted with that trial's serial
     :class:`RoundView` in trial order, so its private RNG advances exactly
     as it would have in a serial run of that trial alone.
+
+    The budget the engine holds the batch to is read from the wrapped
+    adversaries after their own ``begin_protocol``: ``alpha`` (which some
+    adversaries only fix there) and ``validation_alpha`` (the degree budget
+    a Byzantine-node model declares), each shared by every trial.
     """
 
     def __init__(self, adversaries: Sequence[Adversary]):
         if not adversaries:
             raise ValueError("need at least one per-trial adversary")
-        alphas = {a.alpha for a in adversaries}
-        if len(alphas) != 1:
-            raise ValueError(
-                f"per-trial adversaries must share one alpha, got {alphas}")
-        super().__init__(alpha=alphas.pop())
         self.adversaries = list(adversaries)
+        super().__init__(alpha=self._shared("alpha"))
         self.reads_history = any(a.reads_history for a in self.adversaries)
+
+    def _shared(self, name: str) -> float:
+        values = {getattr(a, name, a.alpha) for a in self.adversaries}
+        if len(values) != 1:
+            raise ValueError(
+                f"per-trial adversaries must share one {name}, got {values}")
+        return values.pop()
 
     def begin_protocol(self, n: int, trials: int) -> None:
         if trials != len(self.adversaries):
@@ -169,36 +179,31 @@ class PerTrialAdversaryBatch(BatchedAdversary):
         super().begin_protocol(n, trials)
         for adversary in self.adversaries:
             adversary.begin_protocol(n)
+        self.alpha = self._shared("alpha")
+        self.validation_alpha = self._shared("validation_alpha")
 
     def select_edges_many(self, view: BatchRoundView) -> np.ndarray:
-        masks = []
+        masks = np.zeros(view.intended.shape, dtype=bool)
         for t, adv in enumerate(self.adversaries):
-            if not view.trial_active(t):
-                # a serial run of this trial already finished: its
-                # adversary sees no further rounds and draws nothing
-                masks.append(np.zeros_like(view.intended[t], dtype=bool))
-                continue
-            try:
-                masks.append(np.asarray(adv.select_edges(view.trial_view(t)),
-                                        dtype=bool))
-            except Exception as exc:  # noqa: BLE001 — isolate the one trial
-                raise PerTrialFailure(t, exc) from exc
-        return np.stack(masks)
+            # a trial whose serial run already finished sees no further
+            # rounds: its adversary draws nothing
+            if view.trial_active(t):
+                try:
+                    masks[t] = adv.select_edges(view.trial_view(t))
+                except Exception as exc:  # noqa: BLE001 — isolate the trial
+                    raise PerTrialFailure(t, exc) from exc
+        return masks
 
     def corrupt_many(self, view: BatchRoundView,
                      edges: np.ndarray) -> np.ndarray:
-        delivered = []
+        delivered = view.intended.copy()
         for t, adv in enumerate(self.adversaries):
-            if not view.trial_active(t):
-                delivered.append(view.intended[t].copy())
-                continue
-            try:
-                delivered.append(np.asarray(
-                    adv.corrupt(view.trial_view(t), edges[t]),
-                    dtype=np.int64))
-            except Exception as exc:  # noqa: BLE001 — isolate the one trial
-                raise PerTrialFailure(t, exc) from exc
-        return np.stack(delivered)
+            if view.trial_active(t):
+                try:
+                    delivered[t] = adv.corrupt(view.trial_view(t), edges[t])
+                except Exception as exc:  # noqa: BLE001 — isolate the trial
+                    raise PerTrialFailure(t, exc) from exc
+        return delivered
 
 
 class BatchedNonAdaptiveAdversary(BatchedAdversary):

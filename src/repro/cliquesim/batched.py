@@ -1,30 +1,35 @@
-"""Trial-batched Congested Clique engine — one tensor program per round
-for a whole stack of protocol instances.
+"""The Congested Clique engine (Section 2's communication model), run as a
+stack of ``trials`` protocol instances in lockstep.
+
+``n`` fully-connected nodes communicate in synchronous rounds; in each round
+every ordered pair may carry up to ``B`` bits.  A round's payloads are a
+``(trials, n, n)`` int64 stack where entry ``(t, u, v)`` is the value ``u``
+sends to ``v`` in trial ``t`` and ``-1`` means "no message".  The engine:
+
+* enforces the per-round width limit;
+* hands the round to the attached adversary
+  (:class:`~repro.adversary.batched.BatchedAdversary`), whose fault sets
+  are validated against the faulty-degree budget — the adversary cannot
+  cheat: deliveries are clamped so only entries across a trial's own
+  faulty edges may differ from that trial's intended payloads;
+* counts rounds and bits, which is what the Table 1 benchmarks measure.
+
+KT1 is implicit: node ids are ``0..n-1`` and every protocol may use them.
+The diagonal (a node "sending to itself") is free bookkeeping, never
+corrupted and never counted as communication.
 
 A campaign cell (same protocol, n, width, bandwidth, adversary kind and
-alpha) is ``trials`` independent :class:`~repro.cliquesim.network.
-CongestedClique` instances whose per-round state is already ``(n, n,
-words)`` planes; :class:`BatchedClique` stacks them into ``(trials, n, n,
-words)`` and exposes the same ``round`` / ``round_many`` /
-``exchange_words`` / ``exchange_bits`` contract over the leading batch
-axis.  What this buys:
-
-* per-round bookkeeping (:meth:`BatchedClique._book_round_many`) computes
-  every trial's bits/corruption counters with *one* reduction over the
-  stack — the ``count_nonzero`` passes that bound serial exchange
-  throughput amortize across the batch;
-* payload validation and chunk staging run once over the whole stack;
-* adversary consultation is lifted to batched ``(trials, n, n)`` masks
-  (:class:`~repro.adversary.batched.BatchedAdversary`), with per-trial
-  independent RNG streams inside the batch.
-
-Trials execute in lockstep: every trial sees the same round sequence
-(index, width, label), which is exactly the situation in a campaign cell —
-the protocols are data-independent in their round *structure*.  Counters
+alpha) runs all of its trials as one stack, so per-round bookkeeping,
+payload validation and chunk staging each run once over the whole stack,
+and the adversary acts on ``(trials, n, n)`` masks with independent
+per-trial RNG streams.  Every trial sees the same round sequence (index,
+width, label), which is exactly the situation in a campaign cell — the
+protocols are data-independent in their round *structure*.  Counters
 (``bits_sent``, ``entries_corrupted``, per-trial ``dropped`` masks) are
 ``(trials,)`` vectors; ``rounds_used`` is a scalar shared by the batch.
-Running a batched cell is bit-identical to running its trials one at a
-time on serial engines.
+Running a batched cell is bit-identical to running each of its trials
+alone at ``trials=1``, which is how the serial
+:class:`~repro.cliquesim.network.CongestedClique` runs every round.
 """
 
 from __future__ import annotations
@@ -40,13 +45,24 @@ from repro.adversary.batched import (
     BatchRoundView,
 )
 from repro.adversary.budget import validate_fault_sets
-from repro.cliquesim.network import MAX_ROUND_WIDTH, BandwidthViolation
 from repro.obs import metrics, tracing
 from repro.utils.bits import WORD_BITS, pack_bits, unpack_bits, words_per_width
+
+#: per-round payloads live in int64 matrices with -1 as "no message", so a
+#: single round can carry at most 62 bits per edge without sign trouble
+MAX_ROUND_WIDTH = 62
+
+
+class BandwidthViolation(Exception):
+    """A protocol tried to send more bits per edge than the model allows."""
 
 
 class BatchedClique:
     """``trials`` bandwidth-B Congested Cliques driven in lockstep."""
+
+    #: keep every round's intended, delivered and fault-edge matrices in
+    #: the history (the serial view's ``record_full_history``)
+    record_full_history = False
 
     def __init__(self, n: int, trials: int, bandwidth: int = 1,
                  adversary: Optional[BatchedAdversary] = None,
@@ -107,50 +123,53 @@ class BatchedClique:
         return (not self.keep_history and tracing.active() is None
                 and not metrics.enabled())
 
-    def _book_rounds_fast(self, intended_stack: np.ndarray,
-                          widths: Sequence[int]) -> None:
-        """Book a whole fault-free ``(rounds, trials, n, n)`` stack with one
-        reduction; only legal under :meth:`_fast_booking`."""
-        ids = np.arange(self.n)
-        sent_entries = (np.count_nonzero(intended_stack >= 0, axis=(2, 3))
-                        - np.count_nonzero(
-                            intended_stack[:, :, ids, ids] >= 0, axis=2))
-        self.rounds_used += len(widths)
-        self.bits_sent += (np.asarray(widths, dtype=np.int64)[:, None]
-                           * sent_entries).sum(axis=0)
+    def _off_diagonal(self, mask: np.ndarray) -> np.ndarray:
+        """Off-diagonal True entries of every ``(n, n)`` matrix of a bool
+        stack, as plain ``add.reduce`` calls over the flattened matrices and
+        their strided diagonals: one ``count_nonzero(..., axis=...)`` call
+        costs more than all of a one-trial round's counting."""
+        flat = mask.reshape(*mask.shape[:-2], self.n * self.n)
+        return (np.add.reduce(flat, axis=-1)
+                - np.add.reduce(flat[..., ::self.n + 1], axis=-1))
+
+    def _corrupted(self, intended: np.ndarray,
+                   delivered: np.ndarray) -> np.ndarray:
+        """Per-trial count of delivered entries that differ from intended
+        (the diagonal never does)."""
+        return np.add.reduce((delivered != intended).reshape(self.trials, -1),
+                             axis=1)
 
     def _book_round_many(self, intended: np.ndarray, delivered: np.ndarray,
                          edges: Optional[np.ndarray], width: int,
-                         label: str) -> None:
+                         label: str, sent_entries: np.ndarray) -> None:
         """Per-round accounting for the whole batch: one reduction over the
-        ``(trials, n, n)`` stack per counter instead of one pass per trial."""
-        ids = np.arange(self.n)
+        ``(trials, n, n)`` stack per counter instead of one pass per trial.
+        ``edges`` is None on the fault-free clique; ``sent_entries`` is the
+        per-trial :meth:`_off_diagonal` count of ``intended >= 0``, which
+        ``round_many`` takes for a whole stack of rounds at once."""
         if edges is None:
             corrupted = np.zeros(self.trials, dtype=np.int64)
         else:
-            corrupted = np.count_nonzero(delivered != intended,
-                                         axis=(1, 2)).astype(np.int64)
-        sent_entries = (np.count_nonzero(intended >= 0, axis=(1, 2))
-                        - np.count_nonzero(intended[:, ids, ids] >= 0,
-                                           axis=1)).astype(np.int64)
+            corrupted = self._corrupted(intended, delivered)
         bits = width * sent_entries
-        if self._fast_booking():
-            self.rounds_used += 1
-            self.bits_sent += bits
-            self.entries_corrupted += corrupted
-            return
         if self.keep_history:
+            full = self.record_full_history
+            if full and edges is None:
+                edges = np.zeros(intended.shape, dtype=bool)
             for t in range(self.trials):
                 self.histories[t].append(RoundOutcome(
                     index=self.rounds_used, width=width,
-                    intended=None, delivered=None, fault_edges=None,
+                    intended=intended[t] if full else None,
+                    delivered=delivered[t] if full else None,
+                    fault_edges=edges[t] if full else None,
                     corrupted_entries=int(corrupted[t]), bits=int(bits[t]),
                     label=label))
         self.rounds_used += 1
         self.bits_sent += bits
         self.entries_corrupted += corrupted
-        metrics.count("net.rounds")
-        metrics.count("net.bits", int(bits.sum()))
+        if metrics.enabled():
+            metrics.count("net.rounds")
+            metrics.count("net.bits", int(bits.sum()))
         tracer = tracing.active()
         if tracer is not None:
             tracer.round_event(index=self.rounds_used - 1, label=label,
@@ -169,17 +188,32 @@ class BatchedClique:
         self._check_width(width)
         intended = np.asarray(intended, dtype=np.int64)
         self._check_payload(intended, width)
-
+        sent_entries = self._off_diagonal(intended >= 0)
         if self.fault_free():
-            self._book_round_many(intended, intended, None, width, label)
+            self._book_round_many(intended, intended, None, width, label,
+                                  sent_entries)
             return intended.copy()
 
         view = BatchRoundView(index=self.rounds_used, width=width,
                               intended=intended.copy(),
                               histories=self.histories, label=label)
+        delivered, edges = self._adversary_step(view, intended)
+        self._book_round_many(intended, delivered, edges, width, label,
+                              sent_entries)
+        return delivered
+
+    def _adversary_step(self, view: BatchRoundView, intended: np.ndarray,
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """The adversary's move in one round: select every trial's fault
+        set, validate it against the degree budget, corrupt, clip to each
+        trial's round width (``view.widths`` on a ragged round) and clamp.
+        Trials outside ``view.active`` get no faulty edges.  Returns
+        ``(delivered, edges)``."""
         edges = np.asarray(self.adversary.select_edges_many(view), dtype=bool)
-        # see the serial engine: Byzantine-node models validate at degree
-        # budget ``validation_alpha`` while codes size from ``alpha``
+        if view.active is not None:
+            edges[~view.active] = False
+        # Byzantine-node models validate at degree budget
+        # ``validation_alpha`` while codes size from ``alpha``
         validate_fault_sets(edges, self.n,
                             getattr(self.adversary, "validation_alpha",
                                     self.adversary.alpha))
@@ -187,16 +221,22 @@ class BatchedClique:
                               dtype=np.int64)
         if proposed.shape != intended.shape:
             raise ValueError("adversary returned a malformed delivery stack")
-        high = np.int64(1) << width
-        if proposed.min() < -1 or proposed.max() >= high:
-            proposed = np.clip(proposed, -1, int(high) - 1)
-        # clamp: only entries across a trial's own faulty edges may change
-        delivered = np.where(edges, proposed, intended)
-        ids = np.arange(self.n)
-        delivered[:, ids, ids] = intended[:, ids, ids]
-
-        self._book_round_many(intended, delivered, edges, width, label)
-        return delivered
+        if view.widths is None:
+            high = narrowest = np.int64(1) << view.width
+        else:
+            high = (np.int64(1) << view.widths)[:, None, None]
+            narrowest = high.min()
+        # a value under the narrowest trial's bound needs no clip
+        if proposed.min() < -1 or proposed.max() >= narrowest:
+            proposed = np.clip(proposed, -1, high - 1)
+        # clamp: only entries across a trial's own faulty edges may change,
+        # and never a diagonal one (one strided slice, a view of the
+        # C-ordered stack)
+        delivered = np.ascontiguousarray(np.where(edges, proposed, intended))
+        diagonal = np.s_[:, ::self.n + 1]
+        delivered.reshape(self.trials, -1)[diagonal] = \
+            intended.reshape(self.trials, -1)[diagonal]
+        return delivered, edges
 
     def round_many(self, intended_stack: np.ndarray,
                    widths: Sequence[int],
@@ -226,13 +266,16 @@ class BatchedClique:
                 if width < max_width:
                     self._check_payload(intended_stack[i], width)
             self._check_payload(intended_stack, max_width)
+            sent_entries = self._off_diagonal(intended_stack >= 0)
             if self._fast_booking():
-                self._book_rounds_fast(intended_stack, widths)
+                self.rounds_used += count
+                self.bits_sent += (np.asarray(widths, dtype=np.int64)[:, None]
+                                   * sent_entries).sum(axis=0)
             else:
                 for i, width in enumerate(widths):
                     self._book_round_many(intended_stack[i],
-                                          intended_stack[i],
-                                          None, width, labels[i])
+                                          intended_stack[i], None, width,
+                                          labels[i], sent_entries[i])
             return intended_stack.copy()
 
     # -- helpers -------------------------------------------------------------
@@ -351,10 +394,7 @@ class BatchedClique:
             raise ValueError(
                 f"expected shape ({self.trials}, {self.n}, {self.n}, "
                 f">={n_words})")
-        ids = np.arange(self.n)
-        sent_entries = (np.count_nonzero(present, axis=(1, 2))
-                        - np.count_nonzero(present[:, ids, ids], axis=1)
-                        ).astype(np.int64)
+        sent_entries = self._off_diagonal(present)
         dropped = np.zeros((self.trials, self.n, self.n), dtype=bool)
         out = np.zeros_like(words)
         spans = self._chunk_spans(max_width, self.bandwidth)
@@ -383,25 +423,8 @@ class BatchedClique:
                     intended=intended.copy(), histories=self.histories,
                     label=label_p, widths=takes.copy(),
                     active=active.copy())
-                edges = np.asarray(self.adversary.select_edges_many(view),
-                                   dtype=bool)
-                edges[~active] = False
-                validate_fault_sets(edges, self.n,
-                                    getattr(self.adversary,
-                                            "validation_alpha",
-                                            self.adversary.alpha))
-                proposed = np.asarray(
-                    self.adversary.corrupt_many(view, edges),
-                    dtype=np.int64)
-                if proposed.shape != intended.shape:
-                    raise ValueError(
-                        "adversary returned a malformed delivery stack")
-                high = (np.int64(1) << takes)[:, None, None]
-                proposed = np.clip(proposed, -1, high - 1)
-                delivered = np.where(edges, proposed, intended)
-                delivered[:, ids, ids] = intended[:, ids, ids]
-                corrupted = np.count_nonzero(delivered != intended,
-                                             axis=(1, 2)).astype(np.int64)
+                delivered, _ = self._adversary_step(view, intended)
+                corrupted = self._corrupted(intended, delivered)
             bits = takes * np.where(active, sent_entries, 0)
             if self.keep_history:
                 for t in range(self.trials):

@@ -1,21 +1,21 @@
-"""The Congested Clique engine (Section 2's communication model).
+"""The serial Congested Clique: one protocol instance, run on the engine as
+a batch of one.
 
-``n`` fully-connected nodes communicate in synchronous rounds; in each round
-every ordered pair may carry up to ``B`` bits.  Payloads are an ``(n, n)``
-int64 matrix where entry ``(u, v)`` is the value ``u`` sends to ``v`` and
-``-1`` means "no message".  The engine:
+:class:`CongestedClique` is a shape adapter over a ``trials=1``
+:class:`~repro.cliquesim.batched.BatchedClique`, the one implementation of
+Section 2's round (width checks, the adversary's move, budget validation,
+clamping, round and bit counting; its module describes the model).
+Payloads here are ``(n, n)`` int64 matrices — entry ``(u, v)`` is the value
+``u`` sends to ``v``, ``-1`` means "no message" — and every method adds the
+batch axis, calls the engine method of the same name and strips the axis
+again.
 
-* enforces the per-round width limit,
-* hands the round to the attached adversary (fault-set selection is
-  validated against the faulty-degree budget — the adversary physically
-  cannot cheat: deliveries are clamped so only entries across faulty edges
-  may differ from the intended payloads),
-* counts rounds and bits, which is what the Table 1 benchmarks measure.
-
-KT1 is implicit: node ids are ``0..n-1`` and every protocol may use them.
-
-The diagonal (a node "sending to itself") is free bookkeeping, never
-corrupted and never counted as communication.
+The serial adversary rides in a one-slot
+:class:`~repro.adversary.batched.PerTrialAdversaryBatch` (a
+:class:`~repro.adversary.base.NullAdversary` becomes the engine's
+fault-free :class:`~repro.adversary.batched.BatchedNullAdversary`), so it
+sees exactly the serial :class:`~repro.adversary.base.RoundView` of its
+trial, and an exception it raises reaches the caller unchanged.
 """
 
 from __future__ import annotations
@@ -24,18 +24,29 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.adversary.base import Adversary, NullAdversary, RoundOutcome, RoundView
-from repro.adversary.budget import validate_fault_set
-from repro.obs import metrics, tracing
-from repro.utils.bits import WORD_BITS, pack_bits, unpack_bits, words_per_width
+from repro.adversary.base import Adversary, NullAdversary, RoundOutcome
+from repro.adversary.batched import (
+    BatchedNullAdversary,
+    PerTrialAdversaryBatch,
+    PerTrialFailure,
+)
+from repro.cliquesim.batched import (
+    MAX_ROUND_WIDTH,
+    BandwidthViolation,
+    BatchedClique,
+)
 
-#: per-round payloads live in int64 matrices with -1 as "no message", so a
-#: single round can carry at most 62 bits per edge without sign trouble
-MAX_ROUND_WIDTH = 62
+__all__ = ["MAX_ROUND_WIDTH", "BandwidthViolation", "CongestedClique"]
 
 
-class BandwidthViolation(Exception):
-    """A protocol tried to send more bits per edge than the model allows."""
+def _serial(method, *args):
+    """Call an engine method; a crash of the serial adversary surfaces as
+    the adversary's own exception, not the per-trial wrapper's."""
+    try:
+        return method(*args)
+    except PerTrialFailure as failure:
+        cause = failure.cause
+    raise cause
 
 
 class CongestedClique:
@@ -45,208 +56,66 @@ class CongestedClique:
                  adversary: Optional[Adversary] = None,
                  record_full_history: bool = False,
                  keep_history: bool = True):
-        if n < 2:
-            raise ValueError("need at least two nodes")
-        if not 1 <= bandwidth <= MAX_ROUND_WIDTH:
-            raise ValueError(
-                f"bandwidth must be in [1, {MAX_ROUND_WIDTH}] bits")
+        self.adversary = adversary if adversary is not None else NullAdversary()
+        fault_free = isinstance(self.adversary, NullAdversary)
+        # keep_history=False keeps only the scalar counters — one
+        # RoundOutcome per round is real memory over a long campaign.  An
+        # adversary that reads view.history forces it back on (it would
+        # otherwise see an empty record), as does record_full_history.
+        self.engine = BatchedClique(
+            n, 1, bandwidth=bandwidth,
+            adversary=(BatchedNullAdversary() if fault_free
+                       else PerTrialAdversaryBatch([self.adversary])),
+            keep_history=keep_history or record_full_history)
+        if fault_free:
+            self.adversary.begin_protocol(n)
+        self.engine.record_full_history = record_full_history
         self.n = n
         self.bandwidth = bandwidth
-        self.adversary = adversary if adversary is not None else NullAdversary()
-        self.adversary.begin_protocol(n)
-        self.record_full_history = record_full_history
-        # keep_history=False keeps only the scalar counters — one
-        # RoundOutcome per round is real memory over a long batched
-        # campaign.  An adversary that reads view.history forces it back
-        # on (it would otherwise see an empty record), as does
-        # record_full_history.
-        self.keep_history = (keep_history or record_full_history
-                             or self.adversary.reads_history)
-        self.history: List[RoundOutcome] = []
-        self.rounds_used = 0
-        self.bits_sent = 0
-        self.entries_corrupted = 0
 
-    # -- core round ----------------------------------------------------------
-    def _check_width(self, width: int) -> None:
-        if width > self.bandwidth:
-            raise BandwidthViolation(
-                f"round width {width} exceeds bandwidth {self.bandwidth}")
-        if width < 1:
-            raise ValueError("round width must be at least 1 bit")
+    @property
+    def history(self) -> List[RoundOutcome]:
+        return self.engine.histories[0]
 
-    def _check_payload(self, intended: np.ndarray, width: int) -> None:
-        if intended.shape[-2:] != (self.n, self.n):
-            raise ValueError(
-                f"payload matrix must be ({self.n}, {self.n}), "
-                f"got {intended.shape}")
-        high = np.int64(1) << width
-        if intended.min() < -1 or intended.max() >= high:
-            raise BandwidthViolation(
-                f"payload values must be -1 or fit in {width} bits")
+    @property
+    def rounds_used(self) -> int:
+        return self.engine.rounds_used
 
-    def _fast_booking(self) -> bool:
-        """True when per-round accounting can collapse to plain counter
-        arithmetic: nobody is recording history, tracing rounds, or
-        collecting metrics, so the engine owes nothing but the three scalar
-        counters (whose values stay bit-identical either way)."""
-        return (not self.keep_history and tracing.active() is None
-                and not metrics.enabled())
+    @property
+    def bits_sent(self) -> int:
+        return int(self.engine.bits_sent[0])
 
-    def _book_rounds_fast(self, intended_stack: np.ndarray,
-                          widths: Sequence[int]) -> None:
-        """Book a whole fault-free round stack with one reduction — no
-        per-round RoundOutcome, labels, or observability dispatch.  Only
-        legal under :meth:`_fast_booking`."""
-        ids = np.arange(self.n)
-        sent_entries = (np.count_nonzero(intended_stack >= 0, axis=(1, 2))
-                        - np.count_nonzero(
-                            intended_stack[:, ids, ids] >= 0, axis=1))
-        self.rounds_used += len(widths)
-        self.bits_sent += int(
-            (np.asarray(widths, dtype=np.int64) * sent_entries).sum())
+    @property
+    def entries_corrupted(self) -> int:
+        return int(self.engine.entries_corrupted[0])
 
-    def _book_round(self, intended: np.ndarray, delivered: np.ndarray,
-                    edges: Optional[np.ndarray], width: int,
-                    label: str) -> None:
-        """Shared per-round accounting (history, round/bit/corruption
-        counters, observability hooks)."""
-        corrupted = 0 if edges is None \
-            else int(np.count_nonzero(delivered != intended))
-        sent_entries = (int(np.count_nonzero(intended >= 0))
-                        - int(np.count_nonzero(np.diag(intended) >= 0)))
-        bits = width * sent_entries
-        if self._fast_booking():
-            self.rounds_used += 1
-            self.bits_sent += bits
-            self.entries_corrupted += corrupted
-            return
-        if self.keep_history:
-            self.history.append(RoundOutcome(
-                index=self.rounds_used,
-                width=width,
-                intended=intended if self.record_full_history else None,
-                delivered=delivered if self.record_full_history else None,
-                fault_edges=edges if self.record_full_history else None,
-                corrupted_entries=corrupted,
-                bits=bits,
-                label=label,
-            ))
-        self.rounds_used += 1
-        self.bits_sent += bits
-        self.entries_corrupted += corrupted
-        metrics.count("net.rounds")
-        metrics.count("net.bits", bits)
-        tracer = tracing.active()
-        if tracer is not None:
-            tracer.round_event(index=self.rounds_used - 1, label=label,
-                               width=width, bits=bits, corrupted=corrupted)
-
+    # -- rounds --------------------------------------------------------------
     def round(self, intended: np.ndarray, width: Optional[int] = None,
               label: str = "") -> np.ndarray:
         """Execute one synchronous round and return the delivered matrix."""
-        width = self.bandwidth if width is None else width
-        self._check_width(width)
         intended = np.asarray(intended, dtype=np.int64)
-        self._check_payload(intended, width)
-
-        view = RoundView(index=self.rounds_used, width=width,
-                         intended=intended.copy(), history=self.history,
-                         label=label)
-        edges = np.asarray(self.adversary.select_edges(view), dtype=bool)
-        # ``validation_alpha`` lets fault models whose degree budget differs
-        # from the code-sizing alpha (Byzantine nodes: degree n-1, error
-        # budget floor(alpha*n)) declare the budget they are held to
-        validate_fault_set(edges, self.n,
-                           getattr(self.adversary, "validation_alpha",
-                                   self.adversary.alpha))
-        proposed = np.asarray(self.adversary.corrupt(view, edges),
-                              dtype=np.int64)
-        if proposed.shape != intended.shape:
-            raise ValueError("adversary returned a malformed delivery matrix")
-        high = np.int64(1) << width
-        if proposed.min() < -1 or proposed.max() >= high:
-            proposed = np.clip(proposed, -1, int(high) - 1)
-        # clamp: only entries across faulty edges may change (both directions)
-        delivered = np.where(edges, proposed, intended)
-        np.fill_diagonal(delivered, np.diag(intended))
-
-        self._book_round(intended, delivered, edges, width, label)
-        return delivered
+        return _serial(self.engine.round, intended[None], width, label)[0]
 
     def round_many(self, intended_stack: np.ndarray,
                    widths: Sequence[int],
                    labels: Sequence[str]) -> np.ndarray:
         """Execute ``len(widths)`` consecutive rounds from a pre-staged
-        ``(rounds, n, n)`` payload stack and return the delivered stack.
-
-        Semantically identical to calling :meth:`round` once per chunk — the
-        adversary still acts (and is budget-validated) round by round, the
-        history gains one entry per round, and counters advance the same way.
-        The fast path kicks in on the fault-free clique: payload validation
-        happens once over the whole stack and the adversary machinery is
-        skipped entirely, which is what makes wide ``exchange`` calls cheap.
-        """
+        ``(rounds, n, n)`` payload stack and return the delivered stack —
+        the same as one :meth:`round` per entry, with the fault-free
+        clique's whole stack validated and booked at once."""
         intended_stack = np.asarray(intended_stack, dtype=np.int64)
-        count = len(widths)
-        if intended_stack.shape != (count, self.n, self.n):
-            raise ValueError(
-                f"expected payload stack ({count}, {self.n}, {self.n}), "
-                f"got {intended_stack.shape}")
-        if len(labels) != count:
-            raise ValueError("one label per round required")
-        if count == 0:
-            return intended_stack.copy()
-        with metrics.timed("net.round_many"):
-            if not self.fault_free():
-                return np.stack([
-                    self.round(intended_stack[i], widths[i], labels[i])
-                    for i in range(count)])
-            max_width = max(widths)
-            self._check_width(max_width)
-            for i, width in enumerate(widths):
-                self._check_width(width)
-                if width < max_width:
-                    self._check_payload(intended_stack[i], width)
-            self._check_payload(intended_stack, max_width)
-            if self._fast_booking():
-                self._book_rounds_fast(intended_stack, widths)
-            else:
-                for i, width in enumerate(widths):
-                    self._book_round(intended_stack[i], intended_stack[i],
-                                     None, width, labels[i])
-            return intended_stack.copy()
+        return _serial(self.engine.round_many, intended_stack[:, None],
+                       widths, labels)[:, 0]
 
-    @staticmethod
-    def _chunk_spans(width: int, bandwidth: int):
-        """(start, take) pairs splitting ``width`` bits into rounds."""
-        return [(start, min(bandwidth, width - start))
-                for start in range(0, width, bandwidth)]
-
-    # -- helpers -------------------------------------------------------------
+    # -- transports ----------------------------------------------------------
     def exchange(self, intended: np.ndarray, width: int,
                  label: str = "") -> np.ndarray:
-        """Send ``width``-bit payloads, transparently splitting into
-        ``ceil(width / B)`` rounds when width exceeds the bandwidth.
-
-        Reassembly: an entry is ``-1`` if any of its chunks arrived as
-        "no message" (the adversary may cause that only across faulty edges).
-
-        The chunked path folds onto :meth:`exchange_words`: the int64 matrix
-        is viewed as a one-word plane (width <= 62 always fits one word), so
-        narrow payloads ride the same plane transport as ``exchange_bits``.
-        """
+        """Send ``width``-bit payloads, split into ``ceil(width / B)``
+        rounds when width exceeds the bandwidth.  An entry comes back
+        ``-1`` if any of its chunks arrived as "no message" (the adversary
+        may cause that only across faulty edges)."""
         intended = np.asarray(intended, dtype=np.int64)
-        if width <= self.bandwidth:
-            return self.round(intended, width, label)
-        present = intended >= 0
-        plane = np.where(present, intended, 0).astype(np.uint64)[:, :, None]
-        spans = self._chunk_spans(width, self.bandwidth)
-        delivered, dropped = self.exchange_words(
-            plane, present, width,
-            labels=[f"{label}[chunk{part}]" for part in range(len(spans))])
-        out = delivered[:, :, 0].astype(np.int64)
-        return np.where(dropped | ~present, -1, out)
+        return _serial(self.engine.exchange, intended[None], width, label)[0]
 
     def exchange_words(self, words: np.ndarray, present: np.ndarray,
                        width: int, label: str = "",
@@ -257,95 +126,27 @@ class CongestedClique:
         :func:`repro.utils.bits.pack_bits` layout) and ``present[u, v]``
         gates sending.
 
-        Splits the width into ``ceil(width / B)`` rounds, all chunks lifted
-        out of the word planes with one vectorised gather (no per-bit and no
-        per-chunk staging), and returns ``(delivered, dropped)``:
-
-        * ``delivered`` — the delivered word tensor, dropped chunks
-          zero-filled;
-        * ``dropped`` — an ``(n, n)`` bool mask, True exactly where a *sent*
-          payload (``present``) had at least one chunk arrive as "no
-          message".  The adversary can cause that only across faulty edges;
-          without the mask a dropped payload would be indistinguishable from
-          a legitimate all-zero one.
-
-        This is the transport primitive behind the wide scatter/answer steps
-        of the adaptive compiler, where per-edge payloads exceed 62 bits.
-        ``labels`` overrides the per-chunk round labels (one per chunk).
-        """
-        words = np.asarray(words, dtype=np.uint64)
-        present = np.asarray(present, dtype=bool)
-        n_words = words_per_width(width)
-        if words.ndim != 3 or words.shape[:2] != (self.n, self.n) \
-                or words.shape[2] < n_words:
-            raise ValueError(
-                f"expected shape ({self.n}, {self.n}, >={n_words})")
-        if width == 0:
-            return np.zeros_like(words), np.zeros((self.n, self.n),
-                                                  dtype=bool)
-        spans = self._chunk_spans(width, self.bandwidth)
-        if labels is None:
-            labels = [f"{label}[bits{start}]" for start, _ in spans]
-        elif len(labels) != len(spans):
-            raise ValueError(f"expected {len(spans)} labels")
-        starts = np.array([s for s, _ in spans], dtype=np.int64)
-        takes = np.array([t for _, t in spans], dtype=np.int64)
-        word_of = starts // WORD_BITS
-        offset = (starts % WORD_BITS).astype(np.uint64)
-        masks = ((np.uint64(1) << takes.astype(np.uint64)) - np.uint64(1))
-        # one gather + shift per plane stack: chunk p of every edge at once
-        value = words[:, :, word_of] >> offset
-        straddle = (starts % WORD_BITS) + takes > WORD_BITS
-        if straddle.any():
-            carry = words[:, :, word_of[straddle] + 1] << (
-                np.uint64(WORD_BITS) - offset[straddle])
-            value[:, :, straddle] |= carry
-        chunks = np.ascontiguousarray(
-            (value & masks).astype(np.int64).transpose(2, 0, 1))
-        chunks[:, ~present] = -1
-        with metrics.timed("net.exchange_words"):
-            got = self.round_many(chunks, [int(t) for t in takes],
-                                  list(labels))
-        dropped = present & (got < 0).any(axis=0)
-        tracer = tracing.active()
-        if tracer is not None or metrics.enabled():
-            n_dropped = int(np.count_nonzero(dropped))
-            metrics.count("net.dropped_entries", n_dropped)
-            if tracer is not None:
-                tracer.transport_event(
-                    label=label or (labels[0] if labels else ""),
-                    width=width, chunks=len(spans), dropped=n_dropped)
-        got = np.where(got < 0, 0, got).astype(np.uint64)
-        out = np.zeros_like(words)
-        for part, (start, take) in enumerate(spans):
-            word, off = divmod(start, WORD_BITS)
-            out[:, :, word] |= got[part] << np.uint64(off)
-            if off + take > WORD_BITS:
-                out[:, :, word + 1] |= got[part] >> np.uint64(
-                    WORD_BITS - off)
-        return out, dropped
+        Returns ``(delivered, dropped)``: the delivered word tensor with
+        dropped chunks zero-filled, and an ``(n, n)`` mask that is True
+        exactly where a sent payload had at least one chunk arrive as "no
+        message" — without it a dropped payload would be indistinguishable
+        from a legitimate all-zero one.  ``labels`` overrides the per-chunk
+        round labels (one per chunk)."""
+        delivered, dropped = _serial(
+            self.engine.exchange_words, np.asarray(words)[None],
+            np.asarray(present)[None], width, label, labels)
+        return delivered[0], dropped[0]
 
     def exchange_bits(self, bits: np.ndarray, present: np.ndarray,
                       label: str = "") -> Tuple[np.ndarray, np.ndarray]:
         """Send an arbitrary-width bit tensor: ``bits[u, v, :]`` are the
-        payload bits u sends v (``present[u, v]`` gates sending).
-
-        Boundary adapter over :meth:`exchange_words`: packs the tensor into
-        64-bit word planes once, moves the packed planes, and unpacks once.
-        Returns ``(delivered_bits, dropped)`` with the same drop-mask
-        semantics as :meth:`exchange_words`.  Callers that already hold
-        packed words should use :meth:`exchange_words` directly.
-        """
-        bits = np.asarray(bits, dtype=np.uint8)
-        present = np.asarray(present, dtype=bool)
-        if bits.ndim != 3 or bits.shape[:2] != (self.n, self.n):
-            raise ValueError(f"expected shape ({self.n}, {self.n}, width)")
-        width = bits.shape[2]
-        delivered, dropped = self.exchange_words(pack_bits(bits), present,
-                                                 width, label=label)
-        if width == 0:
-            return np.zeros_like(bits), dropped
-        return unpack_bits(delivered, width), dropped
+        payload bits u sends v (``present[u, v]`` gates sending).  Returns
+        ``(delivered_bits, dropped)`` with :meth:`exchange_words`' drop
+        mask; callers that already hold packed words should use that."""
+        delivered, dropped = _serial(
+            self.engine.exchange_bits, np.asarray(bits)[None],
+            np.asarray(present)[None], label)
+        return delivered[0], dropped[0]
 
     def fault_free(self) -> bool:
         return isinstance(self.adversary, NullAdversary)

@@ -137,3 +137,75 @@ class TestKeepHistory:
         assert len(lean.history) == 0
         assert len(full.history) == full.rounds_used
         assert lean.bits_sent == full.bits_sent
+
+
+class TestPerTrialBudget:
+    """A wrapped serial adversary is held to the budget it declares once
+    its own ``begin_protocol`` has run."""
+
+    def test_wrapped_byzantine_nodes_match_native_masks(self):
+        from repro.faults.channels import (BatchedByzantineNodeAdversary,
+                                           ByzantineNodeAdversary)
+        seeds = [41, 42]
+        wrapped = BatchedClique(N, 2, bandwidth=4, adversary=(
+            PerTrialAdversaryBatch(
+                [ByzantineNodeAdversary(0.125, seed=s) for s in seeds])))
+        native = BatchedClique(N, 2, bandwidth=4, adversary=(
+            BatchedByzantineNodeAdversary(0.125, seeds)))
+        for r in range(3):
+            vals = payload_stack(300 + r)[:2]
+            assert np.array_equal(wrapped.exchange(vals, width=WIDTH),
+                                  native.exchange(vals, width=WIDTH))
+        assert wrapped.rounds_used == native.rounds_used
+        assert np.array_equal(wrapped.bits_sent, native.bits_sent)
+        assert np.array_equal(wrapped.entries_corrupted,
+                              native.entries_corrupted)
+        assert wrapped.entries_corrupted.min() > 0
+
+    def test_wrapped_nemesis_matches_serial_engine(self):
+        from repro.adversary.nemesis import FP23MatchingNemesis
+        seeds = [7, 8]
+        bc = BatchedClique(N, 2, bandwidth=4, adversary=PerTrialAdversaryBatch(
+            [FP23MatchingNemesis(seed=s) for s in seeds]))
+        nets = [CongestedClique(N, bandwidth=4,
+                                adversary=FP23MatchingNemesis(seed=s))
+                for s in seeds]
+        for r, label in enumerate(["fp23/direct", "fp23/hop2-0",
+                                   "fp23/hop2-1"]):
+            vals = payload_stack(400 + r, width=4)[:2]
+            got = bc.round(vals, 4, label)
+            for t, net in enumerate(nets):
+                assert np.array_equal(got[t], net.round(vals[t], 4, label))
+        for t, net in enumerate(nets):
+            assert int(bc.entries_corrupted[t]) == net.entries_corrupted > 0
+
+
+class TestSerialAdversaryErrors:
+    def test_crash_reaches_the_caller_unchanged(self):
+        boom = RuntimeError("boom")
+
+        class Crashing(AdaptiveAdversary):
+            def select_edges(self, view):
+                raise boom
+
+        net = CongestedClique(N, bandwidth=4,
+                              adversary=Crashing(1 / 16, seed=1))
+        with pytest.raises(RuntimeError) as info:
+            net.exchange(payload_stack(5)[0], width=WIDTH)
+        assert info.value is boom
+
+    def test_run_single_error_row_reports_the_adversary_exception(self):
+        from repro.experiments.runner import STATUS_ERROR, run_single
+        from repro.experiments.spec import TrialSpec
+
+        class Crashing(NonAdaptiveAdversary):
+            def select_edges(self, view):
+                raise RuntimeError("boom")
+
+        trial = TrialSpec("det-sqrt", "nonadaptive", 16, 1 / 16, width=8,
+                          bandwidth=16)
+        row, report = run_single(
+            trial, adversary_factory=lambda t: Crashing(t.alpha, seed=3))
+        assert report is None
+        assert row["status"] == STATUS_ERROR
+        assert row["reason"] == repr(RuntimeError("boom"))
