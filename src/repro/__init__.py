@@ -17,4 +17,38 @@ Public API highlights:
   campaigns (the engine behind the sweeps, benchmarks and CLI).
 """
 
+import importlib
+import sys
+from typing import Callable, Dict, List, Sequence, Tuple
+
 __version__ = "1.0.0"
+
+
+def _lazy_exports(package: str, table: Dict[str, Sequence[str]]
+                  ) -> Tuple[Callable, Callable, List[str]]:
+    """``(__getattr__, __dir__, __all__)`` for a subpackage that exports
+    lazily (PEP 562); ``table`` maps each submodule to the names it exports.
+
+    Every campaign repetition and every sharded worker is a fresh
+    interpreter, so whatever a package imports eagerly is paid on every
+    start.  A lazy package imports a submodule only when one of its names
+    is first read.  Names are not cached on the package: every read
+    resolves through the submodule, so a patch applied there is seen
+    through the package too.
+    """
+    owner = {name: submodule for submodule, names in table.items()
+             for name in names}
+
+    def __getattr__(name: str):
+        try:
+            submodule = owner[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute "
+                                 f"{name!r}") from None
+        return getattr(importlib.import_module(f"{package}.{submodule}"),
+                       name)
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(owner))
+
+    return __getattr__, __dir__, list(owner)

@@ -1,62 +1,19 @@
 """Mobile bounded-faulty-degree Byzantine adversaries (Section 2)."""
 
-from repro.adversary.base import Adversary, NullAdversary, RoundOutcome, RoundView
-from repro.adversary.batched import (
-    BatchRoundView,
-    BatchedAdversary,
-    BatchedNonAdaptiveAdversary,
-    BatchedNullAdversary,
-    PerTrialAdversaryBatch,
-    PerTrialFailure,
-)
-from repro.adversary.budget import (
-    FaultBudgetViolation,
-    fault_degrees,
-    greedy_symmetric_selection,
-    max_faulty_degree,
-    validate_fault_set,
-    validate_fault_sets,
-)
-from repro.adversary.nonadaptive import NonAdaptiveAdversary
-from repro.adversary.adaptive import (
-    AdaptiveAdversary,
-    SlidingWindowAdversary,
-    TargetedAdaptiveAdversary,
-)
-from repro.adversary.strategies import (
-    BlockStrategy,
-    CONTENT_ATTACKS,
-    NoEdgesStrategy,
-    RandomRegularStrategy,
-    RoundRobinMatchingStrategy,
-    StaticStrategy,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Adversary",
-    "NullAdversary",
-    "RoundOutcome",
-    "RoundView",
-    "BatchRoundView",
-    "BatchedAdversary",
-    "BatchedNonAdaptiveAdversary",
-    "BatchedNullAdversary",
-    "PerTrialAdversaryBatch",
-    "PerTrialFailure",
-    "FaultBudgetViolation",
-    "fault_degrees",
-    "greedy_symmetric_selection",
-    "max_faulty_degree",
-    "validate_fault_set",
-    "validate_fault_sets",
-    "NonAdaptiveAdversary",
-    "AdaptiveAdversary",
-    "SlidingWindowAdversary",
-    "TargetedAdaptiveAdversary",
-    "BlockStrategy",
-    "CONTENT_ATTACKS",
-    "NoEdgesStrategy",
-    "RandomRegularStrategy",
-    "RoundRobinMatchingStrategy",
-    "StaticStrategy",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "base": ("Adversary", "NullAdversary", "RoundOutcome", "RoundView"),
+    "batched": ("BatchRoundView", "BatchedAdversary",
+                "BatchedNonAdaptiveAdversary", "BatchedNullAdversary",
+                "PerTrialAdversaryBatch", "PerTrialFailure"),
+    "budget": ("FaultBudgetViolation", "fault_degrees",
+               "greedy_symmetric_selection", "max_faulty_degree",
+               "validate_fault_set", "validate_fault_sets"),
+    "nonadaptive": ("NonAdaptiveAdversary",),
+    "adaptive": ("AdaptiveAdversary", "SlidingWindowAdversary",
+                 "TargetedAdaptiveAdversary"),
+    "strategies": ("BlockStrategy", "CONTENT_ATTACKS", "NoEdgesStrategy",
+                   "RandomRegularStrategy", "RoundRobinMatchingStrategy",
+                   "StaticStrategy"),
+})

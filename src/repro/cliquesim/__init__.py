@@ -1,26 +1,11 @@
 """Congested Clique simulator (Section 2's communication model)."""
 
-from repro.cliquesim.batched import BatchedClique
-from repro.cliquesim.network import BandwidthViolation, CongestedClique
-from repro.cliquesim.topology import (
-    balanced_random_partition,
-    consecutive_segments,
-    flip,
-    partition_members,
-    prefix_class,
-    sqrt_segments,
-    suffix_class,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BandwidthViolation",
-    "BatchedClique",
-    "CongestedClique",
-    "balanced_random_partition",
-    "consecutive_segments",
-    "flip",
-    "partition_members",
-    "prefix_class",
-    "sqrt_segments",
-    "suffix_class",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "batched": ("BatchedClique",),
+    "network": ("BandwidthViolation", "CongestedClique"),
+    "topology": ("balanced_random_partition", "consecutive_segments", "flip",
+                 "partition_members", "prefix_class", "sqrt_segments",
+                 "suffix_class"),
+})

@@ -10,44 +10,17 @@ The protocols consume two abstract interfaces:
   :class:`~repro.coding.reed_muller.ReedMullerLDC`).
 """
 
-from repro.coding.interfaces import BinaryCode, DecodingFailure
-from repro.coding.ldc_interfaces import (
-    LocalDecodingFailure,
-    LocallyDecodableCode,
-)
-from repro.coding.linear import (
-    LinearBlockCode,
-    best_effort_linear_code,
-    extended_hamming_8_4,
-    search_linear_code,
-)
-from repro.coding.repetition import RepetitionCode
-from repro.coding.reed_solomon import ReedSolomonBinaryCode, ReedSolomonCodec
-from repro.coding.justesen import (
-    ConcatenatedCode,
-    PaddedCode,
-    justesen_message_capacity,
-    make_justesen_code,
-)
-from repro.coding.hadamard import HadamardLDC
-from repro.coding.reed_muller import ReedMullerLDC
+from repro import _lazy_exports
 
-__all__ = [
-    "BinaryCode",
-    "DecodingFailure",
-    "LocalDecodingFailure",
-    "LocallyDecodableCode",
-    "LinearBlockCode",
-    "best_effort_linear_code",
-    "extended_hamming_8_4",
-    "search_linear_code",
-    "RepetitionCode",
-    "ReedSolomonBinaryCode",
-    "ReedSolomonCodec",
-    "ConcatenatedCode",
-    "PaddedCode",
-    "justesen_message_capacity",
-    "make_justesen_code",
-    "HadamardLDC",
-    "ReedMullerLDC",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "interfaces": ("BinaryCode", "DecodingFailure"),
+    "ldc_interfaces": ("LocalDecodingFailure", "LocallyDecodableCode"),
+    "linear": ("LinearBlockCode", "best_effort_linear_code",
+               "extended_hamming_8_4", "search_linear_code"),
+    "repetition": ("RepetitionCode",),
+    "reed_solomon": ("ReedSolomonBinaryCode", "ReedSolomonCodec"),
+    "justesen": ("ConcatenatedCode", "PaddedCode", "justesen_message_capacity",
+                 "make_justesen_code"),
+    "hadamard": ("HadamardLDC",),
+    "reed_muller": ("ReedMullerLDC",),
+})

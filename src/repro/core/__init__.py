@@ -1,82 +1,24 @@
 """Core protocols: super-message routing, the four AllToAllComm protocols
 of Table 1, and the general round-by-round compiler."""
 
-from repro.core.adaptive import AdaptiveAllToAll, AdaptiveParameters
-from repro.core.applications import (
-    ConsensusReport,
-    resilient_consensus,
-    resilient_gossip_sum,
-)
-from repro.core.reduction import ReductionReport, covering_subsets, solve_any_n
-from repro.core.alltoall import (
-    PROTOCOLS,
-    make_protocol,
-    run_protocol,
-    success_rate,
-)
-from repro.core.cc_programs import (
-    CongestedCliqueProgram,
-    DEMO_PROGRAMS,
-    IterativeMax,
-    MatrixTranspose,
-    RotationGossip,
-)
-from repro.core.compiler import CompilationReport, compile_and_run
-from repro.core.det_logn import DetLogAllToAll
-from repro.core.det_sqrt import DetSqrtAllToAll
-from repro.core.messages import AllToAllInstance, ProtocolReport, verify_beliefs
-from repro.core.nonadaptive import NonAdaptiveAllToAll
-from repro.core.profiles import (
-    PAPER,
-    ProfileError,
-    ProtocolProfile,
-    SIMULATION,
-    paper_alpha_bound,
-)
-from repro.core.protocol import AllToAllProtocol, pack_block, unpack_block
-from repro.core.routing import (
-    RoutingResult,
-    SuperMessage,
-    SuperMessageRouter,
-    broadcast,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdaptiveAllToAll",
-    "AdaptiveParameters",
-    "ConsensusReport",
-    "resilient_consensus",
-    "resilient_gossip_sum",
-    "ReductionReport",
-    "covering_subsets",
-    "solve_any_n",
-    "PROTOCOLS",
-    "make_protocol",
-    "run_protocol",
-    "success_rate",
-    "CongestedCliqueProgram",
-    "DEMO_PROGRAMS",
-    "IterativeMax",
-    "MatrixTranspose",
-    "RotationGossip",
-    "CompilationReport",
-    "compile_and_run",
-    "DetLogAllToAll",
-    "DetSqrtAllToAll",
-    "AllToAllInstance",
-    "ProtocolReport",
-    "verify_beliefs",
-    "NonAdaptiveAllToAll",
-    "PAPER",
-    "ProfileError",
-    "ProtocolProfile",
-    "SIMULATION",
-    "paper_alpha_bound",
-    "AllToAllProtocol",
-    "pack_block",
-    "unpack_block",
-    "RoutingResult",
-    "SuperMessage",
-    "SuperMessageRouter",
-    "broadcast",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "adaptive": ("AdaptiveAllToAll", "AdaptiveParameters"),
+    "applications": ("ConsensusReport", "resilient_consensus",
+                     "resilient_gossip_sum"),
+    "reduction": ("ReductionReport", "covering_subsets", "solve_any_n"),
+    "alltoall": ("PROTOCOLS", "make_protocol", "run_protocol", "success_rate"),
+    "cc_programs": ("CongestedCliqueProgram", "DEMO_PROGRAMS", "IterativeMax",
+                    "MatrixTranspose", "RotationGossip"),
+    "compiler": ("CompilationReport", "compile_and_run"),
+    "det_logn": ("DetLogAllToAll",),
+    "det_sqrt": ("DetSqrtAllToAll",),
+    "messages": ("AllToAllInstance", "ProtocolReport", "verify_beliefs"),
+    "nonadaptive": ("NonAdaptiveAllToAll",),
+    "profiles": ("PAPER", "ProfileError", "ProtocolProfile", "SIMULATION",
+                 "paper_alpha_bound"),
+    "protocol": ("AllToAllProtocol", "pack_block", "unpack_block"),
+    "routing": ("RoutingResult", "SuperMessage", "SuperMessageRouter",
+                "broadcast"),
+})

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.adversary.budget import max_faulty_degree
 from repro.coding.interfaces import BinaryCode
-from repro.coding.justesen import make_justesen_code
 from repro.coding.linear import best_effort_linear_code
 
 
@@ -53,6 +52,7 @@ class ProtocolProfile:
     def routing_code(self, codeword_bits: int) -> BinaryCode:
         """The code used to spread one super-message over a node set."""
         if codeword_bits >= self.min_concat_bits:
+            from repro.coding.justesen import make_justesen_code
             return make_justesen_code(codeword_bits, self.code_rate,
                                       seed=self.construction_seed)
         k = max(1, min(6, int(codeword_bits * self.code_rate)))
@@ -61,6 +61,7 @@ class ProtocolProfile:
 
     def routing_code_at_rate(self, codeword_bits: int, rate: float) -> BinaryCode:
         if codeword_bits >= self.min_concat_bits:
+            from repro.coding.justesen import make_justesen_code
             return make_justesen_code(codeword_bits, rate,
                                       seed=self.construction_seed)
         k = max(1, min(6, int(codeword_bits * rate)))

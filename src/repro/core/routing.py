@@ -51,7 +51,6 @@ import numpy as np
 
 from repro.cliquesim.network import CongestedClique
 from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
-from repro.coverfree.random_construction import build_cover_free_family
 from repro.obs import metrics, tracing
 from repro.utils.bits import as_bits
 from repro.utils.rng import derive
@@ -180,13 +179,18 @@ class BatchedRoutingResult:
         pair, chunks concatenated in index order."""
         out = np.zeros((self.decoded.shape[0], self.pair_msg.size,
                         int(self.sizes.max(initial=0))), dtype=np.uint8)
-        # rows sharing (start, size) scatter as one slice write
-        for start in np.unique(self.row_start):
-            sel = np.flatnonzero(self.row_start == start)
-            for size in np.unique(self.row_size[sel]):
-                sub = sel[self.row_size[sel] == size]
-                out[:, self.row_pair[sub], start:start + int(size)] = \
-                    self.decoded[:, sub, :int(size)]
+        # rows sharing (start, size) scatter as one slice write; a stable
+        # sort groups them (np.unique would import numpy.ma on first use)
+        order = np.lexsort((self.row_size, self.row_start))
+        starts, sizes = self.row_start[order], self.row_size[order]
+        first = np.ones(order.size + 1, dtype=bool)
+        first[1:-1] = (starts[1:] != starts[:-1]) | (sizes[1:] != sizes[:-1])
+        bounds = np.flatnonzero(first).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            start, size = int(starts[lo]), int(sizes[lo])
+            sub = order[lo:hi]
+            out[:, self.row_pair[sub], start:start + size] = \
+                self.decoded[:, sub, :size]
         return out
 
     def message_bits(self) -> np.ndarray:
@@ -751,6 +755,8 @@ class SuperMessageRouter:
 
     def _execute_wave_coverfree(self, wave, length, code, raw, failures,
                                 stats, label):
+        from repro.coverfree.random_construction import \
+            build_cover_free_family
         net = self.net
         n = net.n
         planes = len(wave)

@@ -48,15 +48,11 @@ from repro.cliquesim.topology import (balanced_random_partition,
                                       consecutive_segments, flip,
                                       partition_members, sqrt_segments)
 from repro.coding.linear import best_effort_linear_code
-from repro.core.adaptive import (AdaptiveAllToAll, AdaptiveParameters,
-                                 design_ldc_for_sketch)
 from repro.core.batched_routing import BatchedRouter, broadcast_many
 from repro.core.messages import AllToAllInstance, ProtocolReport, verify_beliefs
 from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
 from repro.core.protocol import pack_block, pack_rows, unpack_block, unpack_rows
 from repro.core.routing import CellUnbatchable
-from repro.sketch.ksparse import (SketchPlaneStack, SketchRecoveryError,
-                                  SketchSpec, planes_supported)
 from repro.utils.bits import pack_bits, pack_symbols, unpack_bits, unpack_symbols
 from repro.utils.rng import derive, fresh_seed
 
@@ -349,12 +345,19 @@ class BatchedAdaptiveAllToAll:
     name = "adaptive"
 
     def __init__(self, profile: ProtocolProfile = SIMULATION,
-                 params: Optional[AdaptiveParameters] = None):
+                 params: Optional["AdaptiveParameters"] = None):
+        from repro.core.adaptive import AdaptiveParameters
         self.profile = profile
         self.params = params or AdaptiveParameters()
 
     def run_many(self, instances: Sequence[AllToAllInstance],
                  net: BatchedClique, seeds: Sequence[int]) -> np.ndarray:
+        # the compiler's LDC/sketch stack loads only when an adaptive cell
+        # runs batched
+        from repro.core.adaptive import AdaptiveAllToAll, design_ldc_for_sketch
+        from repro.sketch.ksparse import (SketchPlaneStack,
+                                          SketchRecoveryError, SketchSpec,
+                                          planes_supported)
         n, width = _common_shape(instances, net, seeds)
         trials = net.trials
         alpha = net.adversary.alpha

@@ -1,31 +1,14 @@
 """(r, δ)-cover-free families (Section 4.1 + Appendix A)."""
 
-from repro.coverfree.family import CoverFreeFamily, groups_of
-from repro.coverfree.lll import LLLConstructionError, derandomized_cover_free_family
-from repro.coverfree.poisson_binomial import (
-    poisson_binomial_pmf,
-    poisson_binomial_tail,
-)
-from repro.coverfree.random_construction import (
-    CoverFreeConstructionError,
-    build_cover_free_family,
-    chernoff_failure_bound,
-    expected_covered_fraction,
-    paper_set_size,
-    sample_family,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CoverFreeFamily",
-    "groups_of",
-    "LLLConstructionError",
-    "derandomized_cover_free_family",
-    "poisson_binomial_pmf",
-    "poisson_binomial_tail",
-    "CoverFreeConstructionError",
-    "build_cover_free_family",
-    "chernoff_failure_bound",
-    "expected_covered_fraction",
-    "paper_set_size",
-    "sample_family",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "family": ("CoverFreeFamily", "groups_of"),
+    "lll": ("LLLConstructionError", "derandomized_cover_free_family"),
+    "poisson_binomial": ("poisson_binomial_pmf", "poisson_binomial_tail"),
+    "random_construction": ("CoverFreeConstructionError",
+                            "build_cover_free_family",
+                            "chernoff_failure_bound",
+                            "expected_covered_fraction", "paper_set_size",
+                            "sample_family"),
+})

@@ -36,11 +36,12 @@ only in ``replicate`` (and hence in derived seeds).  Grouping happens
 missing trials.  Cells bigger than
 :data:`repro.experiments.vmap.MAX_BATCH_TRIALS` are chunked.  A cell runs
 batched only when its protocol has a batched port (``nonadaptive``,
-``det-logn``, ``det-sqrt``), it holds at least two trials, and per-trial
-``metrics`` snapshots are off; otherwise — and whenever per-trial routing
-schedules diverge or the batched run raises — the cell's trials re-execute
-serially, so store rows are bit-identical to the serial backend in every
-case.
+``det-logn``, ``det-sqrt``, ``adaptive`` — see
+:data:`repro.core.vmapped.BATCHED_PROTOCOLS`), it holds at least two
+trials, and per-trial ``metrics`` snapshots are off; otherwise — and
+whenever per-trial routing schedules diverge or the batched run raises —
+the cell's trials re-execute serially, so store rows are bit-identical to
+the serial backend in every case.
 
 Observability row schema: every trial row carries ``wall_seconds``
 (trial execution time) and ``recorded_unix`` (wall-clock completion
@@ -75,7 +76,6 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import (
     ADVERSARIES,
-    BACKENDS,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_SKIPPED,
@@ -101,7 +101,6 @@ from repro.experiments.store import TrialStore, iter_store_rows
 
 __all__ = [
     "ADVERSARIES",
-    "BACKENDS",
     "CampaignResult",
     "CellStats",
     "ExperimentSpec",

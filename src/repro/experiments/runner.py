@@ -185,12 +185,6 @@ def _chunked(items: List, size: int) -> List[List]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-#: campaign execution backends: per-trial inline, per-trial process pool,
-#: trial-batched tensor programs (:mod:`repro.experiments.vmap`), or
-#: leased shard dispatch across workers/hosts (:mod:`repro.sched`)
-BACKENDS = ("serial", "process", "vmap", "sharded")
-
-
 def run_campaign(spec: ExperimentSpec,
                  store: Union[TrialStore, str, None] = None,
                  jobs: int = 1,
@@ -220,8 +214,9 @@ def run_campaign(spec: ExperimentSpec,
     as single tensor programs, bit-identical rows), or ``"sharded"``
     (content-addressed shards + leased workers; ``workers``/``shards``/
     ``lease_ttl``/``inner_backend`` apply, and extra hosts can join via
-    ``repro sched work``).  ``None`` keeps the historical behaviour:
-    process when ``jobs > 1``, else serial.
+    ``repro sched work``), or any name added with
+    :func:`repro.sched.register_backend`.  ``None`` keeps the historical
+    behaviour: process when ``jobs > 1``, else serial.
 
     ``policy`` is an optional :class:`repro.faults.ResiliencePolicy`
     adding per-trial wall-clock timeouts and bounded retries (every
@@ -238,11 +233,10 @@ def run_campaign(spec: ExperimentSpec,
         raise ValueError("jobs must be at least 1")
     if budget_seconds is not None and budget_seconds <= 0:
         raise ValueError("budget_seconds must be positive (or None)")
+    from repro.sched.backend import CampaignRun, get_backend
     if backend is None:
         backend = "process" if jobs > 1 else "serial"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; known: {BACKENDS}")
+    executor = get_backend(backend)  # ValueError for an unknown name
     if not isinstance(store, TrialStore):
         store = TrialStore(store)
 
@@ -284,8 +278,6 @@ def run_campaign(spec: ExperimentSpec,
         if progress is not None:
             progress(done, total, row)
 
-    from repro.sched.backend import CampaignRun, get_backend
-
     def tracking_record(row: Dict) -> None:
         run.recorded.add(row.get("hash"))
         record(row)
@@ -297,7 +289,7 @@ def run_campaign(spec: ExperimentSpec,
                   if budget_seconds is not None else None),
         workers=workers, shards=shards, lease_ttl=lease_ttl,
         inner_backend=inner_backend)
-    get_backend(backend).execute(run)
+    executor.execute(run)
 
     # a backend that stopped early (deadline, dead worker fleet) leaves
     # trials without rows; record them as explicit skips so the report

@@ -162,6 +162,12 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     per-trial adversary (:class:`~repro.adversary.batched.PerTrialFailure`)
     downgrades only that trial to serial execution; any other batching
     obstacle downgrades the whole chunk."""
+    from repro.obs import metrics
+
+    # a singleton or a metrics run never batches, so it must not pay for
+    # importing the batched ports
+    if len(trials) < 2 or metrics.enabled():
+        return _rows_serial(trials, policy)
     from repro.adversary import PerTrialFailure
     from repro.core.messages import AllToAllInstance
     from repro.core.vmapped import (BATCHED_PROTOCOLS, make_batched_protocol,
@@ -169,11 +175,9 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     from repro.experiments.runner import STATUS_OK
     from repro.faults.resilience import (_chaos_hits, chaos_timeout_fraction,
                                          trial_alarm)
-    from repro.obs import metrics
 
     head = trials[0]
-    if (len(trials) < 2 or head.protocol not in BATCHED_PROTOCOLS
-            or metrics.enabled()):
+    if head.protocol not in BATCHED_PROTOCOLS:
         return _rows_serial(trials, policy)
     chaos = chaos_timeout_fraction()
     if chaos > 0.0:

@@ -16,40 +16,15 @@ land as the named campaigns ``stochastic-iid``, ``stochastic-bursty`` and
 ``byzantine-nodes`` in the registry.
 """
 
-from repro.faults.channels import (
-    BatchedByzantineNodeAdversary,
-    BatchedGilbertElliottChannel,
-    BatchedIIDEdgeChannel,
-    ByzantineNodeAdversary,
-    GilbertElliottChannel,
-    IIDEdgeChannel,
-    StochasticEdgeChannel,
-    degree_capped_mask,
-)
-from repro.faults.resilience import (
-    CHAOS_TIMEOUT_ENV,
-    NO_POLICY,
-    ResiliencePolicy,
-    TrialTimeout,
-    chaos_timeout_fraction,
-    execute_trial_resilient,
-    trial_alarm,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BatchedByzantineNodeAdversary",
-    "BatchedGilbertElliottChannel",
-    "BatchedIIDEdgeChannel",
-    "ByzantineNodeAdversary",
-    "GilbertElliottChannel",
-    "IIDEdgeChannel",
-    "StochasticEdgeChannel",
-    "degree_capped_mask",
-    "CHAOS_TIMEOUT_ENV",
-    "NO_POLICY",
-    "ResiliencePolicy",
-    "TrialTimeout",
-    "chaos_timeout_fraction",
-    "execute_trial_resilient",
-    "trial_alarm",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "channels": ("BatchedByzantineNodeAdversary",
+                 "BatchedGilbertElliottChannel", "BatchedIIDEdgeChannel",
+                 "ByzantineNodeAdversary", "GilbertElliottChannel",
+                 "IIDEdgeChannel", "StochasticEdgeChannel",
+                 "degree_capped_mask"),
+    "resilience": ("CHAOS_TIMEOUT_ENV", "NO_POLICY", "ResiliencePolicy",
+                   "TrialTimeout", "chaos_timeout_fraction",
+                   "execute_trial_resilient", "trial_alarm"),
+})

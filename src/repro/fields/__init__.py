@@ -1,6 +1,8 @@
 """Finite-field arithmetic substrates: GF(p) and GF(2^m)."""
 
-from repro.fields.gfp import PrimeField, is_prime, next_prime
-from repro.fields.gf2m import GF2m
+from repro import _lazy_exports
 
-__all__ = ["PrimeField", "GF2m", "is_prime", "next_prime"]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "gfp": ("PrimeField", "is_prime", "next_prime"),
+    "gf2m": ("GF2m",),
+})

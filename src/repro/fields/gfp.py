@@ -17,6 +17,13 @@ import numpy as np
 
 _MAX_PRIME_BITS = 31
 
+#: columns per elimination panel of :meth:`PrimeField.inv_matrix`.  A
+#: panel costs ``b`` row steps on a (size, 2b) slice plus one (size, b) x
+#: (b, ...) product.  Of 8, 12, 16, 24, 32 and 48, 16 inverted table1's
+#: four lattice matrices (45 to 171 square) fastest: 23 ms in all, 27 ms
+#: at 8 and 34 ms at 48 (2-core Xeon, BLAS on one thread)
+_INV_PANEL = 16
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller–Rabin for the 64-bit range."""
@@ -167,29 +174,55 @@ class PrimeField:
         return x
 
     def inv_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Matrix inverse mod p via Gauss–Jordan on [A | I] (one pass for
-        all columns — used for interpolation operators on hot paths)."""
-        matrix = (np.asarray(matrix, dtype=np.int64) % self.p)
+        """Matrix inverse mod p: Gauss–Jordan on [A | I], in panels of
+        ``_INV_PANEL`` columns (used for interpolation operators).
+
+        A panel finds and applies its pivots on a (size x 2b) slice: its
+        own b columns, plus a record of its row operations as the panel
+        columns of an elimination matrix E.  The panel's row swaps are one
+        permutation P, so the panel reaches every later column of [A | I]
+        as E (P [A | I]): one :meth:`matmul`.  Pivots are the ones the
+        column-at-a-time elimination picks, so a singular matrix raises at
+        the same column; an inverse is unique, so the result is the same.
+        """
+        p = self.p
+        matrix = np.asarray(matrix, dtype=np.int64) % p
         size = matrix.shape[0]
         if matrix.shape != (size, size):
             raise ValueError("matrix must be square")
-        aug = np.concatenate([matrix.copy(),
-                              np.eye(size, dtype=np.int64)], axis=1)
-        for col in range(size):
-            pivot = None
-            for r in range(col, size):
-                if aug[r, col] % self.p != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular over GF(p)")
-            aug[[col, pivot]] = aug[[pivot, col]]
-            inv = pow(int(aug[col, col]), self.p - 2, self.p)
-            aug[col] = (aug[col] * inv) % self.p
-            mask = np.arange(size) != col
-            factors = aug[mask, col].copy()
-            aug[mask] = (aug[mask] - factors[:, None] * aug[col][None, :]) % self.p
-        return aug[:, size:]
+        # the columns of [A | I] not eliminated yet; a finished panel's
+        # columns are identity columns and drop off the front
+        rest = np.concatenate([matrix, np.eye(size, dtype=np.int64)], axis=1)
+        for j0 in range(0, size, _INV_PANEL):
+            b = min(_INV_PANEL, size - j0)
+            work = np.zeros((size, 2 * b), dtype=np.int64)
+            work[:, :b] = rest[:, :b]
+            perm = np.arange(size)
+            for j in range(b):
+                c = j0 + j
+                nonzero = np.flatnonzero(work[c:, j])
+                if nonzero.size == 0:
+                    raise ValueError("matrix is singular over GF(p)")
+                pivot = c + int(nonzero[0])
+                if pivot != c:
+                    swapped = [pivot, c]
+                    work[[c, pivot], :b] = work[swapped, :b]
+                    # E is applied after P, so a swap moves the multipliers
+                    # recorded so far; record column j is still unset
+                    work[[c, pivot], b:b + j] = work[swapped, b:b + j]
+                    perm[[c, pivot]] = perm[swapped]
+                work[c, b + j] = 1
+                work[c] = work[c] * pow(int(work[c, j]), p - 2, p) % p
+                factors = work[:, j].copy()
+                factors[c] = 0
+                work = (work - factors[:, None] * work[c][None, :]) % p
+            # E is the identity outside the panel's columns, whose rows
+            # j0 .. j0+b-1 of P [A | I] it mixes into every row
+            rest = rest[perm, b:]
+            head = rest[j0:j0 + b].copy()
+            rest[j0:j0 + b] = 0
+            rest = (rest + self.matmul(work[:, b:], head)) % p
+        return rest
 
     def interpolate(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
         """Lagrange interpolation: coefficients of the unique polynomial of

@@ -1,15 +1,8 @@
 """k-wise independent hashing (Lemma 2.5) and concentration bounds."""
 
-from repro.hashing.kwise import (
-    KWiseHash,
-    KWiseHashFamily,
-    corollary_2_7_threshold,
-    kwise_tail_bound,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "KWiseHash",
-    "KWiseHashFamily",
-    "corollary_2_7_threshold",
-    "kwise_tail_bound",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "kwise": ("KWiseHash", "KWiseHashFamily", "corollary_2_7_threshold",
+              "kwise_tail_bound"),
+})

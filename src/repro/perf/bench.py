@@ -360,6 +360,23 @@ def bench_rm_line_decode(count: int, repeats: int) -> Dict:
     return _entry("rm-line-decode", count, "rows", ref, batched)
 
 
+def bench_gfp_inv_matrix(degree: int, repeats: int) -> Dict:
+    """``PrimeField.inv_matrix`` on table1's Reed–Muller interpolation
+    matrix at p=31: the bivariate monomials of total degree <= ``degree``
+    evaluated on the same lattice (degree 17 is 171 x 171, degree 10 is
+    66 x 66).  Races the panel elimination against the column-at-a-time
+    Gauss–Jordan it replaced; the inverses are asserted equal first."""
+    ldc = cached_reed_muller(31, 2, degree)
+    field = ldc.field
+    matrix = ldc._monomial_evals(ldc._lattice)
+    assert np.array_equal(field.inv_matrix(matrix),
+                          reference.inv_matrix_gauss_jordan(field, matrix))
+    ref = _best_of(lambda: reference.inv_matrix_gauss_jordan(field, matrix),
+                   repeats)
+    batched = _best_of(lambda: field.inv_matrix(matrix), 5 * repeats)
+    return _entry("gfp-inv-matrix", 1, "matrices", ref, batched)
+
+
 # -- network suite ------------------------------------------------------------
 
 def _fresh_net(n: int, bandwidth: int) -> CongestedClique:
@@ -664,6 +681,8 @@ def _suite_plan(suite: str):
             ("rm-line-decode",
              lambda smoke, r: bench_rm_line_decode(100 if smoke else 400,
                                                    r)),
+            ("gfp-inv-matrix",
+             lambda smoke, r: bench_gfp_inv_matrix(10 if smoke else 17, r)),
             ("sketch-add-many",
              lambda smoke, r: bench_sketch_add_many(2000 if smoke else 20000,
                                                     r)),

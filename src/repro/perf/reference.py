@@ -437,3 +437,35 @@ def rm_line_decode_loop(ldc, rows: np.ndarray) -> np.ndarray:
         except LocalDecodingFailure:
             out[i] = -1
     return out
+
+
+# The pre-panel matrix inverse, verbatim: Gauss–Jordan on [A | I], one
+# column at a time, every step rewriting the whole size x 2*size array.
+# ``PrimeField.inv_matrix`` must return exactly what it returns (the
+# inverse is unique) and raise exactly where it raises.
+
+def inv_matrix_gauss_jordan(field: PrimeField,
+                            matrix: np.ndarray) -> np.ndarray:
+    """Matrix inverse mod p via Gauss–Jordan on [A | I] (one pass for
+    all columns — used for interpolation operators on hot paths)."""
+    matrix = (np.asarray(matrix, dtype=np.int64) % field.p)
+    size = matrix.shape[0]
+    if matrix.shape != (size, size):
+        raise ValueError("matrix must be square")
+    aug = np.concatenate([matrix.copy(),
+                          np.eye(size, dtype=np.int64)], axis=1)
+    for col in range(size):
+        pivot = None
+        for r in range(col, size):
+            if aug[r, col] % field.p != 0:
+                pivot = r
+                break
+        if pivot is None:
+            raise ValueError("matrix is singular over GF(p)")
+        aug[[col, pivot]] = aug[[pivot, col]]
+        inv = pow(int(aug[col, col]), field.p - 2, field.p)
+        aug[col] = (aug[col] * inv) % field.p
+        mask = np.arange(size) != col
+        factors = aug[mask, col].copy()
+        aug[mask] = (aug[mask] - factors[:, None] * aug[col][None, :]) % field.p
+    return aug[:, size:]

@@ -26,62 +26,16 @@ merges) resolves to byte-identical payloads folded by precedence — the
 leases avoid duplicated *work*; idempotence provides the safety.
 """
 
-from repro.sched.backend import (
-    Backend,
-    CampaignRun,
-    SHARDS_PER_WORKER,
-    backend_names,
-    get_backend,
-    register_backend,
-)
-from repro.sched.lease import (
-    DEFAULT_TTL_SECONDS,
-    LeaseInfo,
-    acquire,
-    heartbeat,
-    read_lease,
-    release,
-)
-from repro.sched.merge import (
-    MergeReport,
-    discover_shard_sources,
-    merge_rows,
-    merge_stores,
-    prefer,
-)
-from repro.sched.shards import (
-    Shard,
-    ShardLayout,
-    partition,
-    row_digest,
-    shard_dir_for,
-)
-from repro.sched.worker import INNER_BACKENDS, WorkerStats, work
+from repro import _lazy_exports
 
-__all__ = [
-    "Backend",
-    "CampaignRun",
-    "DEFAULT_TTL_SECONDS",
-    "INNER_BACKENDS",
-    "LeaseInfo",
-    "MergeReport",
-    "SHARDS_PER_WORKER",
-    "Shard",
-    "ShardLayout",
-    "WorkerStats",
-    "acquire",
-    "backend_names",
-    "discover_shard_sources",
-    "get_backend",
-    "heartbeat",
-    "merge_rows",
-    "merge_stores",
-    "partition",
-    "prefer",
-    "read_lease",
-    "register_backend",
-    "release",
-    "row_digest",
-    "shard_dir_for",
-    "work",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "backend": ("Backend", "CampaignRun", "SHARDS_PER_WORKER", "backend_names",
+                "get_backend", "register_backend"),
+    "lease": ("DEFAULT_TTL_SECONDS", "LeaseInfo", "acquire", "heartbeat",
+              "read_lease", "release"),
+    "merge": ("MergeReport", "discover_shard_sources", "merge_rows",
+              "merge_stores", "prefer"),
+    "shards": ("Shard", "ShardLayout", "partition", "row_digest",
+               "shard_dir_for"),
+    "worker": ("INNER_BACKENDS", "WorkerStats", "work"),
+})

@@ -92,9 +92,17 @@ def register_backend(cls: Type[Backend]) -> Type[Backend]:
     return cls
 
 
+def _register_sharded() -> None:
+    """The sharded backend lives in :mod:`repro.sched.dispatcher`, which
+    needs the whole shard/lease/merge machinery; importing it registers
+    it.  Only a caller that may need it pays for that import."""
+    from repro.sched import dispatcher  # noqa: F401
+
+
 def backend_names() -> tuple:
     """Registered backend names, stable order (serial first — the
     reference semantics — then the accelerated/distributed ones)."""
+    _register_sharded()
     preferred = ("serial", "process", "vmap", "sharded")
     names = [n for n in preferred if n in _REGISTRY]
     names.extend(sorted(set(_REGISTRY) - set(preferred)))
@@ -102,6 +110,10 @@ def backend_names() -> tuple:
 
 
 def get_backend(name: str) -> Backend:
+    """A fresh instance of the backend registered as ``name``; raises
+    ``ValueError`` for a name no backend is registered under."""
+    if name not in _REGISTRY:
+        _register_sharded()
     try:
         cls = _REGISTRY[name]
     except KeyError:
@@ -184,8 +196,3 @@ class VmapBackend(Backend):
                 return
             for row in run_cell_batched(cell_trials, policy=run.policy):
                 run.record(row)
-
-
-# the sharded backend lives in repro.sched.dispatcher (it needs the whole
-# shard/lease/worker machinery); importing it registers it
-from repro.sched import dispatcher as _dispatcher  # noqa: E402,F401

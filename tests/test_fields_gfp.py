@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fields.gfp import PrimeField, is_prime, next_prime
+from repro.perf.reference import inv_matrix_gauss_jordan
 
 
 class TestPrimality:
@@ -139,3 +140,77 @@ class TestLinearAlgebra:
                                          zip(A[i], B[:, j])) % field.p)
         out = field.matmul(A, B)
         assert np.array_equal(out.astype(object), expected)
+
+
+def _inverse_or_error(invert, field, matrix):
+    try:
+        return invert(field, matrix)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _lattice_matrix(p, degree):
+    """table1's Reed–Muller interpolation matrix: the monomials x^a y^b
+    with a + b <= degree, evaluated on the same lattice points."""
+    from repro.coding.reed_muller import _lattice_points
+    points = _lattice_points(2, degree)
+    return np.array([[pow(x, a, p) * pow(y, b, p) % p for a, b in points]
+                     for x, y in points], dtype=np.int64)
+
+
+class TestPanelInverse:
+    """``PrimeField.inv_matrix`` eliminates in column panels; the
+    column-at-a-time Gauss–Jordan it replaced is the oracle.  Both must
+    return the same array or raise the same error on every input."""
+
+    SINGULAR = "matrix is singular over GF(p)"
+
+    def assert_matches_oracle(self, field, matrix):
+        want = _inverse_or_error(inv_matrix_gauss_jordan, field, matrix)
+        got = _inverse_or_error(PrimeField.inv_matrix, field, matrix)
+        if isinstance(want, str):
+            assert want == self.SINGULAR and got == want
+            return False
+        assert not isinstance(got, str), got
+        assert np.array_equal(got, want)
+        return True
+
+    @pytest.mark.parametrize("p", [2, 3, 31, 127, 65521, (1 << 31) - 1])
+    def test_matches_oracle(self, p):
+        field = PrimeField(p)
+        rng = np.random.default_rng(p % 10007)
+        for size in range(1, 81):
+            dense = rng.integers(0, p, size=(size, size))
+            # sparse columns push pivots below the current panel
+            sparse = dense * (rng.random((size, size)) < 4 / size)
+            # a rolled upper-triangular matrix: column 0's only pivot sits
+            # `size // 2` rows down, column 1's the row after, ...
+            upper = np.triu(dense)
+            upper[np.diag_indices(size)] = rng.integers(1, p, size)
+            rolled = np.roll(upper, size // 2, axis=0)
+            repeated = dense.copy()
+            repeated[-1] = repeated[size // 3]
+            zero_lead = dense.copy()
+            zero_lead[:, :1 + size // 5] = 0
+            self.assert_matches_oracle(field, dense)
+            self.assert_matches_oracle(field, sparse)
+            assert self.assert_matches_oracle(field, rolled)
+            if size > 1:
+                assert not self.assert_matches_oracle(field, repeated)
+            assert not self.assert_matches_oracle(field, zero_lead)
+
+    @pytest.mark.parametrize("degree,size", [(8, 45), (10, 66), (15, 136),
+                                             (17, 171)])
+    def test_table1_lattice_matrices(self, degree, size):
+        field = PrimeField(31)
+        matrix = _lattice_matrix(31, degree)
+        assert matrix.shape == (size, size)
+        assert self.assert_matches_oracle(field, matrix)
+        assert np.array_equal(field.matmul(matrix, field.inv_matrix(matrix)),
+                              np.eye(size, dtype=np.int64))
+
+    def test_non_square_raises(self):
+        field = PrimeField(31)
+        for invert in (inv_matrix_gauss_jordan, PrimeField.inv_matrix):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                invert(field, np.ones((3, 4), dtype=np.int64))

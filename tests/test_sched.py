@@ -21,8 +21,9 @@ from repro.experiments.runner import STATUS_SKIPPED
 from repro.experiments.spec import TrialSpec
 from repro.sched import (CampaignRun, LeaseInfo, ShardLayout, acquire,
                          backend_names, get_backend, heartbeat, merge_rows,
-                         merge_stores, partition, prefer, read_lease, release,
-                         row_digest, shard_dir_for, work)
+                         merge_stores, partition, prefer, read_lease,
+                         register_backend, release, row_digest,
+                         shard_dir_for, work)
 
 
 def small_spec(name="sched-small", replicates=2):
@@ -204,6 +205,27 @@ class TestBackendRegistry:
     def test_run_campaign_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             run_campaign(small_spec(), backend="quantum")
+
+    def test_run_campaign_accepts_a_registered_backend(self):
+        from repro.sched.backend import _REGISTRY, SerialBackend
+
+        @register_backend
+        class InlineBackend(SerialBackend):
+            name = "inline"
+
+        spec = free_grid(name="sched-inline", protocols=("det-sqrt",),
+                         adversaries=("null",), ns=(16,), alphas=(0.0,),
+                         bandwidths=(16,))
+        try:
+            assert "inline" in backend_names()
+            result = run_campaign(spec, store=TrialStore(None),
+                                  backend="inline")
+        finally:
+            _REGISTRY.pop("inline")
+        serial = run_campaign(spec, store=TrialStore(None), backend="serial")
+        assert result.executed == 1
+        assert [r["status"] for r in result.rows()] == ["ok"]
+        assert digests(result) == digests(serial)
 
     def test_sharded_requires_file_store(self):
         with pytest.raises(ValueError, match="file-backed"):
