@@ -23,8 +23,9 @@ Relay-set assignment supports two modes:
 * ``"coverfree"`` — the paper-faithful mode: relay sets come from an
   (r, δ)-cover-free family w.r.t. the instance's IN/OUT constraint
   collection H (Lemma 4.4), and bits are dropped wherever ``InLoad`` or
-  ``OutLoad`` exceeds 1, exactly as in Section 4.2.  Used by the fidelity
-  tests and the E11 ablation.
+  ``OutLoad`` exceeds 1, exactly as in Section 4.2.  The family and the
+  loads are public, so the target decodes a dropped position as an
+  erasure.  Used by the fidelity tests and the E11 ablation.
 
 Batches execute in *waves* of ``B`` (the bandwidth): B independent 1-bit
 instances ride in the B bit-planes of a single round, which is exactly the
@@ -39,6 +40,17 @@ payload of any number of lockstep trials.  :meth:`SuperMessageRouter.route`
 converts its message list to the arrays and runs as one trial;
 :class:`~repro.core.batched_routing.BatchedRouter` feeds whole campaign
 cells.  Cover-free mode keeps its own chunker, scheduler and executor.
+
+The wave kernel moves rows, not bits.  In round 1 a chunk's codeword is
+one contiguous run of a source's words, relays ``block * L`` to ``block *
+L + L - 1``; in round 2 each (chunk, target) copy is the same run of
+relays towards one target.  So a round is staged as rows at (trial,
+source, block) — or (trial, target, block), then transposed once — and
+read back as rows.  Since no two chunks of one batch share a (source,
+block) or a (target, block), each plane writes every cell at most once,
+and the planes pack into the round's int64 words exactly at any width up
+to ``MAX_ROUND_WIDTH``.  When ``L`` does not divide n, the nodes past
+``(n // L) * L`` send and receive but relay nothing.
 """
 
 from __future__ import annotations
@@ -201,22 +213,69 @@ class BatchedRoutingResult:
         return self.pair_bits()
 
 
-def _stage(keys: np.ndarray, shifted: np.ndarray, trials: int, n: int,
-           width: int) -> np.ndarray:
-    """``(trials, n, n)`` intended payloads: each row's shifted bits land in
-    cell ``keys``, ``-1`` where nothing is sent.  Each (trial, sender,
-    receiver) cell gets at most one bit per plane, so summing equals
-    OR-ing, and float64 sums stay exact up to 52 planes."""
-    size = trials * n * n
-    if width <= 52:
-        values = np.bincount(keys, weights=shifted.ravel(),
-                             minlength=size).astype(np.int64)
-    else:
-        values = np.zeros(size, dtype=np.int64)
-        np.bitwise_or.at(values, keys, shifted.ravel())
-    present = np.zeros(size, dtype=bool)
-    present[keys] = True
-    return np.where(present, values, -1).reshape(trials, n, n)
+def _stage(cells: np.ndarray, planes: np.ndarray, rows: np.ndarray,
+           trials: int, n: int, width: int,
+           target_major: bool = False) -> np.ndarray:
+    """One round's ``(trials, n, n)`` intended words, built from rows.
+
+    Row ``r`` holds ``length`` bits for cell ``cells[r] = (trial * n +
+    node) * blocks + block``: bit ``j`` rides plane ``planes[r]`` of the
+    word from ``node`` to relay ``block * length + j`` — or, with
+    ``target_major``, from that relay to ``node``.  No two rows of one
+    plane share a cell, so each (cell, plane) slot takes at most one row
+    and one assignment writes them all; ``packbits`` then ORs each word's
+    planes, exact at every width.  Words that no row reaches, and the
+    relays past ``blocks * length``, stay ``-1``."""
+    length = rows.shape[1]
+    blocks = n // length
+    span = blocks * length
+    nbytes = -(-width // 8)
+    slots = np.zeros((trials * n * blocks, length, 8 * nbytes),
+                     dtype=np.uint8)
+    slots[cells, :, planes] = rows
+    packed = np.packbits(slots.reshape(-1), bitorder="little")
+    del slots
+    words = np.zeros((trials, n, n), dtype="<i8")
+    # (trial, node, relay) views of the words and of their bytes
+    by_node = words.transpose(0, 2, 1) if target_major else words
+    word_bytes = words.view(np.uint8).reshape(trials, n, n, 8)
+    if target_major:
+        word_bytes = word_bytes.transpose(0, 2, 1, 3)
+    word_bytes[:, :, :span, :nbytes] = packed.reshape(trials, n, span,
+                                                      nbytes)
+    sent = np.zeros(trials * n * blocks, dtype=bool)
+    sent[cells] = True
+    by_node[:, :, :span][np.repeat(~sent.reshape(trials, n, blocks),
+                                   length, axis=2)] = -1
+    by_node[:, :, span:] = -1
+    return words.astype(np.int64, copy=False)
+
+
+def _take(delivered: np.ndarray, cells: np.ndarray, planes: np.ndarray,
+          length: int, width: int, target_major: bool = False):
+    """The rows :func:`_stage` wrote, read back from a delivered round:
+    ``(R, length)`` bits from plane ``planes[r]`` of cell ``cells[r]``'s
+    words, 0 where a word was lost, and the ``(R, length)`` lost mask."""
+    trials, n = delivered.shape[:2]
+    blocks = n // length
+    span = blocks * length
+    count = trials * n * blocks
+    delivered = np.ascontiguousarray(delivered, dtype="<i8")
+    lost = delivered < 0
+    # only the bytes that hold the wave's planes are read; a target-major
+    # read transposes those bytes, not the whole words
+    word_bytes = np.ascontiguousarray(delivered.view(np.uint8).reshape(
+        trials, n, n, 8)[..., :-(-width // 8)])
+    if target_major:
+        word_bytes = word_bytes.transpose(0, 2, 1, 3)
+        lost = lost.transpose(0, 2, 1)
+    word_bytes = word_bytes[:, :, :span].reshape(count, length, -1)
+    lost = lost[:, :, :span].reshape(count, length)[cells]
+    bits = word_bytes[cells, :, planes >> 3] \
+        >> (planes & 7).astype(np.uint8)[:, None]
+    bits &= 1
+    bits[lost] = 0
+    return bits, lost
 
 
 def _per_trial(trial_of_row: np.ndarray, mask: np.ndarray,
@@ -517,12 +576,23 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
     ``(trials, n, n)`` round and returns the delivered stack.  Each wave
     packs up to ``bandwidth`` batches into bit-planes (Lemma 2.9) and takes
     two rounds — source to relay block, relay block to target — around one
-    batched encode and one batched decode of every trial's rows."""
+    batched encode and one batched decode of every trial's rows.
+
+    A codeword moves as one row: round 1 writes it at (trial, source,
+    block) of a source-major view of the round, round 2 writes each
+    (chunk, target) copy at (trial, target, block) of a target-major view,
+    and both rounds read whole rows back (:func:`_stage`, :func:`_take`).
+    Nodes past ``(n // length) * length`` relay nothing."""
     trials = plan.batch.shape[0]
+    blocks = n // length
     capacity = max(1, code.k)
     arange_cap = np.arange(capacity)
-    arange_len = np.arange(length)
-    last_col = max(0, bits.shape[2] - 1)
+    # every message's payload as rows of capacity-bit pieces
+    per_message = -(-bits.shape[2] // capacity)
+    pieces = np.zeros((trials, bits.shape[1], per_message * capacity),
+                      dtype=np.uint8)
+    pieces[:, :, :bits.shape[2]] = bits
+    pieces = pieces.reshape(trials, bits.shape[1], per_message, capacity)
     erasure_aware = getattr(code, "supports_erasures", False)
     # ragged fan-out: chunk c expands into fanout rows starting at row_ptr
     chunk_fan = plan.fanout[plan.chunk_msg]
@@ -540,32 +610,26 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
         tr, ch = np.nonzero((plan.batch >= lo) & (plan.batch < lo + width))
         planes = plan.batch[tr, ch] - lo
         msgs = plan.chunk_msg[ch]
-        srcs = plan.sources[tr, msgs]
-        relay = plan.block[tr, ch][:, None] * length + arange_len
+        block = plan.block[tr, ch]
 
         # one batched encode of every trial's chunks in the wave
-        col = np.minimum(plan.chunk_start[ch][:, None] + arange_cap,
-                         last_col)
-        valid = arange_cap < plan.chunk_size[ch][:, None]
-        payload = np.where(valid, bits[tr[:, None], msgs[:, None], col], 0)
-        del col, valid
-        codewords = code.encode_many(payload).astype(np.int64)
+        payload = np.where(arange_cap < plan.chunk_size[ch][:, None],
+                           pieces[tr, msgs, plan.chunk_start[ch] // capacity],
+                           0)
+        codewords = np.asarray(code.encode_many(payload), dtype=np.uint8)
         del payload
 
-        # round 1: source -> relay block
-        keys = (((tr * n + srcs) * n)[:, None] + relay).ravel()
-        intended = _stage(keys, codewords << planes[:, None], trials, n,
-                          width)
-        del keys, codewords
-        delivered = send_round(intended, width, f"{wl}/r1")
-        del intended
-        got = delivered[tr[:, None], srcs[:, None], relay]
+        # round 1: source -> relay block, a row per (trial, source, block)
+        cells = (tr * n + plan.sources[tr, msgs]) * blocks + block
+        delivered = send_round(
+            _stage(cells, planes, codewords, trials, n, width), width,
+            f"{wl}/r1")
+        del codewords
+        relayed, lost = _take(delivered, cells, planes, length, width)
         del delivered
-        lost = got < 0
         if lost.any():
             dropped += _per_trial(tr, lost, trials)
-        relayed = np.where(lost, 0, (got >> planes[:, None]) & 1)
-        del got, lost
+        del lost
 
         # fan out one row per (chunk, target)
         rows = row_ptr[ch]
@@ -573,25 +637,21 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
         fan = chunk_fan[ch]
         if int(fan.sum()) != fan.size:
             expand, within = _ragged(fan)
-            tr, planes, relay, relayed = (tr[expand], planes[expand],
-                                          relay[expand], relayed[expand])
+            tr, planes, block, relayed = (tr[expand], planes[expand],
+                                          block[expand], relayed[expand])
             rows = rows[expand] + within
             pairs = pairs[expand] + within
         tgts = plan.targets[tr, pairs]
 
-        # round 2: relay block -> target
-        keys = ((tr[:, None] * n + relay) * n + tgts[:, None]).ravel()
-        intended = _stage(keys, relayed << planes[:, None], trials, n,
-                          width)
-        del keys, relayed
-        delivered = send_round(intended, width, f"{wl}/r2")
-        del intended
-        got = delivered[tr[:, None], relay, tgts[:, None]]
+        # round 2: relay block -> target, a row per (trial, target, block)
+        cells = (tr * n + tgts) * blocks + block
+        delivered = send_round(
+            _stage(cells, planes, relayed, trials, n, width,
+                   target_major=True), width, f"{wl}/r2")
+        del relayed
+        received, erase = _take(delivered, cells, planes, length, width,
+                                target_major=True)
         del delivered
-        erase = got < 0
-        received = np.where(erase, 0, (got >> planes[:, None]) & 1)\
-            .astype(np.uint8)
-        del got
         # round-2 drops are receiver-known erasures: erasure-aware codes
         # get them for the doubled pure-drop radius (gated so drop-free
         # waves take the plain decode path)
@@ -833,11 +893,13 @@ class SuperMessageRouter:
 
         rows = []
         row_erasures = []
+        row_skipped = []
         metas = []
         for row, (plane, chunk, relays, in_load, out_load) in enumerate(flat):
             for t in chunk.targets:
                 bits2 = np.zeros(code.n, dtype=np.uint8)
                 erased = np.zeros(code.n, dtype=bool)
+                skipped = np.zeros(code.n, dtype=bool)
                 for pos, w in enumerate(relays):
                     w = int(w)
                     if in_load[chunk.source][w] == 1 and out_load[w][t] == 1:
@@ -846,14 +908,21 @@ class SuperMessageRouter:
                             stats["dropped"] += 1
                             erased[pos] = True
                         bits2[pos] = 0 if got2 < 0 else (int(got2) >> plane) & 1
+                    else:
+                        skipped[pos] = True
                 rows.append(bits2)
                 row_erasures.append(erased)
+                row_skipped.append(skipped)
                 metas.append((chunk, t))
         erase_mat = np.stack(row_erasures)
-        if erase_mat.any() and getattr(code, "supports_erasures", False):
+        # a position skipped for InLoad or OutLoad > 1 carries nothing, and
+        # the family and the loads are public, so the target declares it
+        # an erasure too; erased_entries still counts network drops only
+        declared = erase_mat | np.stack(row_skipped)
+        if declared.any() and getattr(code, "supports_erasures", False):
             stats["erased"] += int(erase_mat.sum())
             decoded, failed = code.decode_many_flagged(np.stack(rows),
-                                                       erasures=erase_mat)
+                                                       erasures=declared)
         else:
             decoded, failed = code.decode_many_flagged(np.stack(rows))
         for (chunk, t), message_bits, bad in zip(metas, decoded, failed):

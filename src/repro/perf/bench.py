@@ -482,6 +482,43 @@ def bench_greedy_selection(planes: int, repeats: int) -> Dict:
     return _entry("greedy-selection-n64", planes, "planes", ref, batched)
 
 
+def bench_route_waves(n: int, repeats: int, trials: int = 2) -> Dict:
+    """Blocks-mode routing at det-logn's first butterfly step: every node
+    sends n/2 bits to its partner across the top bit, in ``trials``
+    lockstep trials (at n=512, free-logn-n512's wave shape: 2 planes of
+    16 relay blocks of 32 nodes).  Races the row kernel ``route_waves``
+    against the per-bit oracle, both moving their rounds through a
+    fault-free :class:`~repro.cliquesim.batched.BatchedClique`; the
+    results are asserted equal first."""
+    from repro.cliquesim.batched import BatchedClique
+    from repro.cliquesim.topology import flip
+    from repro.core.profiles import SIMULATION
+    from repro.core.routing import plan_waves, route_waves
+
+    top = n.bit_length() - 2
+    partner = [flip(u, 0, 1 - ((u >> top) & 1), n) for u in range(n)]
+    size = n // 2
+    length, code = SIMULATION.select_routing_code(n, 0.0)
+    plan = plan_waves(trials, n, n // length, max(1, code.k), np.arange(n),
+                      np.zeros(n), np.full(n, size), partner)
+    bits = make_rng(204).integers(0, 2, (trials, n, size), dtype=np.uint8)
+
+    def run(kernel):
+        net = BatchedClique(n, trials=trials, bandwidth=32)
+        return kernel(net.round, n, net.bandwidth, code, length, plan, bits,
+                      "bench")
+
+    rows, per_bit = run(route_waves), run(reference.route_waves_per_bit)
+    for name in ("decoded", "failed", "dropped", "erased"):
+        assert np.array_equal(getattr(rows, name), getattr(per_bit, name))
+    assert np.array_equal(rows.message_bits(), bits)
+    ref = _best_of(lambda: run(reference.route_waves_per_bit),
+                   max(1, repeats - 1))
+    batched = _best_of(lambda: run(route_waves), repeats)
+    return _entry("route-waves-n512", trials * n * size, "payload-bits", ref,
+                  batched)
+
+
 def bench_trial_batch(n: int, trials: int, repeats: int) -> Dict:
     """Trial-batched campaign execution: one fault-free det-sqrt cell of
     ``trials`` trials run as a single tensor program over a
@@ -701,6 +738,8 @@ def _suite_plan(suite: str):
                                               7, r)),
         ("greedy-selection-n64",
          lambda smoke, r: bench_greedy_selection(16 if smoke else 64, r)),
+        ("route-waves-n512",
+         lambda smoke, r: bench_route_waves(128 if smoke else 512, r)),
         ("det-sqrt-end-to-end",
          lambda smoke, r: bench_protocol_end_to_end("det-sqrt", 64, 32)),
         ("trial-batch-n64",

@@ -18,7 +18,8 @@ from repro.cliquesim.network import CongestedClique
 from repro.coding.interfaces import DecodingFailure
 from repro.coding.ldc_interfaces import LocalDecodingFailure
 from repro.coding.linear import LinearBlockCode
-from repro.core.routing import _Chunk
+from repro.core.routing import (BatchedRoutingResult, WavePlan, _Chunk,
+                                _per_trial, _ragged)
 from repro.fields.gfp import PrimeField
 from repro.utils.rng import make_rng
 
@@ -469,3 +470,138 @@ def inv_matrix_gauss_jordan(field: PrimeField,
         factors = aug[mask, col].copy()
         aug[mask] = (aug[mask] - factors[:, None] * aug[col][None, :]) % field.p
     return aug[:, size:]
+
+
+# The blocks-mode wave kernel before row staging, verbatim: every codeword
+# bit travels as its own int64 under its own (trial, sender, receiver) key,
+# staged with a float ``bincount`` (``bitwise_or.at`` past 52 planes) and
+# gathered with three-index fancy indexing.  ``repro.core.routing.
+# route_waves`` must return exactly what it returns.
+
+def _stage_per_bit(keys: np.ndarray, shifted: np.ndarray, trials: int,
+                   n: int, width: int) -> np.ndarray:
+    """``(trials, n, n)`` intended payloads: each row's shifted bits land in
+    cell ``keys``, ``-1`` where nothing is sent.  Each (trial, sender,
+    receiver) cell gets at most one bit per plane, so summing equals
+    OR-ing, and float64 sums stay exact up to 52 planes."""
+    size = trials * n * n
+    if width <= 52:
+        values = np.bincount(keys, weights=shifted.ravel(),
+                             minlength=size).astype(np.int64)
+    else:
+        values = np.zeros(size, dtype=np.int64)
+        np.bitwise_or.at(values, keys, shifted.ravel())
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    return np.where(present, values, -1).reshape(trials, n, n)
+
+
+def route_waves_per_bit(send_round, n: int, bandwidth: int, code,
+                        length: int, plan: WavePlan, bits: np.ndarray,
+                        label: str) -> BatchedRoutingResult:
+    """Run ``plan``'s blocks-mode waves, one codeword bit per index.
+
+    ``bits[t, m]`` is trial ``t``'s payload of message ``m``, zero-padded
+    to a common length.  ``send_round(intended, width, label)`` moves one
+    ``(trials, n, n)`` round and returns the delivered stack.  Each wave
+    packs up to ``bandwidth`` batches into bit-planes (Lemma 2.9) and takes
+    two rounds — source to relay block, relay block to target — around one
+    batched encode and one batched decode of every trial's rows."""
+    trials = plan.batch.shape[0]
+    capacity = max(1, code.k)
+    arange_cap = np.arange(capacity)
+    arange_len = np.arange(length)
+    last_col = max(0, bits.shape[2] - 1)
+    erasure_aware = getattr(code, "supports_erasures", False)
+    # ragged fan-out: chunk c expands into fanout rows starting at row_ptr
+    chunk_fan = plan.fanout[plan.chunk_msg]
+    row_ptr = np.cumsum(chunk_fan) - chunk_fan
+    pair_ptr = np.cumsum(plan.fanout) - plan.fanout
+    num_rows = int(chunk_fan.sum())
+    decoded_all = np.zeros((trials, num_rows, capacity), dtype=np.uint8)
+    failed_all = np.zeros((trials, num_rows), dtype=bool)
+    dropped = np.zeros(trials, dtype=np.int64)
+    erased = np.zeros(trials, dtype=np.int64)
+    waves = range(0, plan.num_batches, bandwidth)
+    for wave, lo in enumerate(waves):
+        width = min(bandwidth, plan.num_batches - lo)
+        wl = f"{label}/wave{wave}"
+        tr, ch = np.nonzero((plan.batch >= lo) & (plan.batch < lo + width))
+        planes = plan.batch[tr, ch] - lo
+        msgs = plan.chunk_msg[ch]
+        srcs = plan.sources[tr, msgs]
+        relay = plan.block[tr, ch][:, None] * length + arange_len
+
+        # one batched encode of every trial's chunks in the wave
+        col = np.minimum(plan.chunk_start[ch][:, None] + arange_cap,
+                         last_col)
+        valid = arange_cap < plan.chunk_size[ch][:, None]
+        payload = np.where(valid, bits[tr[:, None], msgs[:, None], col], 0)
+        del col, valid
+        codewords = code.encode_many(payload).astype(np.int64)
+        del payload
+
+        # round 1: source -> relay block
+        keys = (((tr * n + srcs) * n)[:, None] + relay).ravel()
+        intended = _stage_per_bit(keys, codewords << planes[:, None], trials,
+                                  n, width)
+        del keys, codewords
+        delivered = send_round(intended, width, f"{wl}/r1")
+        del intended
+        got = delivered[tr[:, None], srcs[:, None], relay]
+        del delivered
+        lost = got < 0
+        if lost.any():
+            dropped += _per_trial(tr, lost, trials)
+        relayed = np.where(lost, 0, (got >> planes[:, None]) & 1)
+        del got, lost
+
+        # fan out one row per (chunk, target)
+        rows = row_ptr[ch]
+        pairs = pair_ptr[msgs]
+        fan = chunk_fan[ch]
+        if int(fan.sum()) != fan.size:
+            expand, within = _ragged(fan)
+            tr, planes, relay, relayed = (tr[expand], planes[expand],
+                                          relay[expand], relayed[expand])
+            rows = rows[expand] + within
+            pairs = pairs[expand] + within
+        tgts = plan.targets[tr, pairs]
+
+        # round 2: relay block -> target
+        keys = ((tr[:, None] * n + relay) * n + tgts[:, None]).ravel()
+        intended = _stage_per_bit(keys, relayed << planes[:, None], trials,
+                                  n, width)
+        del keys, relayed
+        delivered = send_round(intended, width, f"{wl}/r2")
+        del intended
+        got = delivered[tr[:, None], relay, tgts[:, None]]
+        del delivered
+        erase = got < 0
+        received = np.where(erase, 0, (got >> planes[:, None]) & 1)\
+            .astype(np.uint8)
+        del got
+        # round-2 drops are receiver-known erasures: erasure-aware codes
+        # get them for the doubled pure-drop radius (gated so drop-free
+        # waves take the plain decode path)
+        declared = {}
+        if erase.any():
+            lost = _per_trial(tr, erase, trials)
+            dropped += lost
+            if erasure_aware:
+                erased += lost
+                declared["erasures"] = erase
+        decoded, failed = code.decode_many_flagged(received, **declared)
+        del received, erase, declared
+        decoded_all[tr, rows] = decoded[:, :capacity]
+        failed_all[tr, rows] = np.asarray(failed, dtype=bool)
+
+    row_chunk, within = _ragged(chunk_fan)
+    return BatchedRoutingResult(
+        decoded=decoded_all, failed=failed_all,
+        row_pair=pair_ptr[plan.chunk_msg[row_chunk]] + within,
+        row_start=plan.chunk_start[row_chunk],
+        row_size=plan.chunk_size[row_chunk],
+        pair_msg=np.repeat(np.arange(plan.fanout.size), plan.fanout),
+        sizes=plan.sizes, rounds=2 * len(waves), batches=plan.num_batches,
+        codeword_bits=length, dropped=dropped, erased=erased)

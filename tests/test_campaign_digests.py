@@ -10,7 +10,8 @@ import hashlib
 
 import pytest
 
-from repro.experiments import TrialStore, build_campaign, run_campaign
+from repro.experiments import (TrialStore, build_campaign, free_grid,
+                               run_campaign)
 from repro.sched import row_digest
 
 PINS = [
@@ -48,3 +49,35 @@ def campaign_digest(name, kwargs, backend="vmap"):
                          ids=[name for name, _, _ in PINS])
 def test_registry_campaign_rows_match_pin(name, kwargs, pin):
     assert campaign_digest(name, kwargs) == pin
+
+
+#: vmap cells whose routing code length does not divide n, so nodes past
+#: ``(n // L) * L`` send and receive but relay nothing: (protocol,
+#: adversary, n, alpha, pin).  No registry campaign routes such a cell.
+TAIL_PINS = [
+    # L = 8: four tail nodes
+    ("det-sqrt", "null", 36, 0.0,
+     "d85d9136f527badfee27930139ee3ee1e82e1c3e3f5afeb5f4b97d74e7c8524b"),
+    ("nonadaptive", "null", 20, 0.0,
+     "6671d687241f8855102456f7e7ea82ffdd7be3ac0ee83f6b0fd5e4335fcdcb91"),
+    # an erasure budget of one edge per node needs L = 9 at n=36, which
+    # divides n; at n=49 it needs L = 12, leaving one tail node
+    ("det-sqrt", "iid-erase", 36, 1 / 36,
+     "54791e5da42400e8c391f9f6a7d2c9edaf0872e342836868b664e7d14e6d661b"),
+    ("det-sqrt", "iid-erase", 49, 1 / 49,
+     "2c0ce57da39541e33646308c1d3d1eea8dddb5bf4c39f370a0018074507b077f"),
+]
+
+
+@pytest.mark.parametrize("protocol,adversary,n,alpha,pin", TAIL_PINS,
+                         ids=[f"{p}-{a}-n{n}" for p, a, n, _, _ in TAIL_PINS])
+def test_tail_node_cells_match_pin(protocol, adversary, n, alpha, pin,
+                                   require_batched):
+    # batched at 3 trials: a batched-path crash may not hide behind the
+    # serial fallback's identical rows
+    spec = free_grid(name="tail-pin", protocols=(protocol,),
+                     adversaries=(adversary,), ns=(n,), alphas=(alpha,),
+                     widths=(4,), bandwidths=(8,), replicates=3)
+    result = run_campaign(spec, store=TrialStore(None), backend="vmap")
+    blob = "\n".join(sorted(row_digest(row) for row in result.rows()))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == pin

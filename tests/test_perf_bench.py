@@ -20,6 +20,7 @@ from repro.perf.bench import (
     bench_plane_staging,
     bench_rm_line_decode,
     bench_rs_batch_bm,
+    bench_route_waves,
     bench_rs_symbol_decode,
     store_rows,
 )
@@ -61,6 +62,14 @@ class TestBenchEntries:
         entry = bench_rm_line_decode(12, 1)
         assert entry["items"] == 12
         assert entry["unit"] == "rows"
+        assert entry["speedup"] > 0
+
+    def test_route_waves_entry(self):
+        # the benchmark asserts the row kernel == the per-bit oracle, and
+        # that every payload bit arrived, before timing
+        entry = bench_route_waves(64, 1)
+        assert entry["items"] == 2 * 64 * 32
+        assert entry["unit"] == "payload-bits"
         assert entry["speedup"] > 0
 
     def test_plane_staging_entry(self):

@@ -1,6 +1,8 @@
 """Unit + integration tests for the resilient super-message router
 (Theorem 4.1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,22 @@ class TestCoverFreeMode:
             got = result.received(msg.targets[0], msg.source, 0)
             assert np.array_equal(got, np.array(msg.bits, dtype=np.uint8))
 
+    def test_fault_free_n512(self, rng):
+        # at n=512 some relay positions carry InLoad or OutLoad > 1 and are
+        # skipped; the target must declare them erasures, not read 0 bits
+        n = 512
+        msgs = [SuperMessage.make(u, 0,
+                                  rng.integers(0, 2, 16).astype(np.uint8),
+                                  [(u + 1) % n])
+                for u in range(n)]
+        result, _ = route_instance(n, msgs, mode="coverfree")
+        assert result.decode_failures == []
+        # nothing was dropped in transit, so nothing counts as erased
+        assert result.dropped_entries == result.erased_entries == 0
+        for msg in msgs:
+            got = result.received(msg.targets[0], msg.source, 0)
+            assert np.array_equal(got, np.array(msg.bits, dtype=np.uint8))
+
     def test_under_matching_adversary(self, rng):
         n = 128
         adv = NonAdaptiveAdversary(1 / n, RoundRobinMatchingStrategy(),
@@ -168,6 +186,32 @@ class TestCoverFreeMode:
                            np.array(m.bits, dtype=np.uint8))
             for m in msgs)
         assert correct >= int(0.95 * n)
+
+    def test_digest_under_matching_adversary(self):
+        # pins the cover-free executor's outputs — relay families, skipped
+        # positions declared erasures, adversarial errors — so that a new
+        # cover-free kernel must reproduce them exactly
+        n = 128
+        bits = np.random.default_rng(11).integers(0, 2, (n, 16))
+        msgs = [SuperMessage.make(u, 0, bits[u].astype(np.uint8),
+                                  [(u * 7 + 1) % n])
+                for u in range(n)]
+        adv = NonAdaptiveAdversary(1 / n, RoundRobinMatchingStrategy(),
+                                   seed=2)
+        result, net = route_instance(n, msgs, adversary=adv,
+                                     mode="coverfree")
+        assert net.entries_corrupted > 0
+        digest = hashlib.sha256()
+        for msg in msgs:
+            digest.update(
+                result.received(msg.targets[0], msg.source, 0).tobytes())
+        # the bits sent count the relay positions the families left unskipped
+        digest.update(repr((sorted(result.decode_failures), result.rounds,
+                            result.batches, result.dropped_entries,
+                            result.erased_entries, net.bits_sent,
+                            net.entries_corrupted)).encode())
+        assert digest.hexdigest() == (
+            "008eeec4b6c17386303909c735dbfc7d74a9fe281939dce1a6c913f5e057d1ed")
 
     def test_invalid_mode(self):
         net = CongestedClique(8)
