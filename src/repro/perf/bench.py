@@ -482,19 +482,21 @@ def bench_greedy_selection(planes: int, repeats: int) -> Dict:
     return _entry("greedy-selection-n64", planes, "planes", ref, batched)
 
 
-def bench_route_waves(n: int, repeats: int, trials: int = 2) -> Dict:
+def bench_route_waves(n: int, repeats: int) -> Dict:
     """Blocks-mode routing at det-logn's first butterfly step: every node
-    sends n/2 bits to its partner across the top bit, in ``trials``
-    lockstep trials (at n=512, free-logn-n512's wave shape: 2 planes of
-    16 relay blocks of 32 nodes).  Races the row kernel ``route_waves``
-    against the per-bit oracle, both moving their rounds through a
-    fault-free :class:`~repro.cliquesim.batched.BatchedClique`; the
-    results are asserted equal first."""
+    sends n/2 bits to its partner across the top bit, in 2 lockstep
+    trials.  Races the row kernel ``route_waves`` against the per-bit
+    oracle, both moving their rounds through a fault-free
+    :class:`~repro.cliquesim.batched.BatchedClique`; the results are
+    asserted equal first."""
     from repro.cliquesim.batched import BatchedClique
     from repro.cliquesim.topology import flip
     from repro.core.profiles import SIMULATION
     from repro.core.routing import plan_waves, route_waves
 
+    # at n=512 this is free-logn-n512's wave shape: 2 trials, 2 planes of
+    # 16 relay blocks of 32 nodes
+    trials = 2
     top = n.bit_length() - 2
     partner = [flip(u, 0, 1 - ((u >> top) & 1), n) for u in range(n)]
     size = n // 2
