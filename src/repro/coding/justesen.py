@@ -44,6 +44,9 @@ class ConcatenatedCode(BinaryCode):
         self.inner = inner
         self.k = outer.k * inner.k
         self.n = outer.n * inner.n
+        #: see :meth:`_encoder`
+        self._tables: np.ndarray | None = None
+        self._info: np.ndarray | None = None
 
     @property
     def relative_distance(self) -> float:
@@ -79,21 +82,63 @@ class ConcatenatedCode(BinaryCode):
         return bits.astype(np.uint8).reshape(-1)
 
     # -- batched paths ---------------------------------------------------------
+    def _encoder(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(tables, info)``, built on first use.
+
+        ``tables`` is ``(ceil(k / 8), 256, ceil(n / 64))`` little-endian
+        uint64: entry ``[j, v]`` is the packed codeword of the message whose
+        byte ``j`` is ``v`` and whose other bits are zero.  The code is
+        GF(2)-linear, so a codeword is the XOR of its message bytes'
+        entries.  ``info[i]`` is a codeword position that carries message
+        bit ``i`` alone (the outer code is systematic, and so is every inner
+        code this package builds).
+        """
+        if self._tables is None:
+            # row i of the generator is the codeword of unit message i: one
+            # outer encode of all k unit messages, then the inner generator
+            m = self.inner.k
+            units = np.eye(self.k, dtype=np.int64).reshape(
+                self.k, self.outer.k, m)
+            outer_words = self.outer.encode_many(
+                units @ (np.int64(1) << np.arange(m, dtype=np.int64)))
+            symbol_bits = (outer_words[:, :, None] >> np.arange(m)) & 1
+            generator = ((symbol_bits @ self.inner.generator) % 2) \
+                .astype(np.uint8).reshape(self.k, self.n)
+            # a column equal to the unit vector e_i carries bit i alone
+            unit = generator.sum(axis=0) == 1
+            self._info = np.argmax(generator.astype(bool) & unit, axis=1)
+            message_bytes = -(-self.k // 8)
+            words = -(-self.n // 64)
+            rows = np.zeros((8 * message_bytes, 8 * words), dtype=np.uint8)
+            rows[:self.k, :-(-self.n // 8)] = np.packbits(
+                generator, axis=1, bitorder="little")
+            rows = rows.view("<u8").reshape(message_bytes, 8, words)
+            tables = np.zeros((message_bytes, 256, words), dtype="<u8")
+            for bit in range(8):
+                tables[:, 1 << bit:2 << bit] = \
+                    tables[:, :1 << bit] ^ rows[:, bit, None, :]
+            self._tables = tables
+        return self._tables, self._info
+
+    def _encode_words(self, messages: np.ndarray) -> np.ndarray:
+        """``(count, k)`` message bits to ``(count, ceil(n / 64))`` packed
+        codewords: one table gather per message byte, XORed together."""
+        tables, _ = self._encoder()
+        message_bytes = np.packbits(messages, axis=1, bitorder="little")
+        words = tables[0][message_bytes[:, 0]]
+        for j in range(1, tables.shape[0]):
+            words ^= tables[j][message_bytes[:, j]]
+        return words
+
     def encode_many(self, messages: np.ndarray) -> np.ndarray:
         messages = np.asarray(messages, dtype=np.uint8)
         if messages.size == 0:
             return np.zeros((0, self.n), dtype=np.uint8)
-        count = messages.shape[0]
-        m = self.inner.k
-        weights = (1 << np.arange(m, dtype=np.int64))
-        symbols = (messages.reshape(count, self.outer.k, m).astype(np.int64)
-                   * weights[None, None, :]).sum(axis=2)
-        outer_words = self.outer.encode_many(symbols)
-        symbol_bits = ((outer_words[:, :, None] >> np.arange(m)[None, None, :])
-                       & 1).astype(np.uint8)
-        flat = symbol_bits.reshape(count * self.outer.n, m)
-        blocks = self.inner.encode_many(flat)
-        return blocks.reshape(count, self.n)
+        if messages.ndim != 2 or messages.shape[1] != self.k:
+            raise ValueError(
+                f"expected shape (*, {self.k}), got {messages.shape}")
+        return np.unpackbits(self._encode_words(messages).view(np.uint8),
+                             axis=1, count=self.n, bitorder="little")
 
     supports_erasures = True
 
@@ -103,25 +148,54 @@ class ConcatenatedCode(BinaryCode):
         if received.size == 0:
             return (np.zeros((0, self.k), dtype=np.uint8),
                     np.zeros(0, dtype=bool))
-        count = received.shape[0]
-        blocks = received.reshape(count * self.outer.n, self.inner.n)
-        block_erasures = None
-        outer_erasures = None
+        if received.ndim != 2 or received.shape[1] != self.n:
+            raise ValueError(
+                f"expected shape (*, {self.n}), got {received.shape}")
+        masks = None
         if erasures is not None:
             masks = np.asarray(erasures, dtype=bool)
             if masks.shape != received.shape:
                 raise ValueError(
                     f"erasure mask shape {masks.shape} != {received.shape}")
-            if masks.any():
-                block_erasures = masks.reshape(count * self.outer.n,
-                                               self.inner.n)
-                # an inner block with >= ceil(d/2) erased bits may ML-decode
-                # to the wrong symbol even without errors — declare the outer
-                # symbol erased (cost 1 vs 2 for an undeclared error); below
-                # that threshold erasure-aware inner ML stays exact
-                threshold = math.ceil(self.inner.min_distance / 2)
-                outer_erasures = (block_erasures.sum(axis=1) >= threshold) \
-                    .reshape(count, self.outer.n)
+            if not masks.any():
+                masks = None
+        # an exact codeword with no declared erasure decodes to its
+        # information-set bits: inner ML finds every block at distance 0
+        # and Reed–Solomon sees zero syndromes, so the two-stage path would
+        # return the same message unflagged; only the other rows take it.
+        # A row is clean only if its information-set bits re-encode to the
+        # whole row, so the check is exact whatever positions it reads.
+        messages = received[:, self._encoder()[1]]
+        packed = np.packbits(received, axis=1, bitorder="little")
+        encoded = self._encode_words(messages).view(np.uint8)
+        clean = (encoded[:, :packed.shape[1]] == packed).all(axis=1)
+        if masks is not None:
+            clean &= ~masks.any(axis=1)
+        failed = np.zeros(received.shape[0], dtype=bool)
+        dirty = np.flatnonzero(~clean)
+        if dirty.size:
+            messages[dirty], failed[dirty] = self._decode_two_stage(
+                received[dirty], None if masks is None else masks[dirty])
+        return messages, failed
+
+    def _decode_two_stage(self, received: np.ndarray,
+                          masks: np.ndarray | None):
+        """Inner ML decoding of every block, then Reed–Solomon across the
+        blocks of each row; ``masks`` are declared erasures, or None."""
+        count = received.shape[0]
+        blocks = received.reshape(count * self.outer.n, self.inner.n)
+        block_erasures = None
+        outer_erasures = None
+        if masks is not None:
+            block_erasures = masks.reshape(count * self.outer.n,
+                                           self.inner.n)
+            # an inner block with >= ceil(d/2) erased bits may ML-decode
+            # to the wrong symbol even without errors — declare the outer
+            # symbol erased (cost 1 vs 2 for an undeclared error); below
+            # that threshold erasure-aware inner ML stays exact
+            threshold = math.ceil(self.inner.min_distance / 2)
+            outer_erasures = (block_erasures.sum(axis=1) >= threshold) \
+                .reshape(count, self.outer.n)
         inner_messages = self.inner.decode_blocks(blocks,
                                                   erasures=block_erasures)
         weights = (1 << np.arange(self.inner.k, dtype=np.int64))

@@ -45,7 +45,7 @@ import numpy as np
 from repro.adversary.batched import BatchedAdversary
 from repro.cliquesim.batched import BatchedClique
 from repro.cliquesim.topology import (balanced_random_partition,
-                                      consecutive_segments, flip,
+                                      consecutive_segments,
                                       partition_members, sqrt_segments)
 from repro.coding.linear import best_effort_linear_code
 from repro.core.batched_routing import BatchedRouter, broadcast_many
@@ -149,8 +149,8 @@ class BatchedDetSqrtAllToAll:
 
 class BatchedDetLogAllToAll:
     """Batched :class:`~repro.core.det_logn.DetLogAllToAll`: the butterfly
-    pairing is fixed by ``n``, so each iteration's split/pack/route/merge
-    carries a ``(trials, |S|, |T|)`` value stack per node."""
+    pairing is fixed by ``n``, so every iteration is one gather, one route
+    and one scatter over a ``(trials, n, |S|, |T|)`` belief array."""
 
     name = "det-logn"
 
@@ -166,71 +166,44 @@ class BatchedDetLogAllToAll:
             raise ValueError(f"n={n} must be a power of two "
                              f"(Lemma 2.8 reduces the general case)")
         router = BatchedRouter(net, self.profile)
-        stacked = np.stack([inst.messages for inst in instances])
-
-        # state[u] = (sources asc, targets asc, (trials, |S|, |T|) beliefs)
-        state = {
-            u: (np.array([u]), np.arange(n),
-                stacked[:, u, :].reshape(trials, 1, n).copy())
-            for u in range(n)
-        }
+        nodes = np.arange(n)
+        # beliefs[t, u, s, j]: node u's value for its s-th source and j-th
+        # target, both ascending; |S| doubles and |T| halves per iteration
+        beliefs = np.stack([inst.messages for inst in instances]) \
+            .reshape(trials, n, 1, n)
 
         for i in range(1, log_n + 1):
-            bit = i - 1  # most significant first
-            meta = {}
-            sends = []
-            for u in range(n):
-                sources, targets, values = state[u]
-                half = targets.size // 2
-                own_bit = (u >> (log_n - 1 - bit)) & 1
-                partner = flip(u, bit, 1 - own_bit, n)
-                if own_bit == 0:
-                    keep_t, keep_vals = targets[:half], values[:, :, :half]
-                    send_vals = values[:, :, half:]
-                else:
-                    keep_t, keep_vals = targets[half:], values[:, :, half:]
-                    send_vals = values[:, :, :half]
-                sends.append(send_vals.reshape(trials, -1))
-                meta[u] = (sources, keep_t, keep_vals, partner)
-            # pack every trial's n send-rows at once, row order (t, u);
+            position = log_n - i  # bit i - 1 of the id, most significant first
+            partner_of = nodes ^ (1 << position)
+            num_sources, num_targets = beliefs.shape[2:]
+            half = num_targets // 2
+            # [t, u, b, s, j]: the targets' bit at ``position`` is b.  Node u
+            # keeps the half whose bit is its own and sends the other one.
+            halves = beliefs.reshape(trials, n, num_sources, 2, half) \
+                .transpose(0, 1, 3, 2, 4)
+            send_bit = 1 - ((nodes >> position) & 1)
+            sent = halves[:, nodes, send_bit]
             # the butterfly pairing is fixed by n, so one schedule serves
-            # the whole batch
-            packed = pack_rows(
-                np.stack(sends).transpose(1, 0, 2).reshape(trials * n, -1),
-                width)
+            # the whole batch; row (t, u) of the stack goes to partner(u)
+            packed = pack_rows(sent.reshape(trials * n, -1), width)
             bit_len = packed.shape[1]
-            partner_of = np.array([meta[u][3] for u in range(n)])
             res = router.route(
-                np.arange(n), np.zeros(n), np.full(n, bit_len), partner_of,
+                nodes, np.zeros(n), np.full(n, bit_len), partner_of,
                 packed.reshape(trials, n, bit_len),
                 label=f"det-logn/iter{i}")
+            received = unpack_rows(
+                res.message_bits()[:, partner_of].reshape(trials * n, bit_len),
+                num_sources * half, width)
+            # u's s-th source and its partner's s-th source differ only at
+            # ``position``, so the merged ascending source list interleaves
+            # them as 2s + bit: the received half takes the sent half's
+            # slots, and the kept half is already in place
+            halves[:, nodes, send_bit] = \
+                received.reshape(trials, n, num_sources, half)
+            beliefs = beliefs.reshape(trials, n, 2 * num_sources, half)
 
-            # row u of the stack is what u's partner received FROM u, so
-            # node u's inbox is row partner(u)
-            received_rows = res.message_bits()[:, partner_of]
-            num_sources = state[0][0].size
-            num_keep = state[0][1].size // 2
-            received_all = unpack_rows(
-                received_rows.reshape(trials * n, bit_len),
-                num_sources * num_keep, width
-            ).reshape(trials, n, num_sources, num_keep)
-            new_state = {}
-            for u in range(n):
-                sources, keep_t, keep_vals, partner = meta[u]
-                merged_sources = np.concatenate([sources, meta[partner][0]])
-                order = np.argsort(merged_sources)
-                merged_values = np.concatenate(
-                    [keep_vals, received_all[:, u]], axis=1)
-                new_state[u] = (merged_sources[order], keep_t,
-                                merged_values[:, order])
-            state = new_state
-
-        beliefs = np.full((trials, n, n), -1, dtype=np.int64)
-        for u in range(n):
-            sources, targets, values = state[u]
-            assert targets.size == 1 and int(targets[0]) == u
-            beliefs[:, sources, u] = values[:, :, 0]
-        return beliefs
+        # beliefs[t, u, s, 0] is u's value of m(s, u)
+        return np.ascontiguousarray(beliefs[:, :, :, 0].transpose(0, 2, 1))
 
 
 class BatchedNonAdaptiveAllToAll:

@@ -209,6 +209,21 @@ def bench_justesen_decode(count: int, repeats: int) -> Dict:
     return _entry("justesen-decode", count, "words", ref, batched)
 
 
+def bench_justesen_encode(count: int, repeats: int) -> Dict:
+    """Concatenated-code encode at free-logn-n512's routing code (L=32,
+    k=8; a wave encodes 32768 rows there): the XOR of per-byte table
+    gathers against the batched Reed–Solomon-then-inner composition it
+    replaced.  The outputs are asserted equal first."""
+    code = make_justesen_code(32)
+    msgs = make_rng(107).integers(0, 2, size=(count, code.k), dtype=np.uint8)
+    assert np.array_equal(reference.concatenated_encode_many(code, msgs),
+                          code.encode_many(msgs))
+    ref = _best_of(lambda: reference.concatenated_encode_many(code, msgs),
+                   repeats)
+    batched = _best_of(lambda: code.encode_many(msgs), repeats)
+    return _entry("justesen-encode", count, "words", ref, batched)
+
+
 def bench_sketch_add_many(count: int, repeats: int) -> Dict:
     """Plane-native sketch updates: one ``SketchPlanes.add_many`` over a
     whole group of ``(id, frequency)`` pairs, raced against the frozen
@@ -588,16 +603,15 @@ def bench_adaptive_vmap(smoke: bool, repeats: int) -> Dict:
         blob = json.dumps(clean, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
-    # the serial loop is expensive, so its parity pass doubles as the
-    # timing run (matching the repeats=1 reference policy elsewhere)
-    start = time.perf_counter()
+    # both sides are timed alike: an untimed parity pass, then the best of
+    # ``repeats`` (a single cold serial run swung the speedup by 1.5x)
     serial_rows = run_campaign(spec, backend="serial").rows()
-    ref = time.perf_counter() - start
     vmap_rows = run_campaign(spec, backend="vmap").rows()
     assert not any("fallback" in row for row in vmap_rows), \
         "adaptive vmap cell degraded to the serial fallback"
     assert row_digest(serial_rows) == row_digest(vmap_rows), \
         "vmap store rows diverged from the serial backend"
+    ref = _best_of(lambda: run_campaign(spec, backend="serial"), repeats)
     batched = _best_of(
         lambda: run_campaign(spec, backend="vmap"), repeats)
     return _entry("adaptive-vmap-n64", spec.replicates, "trials", ref,
@@ -712,6 +726,9 @@ def _suite_plan(suite: str):
                                                      r)),
             ("justesen-decode",
              lambda smoke, r: bench_justesen_decode(64 if smoke else 512, r)),
+            ("justesen-encode",
+             lambda smoke, r: bench_justesen_encode(
+                 4096 if smoke else 32768, r)),
             ("linear-ml-decode",
              lambda smoke, r: bench_linear_ml_decode(512 if smoke else 4096,
                                                      r)),

@@ -74,6 +74,27 @@ def rs_encode_poly_mod(codec, messages: np.ndarray) -> np.ndarray:
     return out
 
 
+def concatenated_encode_many(code, messages: np.ndarray) -> np.ndarray:
+    """The pre-table ``ConcatenatedCode.encode_many``, verbatim: one batched
+    Reed–Solomon encode of every row's symbols (a GF(2^m) log/antilog
+    matmul), then the inner code's codebook gather per outer symbol.
+    ``ConcatenatedCode.encode_many`` must return exactly what it returns."""
+    messages = np.asarray(messages, dtype=np.uint8)
+    if messages.size == 0:
+        return np.zeros((0, code.n), dtype=np.uint8)
+    count = messages.shape[0]
+    m = code.inner.k
+    weights = (1 << np.arange(m, dtype=np.int64))
+    symbols = (messages.reshape(count, code.outer.k, m).astype(np.int64)
+               * weights[None, None, :]).sum(axis=2)
+    outer_words = code.outer.encode_many(symbols)
+    symbol_bits = ((outer_words[:, :, None] >> np.arange(m)[None, None, :])
+                   & 1).astype(np.uint8)
+    flat = symbol_bits.reshape(count * code.outer.n, m)
+    blocks = code.inner.encode_many(flat)
+    return blocks.reshape(count, code.n)
+
+
 def rs_correct_many_perrow_bm(codec, words: np.ndarray):
     """The PR-2 ``ReedSolomonCodec.correct_many``: batched syndromes, Chien
     and Forney, but the error-locator solve still runs the *scalar*

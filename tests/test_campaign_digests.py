@@ -51,9 +51,10 @@ def test_registry_campaign_rows_match_pin(name, kwargs, pin):
     assert campaign_digest(name, kwargs) == pin
 
 
-#: vmap cells whose routing code length does not divide n, so nodes past
-#: ``(n // L) * L`` send and receive but relay nothing: (protocol,
-#: adversary, n, alpha, pin).  No registry campaign routes such a cell.
+#: vmap cells that no registry campaign routes: (protocol, adversary, n,
+#: alpha, pin).  Most have a routing code length that does not divide n,
+#: so nodes past ``(n // L) * L`` send and receive but relay nothing; the
+#: last decodes a concatenated code under declared erasures.
 TAIL_PINS = [
     # L = 8: four tail nodes
     ("det-sqrt", "null", 36, 0.0,
@@ -66,6 +67,10 @@ TAIL_PINS = [
      "54791e5da42400e8c391f9f6a7d2c9edaf0872e342836868b664e7d14e6d661b"),
     ("det-sqrt", "iid-erase", 49, 1 / 49,
      "2c0ce57da39541e33646308c1d3d1eea8dddb5bf4c39f370a0018074507b077f"),
+    # L = 64, the Justesen-like code with k = 16: its decode calls mix rows
+    # with declared erasures and erasure-free exact codewords
+    ("det-logn", "iid-erase", 64, 1 / 32,
+     "0585aaff35f3fbaee7578c313260a9ed5fea8aa9af1b2ea34a905ae20e8ce130"),
 ]
 
 

@@ -32,6 +32,10 @@ def _binary_codes():
                                                              n=12, k=6))),
         ("justesen-short", make_justesen_code(96)),
         ("justesen-padded", make_justesen_code(250)),
+        # free-logn-n512's routing code (GF(2^4), k=8) and adv-logn-n64's
+        # at alpha=1/32 (k=16)
+        ("justesen-n32", make_justesen_code(32)),
+        ("justesen-n64", make_justesen_code(64)),
     ]
 
 
@@ -94,6 +98,60 @@ class TestBinaryCodeParity:
         assert failed.shape == (0,)
         assert code.encode_many(
             np.zeros((0, code.k), dtype=np.uint8)).shape == (0, code.n)
+
+
+class TestConcatenatedBatch:
+    """A concatenated code accepts an exact, erasure-free codeword from its
+    information-set bits and sends every other row through the two-stage
+    decoder; a row's result may not depend on which rows share its call."""
+
+    @pytest.mark.parametrize("n_bits", [32, 64, 250])
+    def test_mixed_batch_matches_each_group_alone(self, n_bits):
+        code = make_justesen_code(n_bits)
+        rng = make_rng(n_bits)
+        count = 12
+        words = code.encode_many(
+            rng.integers(0, 2, size=(3 * count, code.k), dtype=np.uint8))
+        masks = np.zeros(words.shape, dtype=bool)
+        radius = code.max_correctable_errors()
+        for i in range(count, 3 * count):
+            # dirty rows: within the radius, beyond it, or pure noise
+            if i % 3 == 0:
+                words[i] = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+            else:
+                errors = radius if i % 3 == 1 else 3 * radius + 1
+                flip = rng.choice(code.n, errors, replace=False)
+                words[i, flip] ^= 1
+        erased = np.arange(2 * count, 3 * count)
+        for i in erased:
+            masks[i, rng.choice(code.n, radius, replace=False)] = True
+        # clean codewords with declared erasures take the two-stage path:
+        # one within the erasure radius, one wholly erased, which carries
+        # no information and must fail
+        words[erased[:2]] = words[:2]
+        masks[erased[1]] = True
+        groups = [np.arange(count), np.arange(count, 2 * count), erased]
+        order = rng.permutation(3 * count)
+        decoded, failed = code.decode_many_flagged(words[order],
+                                                   erasures=masks[order])
+        alone_out = np.zeros((3 * count, code.k), dtype=np.uint8)
+        alone_failed = np.zeros(3 * count, dtype=bool)
+        for rows in groups:
+            group_masks = masks[rows] if masks[rows].any() else None
+            alone_out[rows], alone_failed[rows] = code.decode_many_flagged(
+                words[rows], erasures=group_masks)
+        assert np.array_equal(decoded, alone_out[order])
+        assert np.array_equal(failed, alone_failed[order])
+        assert not alone_failed[:count].any()
+        assert not alone_failed[erased[0]] and alone_failed[erased[1]]
+        assert alone_failed[count:2 * count].any()
+
+    @pytest.mark.parametrize("n_bits", [32, 96, 250])
+    def test_encode_many_rejects_wrong_message_length(self, n_bits):
+        code = make_justesen_code(n_bits)
+        for k in (code.k - 1, code.k + 1):
+            with pytest.raises(ValueError):
+                code.encode_many(np.zeros((3, k), dtype=np.uint8))
 
 
 class TestReedSolomonSymbolParity:

@@ -16,6 +16,7 @@ from repro.perf import (
 )
 from repro.perf.bench import (
     bench_greedy_selection,
+    bench_justesen_encode,
     bench_linear_ml_decode,
     bench_plane_staging,
     bench_rm_line_decode,
@@ -70,6 +71,14 @@ class TestBenchEntries:
         entry = bench_route_waves(64, 1)
         assert entry["items"] == 2 * 64 * 32
         assert entry["unit"] == "payload-bits"
+        assert entry["speedup"] > 0
+
+    def test_justesen_encode_entry(self):
+        # the benchmark asserts the table encode == the Reed–Solomon-then-
+        # inner composition before timing
+        entry = bench_justesen_encode(64, 1)
+        assert entry["items"] == 64
+        assert entry["unit"] == "words"
         assert entry["speedup"] > 0
 
     def test_plane_staging_entry(self):
