@@ -309,7 +309,10 @@ class BatchedClique:
         the payload words u sends v in trial t, ``present[t, u, v]`` gates
         sending.  One vectorized chunk gather stages every round of every
         trial; returns ``(delivered, dropped)`` where ``dropped`` is the
-        per-trial ``(trials, n, n)`` mask of silenced sent payloads."""
+        per-trial ``(trials, n, n)`` mask of silenced sent payloads.  The
+        fault-free clique delivers every chunk as sent, so there the chunk
+        rounds are only booked, and the payload cut to ``width`` bits is
+        delivered without staging them."""
         words = np.asarray(words, dtype=np.uint64)
         present = np.asarray(present, dtype=bool)
         n_words = words_per_width(width)
@@ -326,26 +329,13 @@ class BatchedClique:
             labels = [f"{label}[bits{start}]" for start, _ in spans]
         elif len(labels) != len(spans):
             raise ValueError(f"expected {len(spans)} labels")
-        starts = np.array([s for s, _ in spans], dtype=np.int64)
-        takes = np.array([t for _, t in spans], dtype=np.int64)
-        word_of = starts // WORD_BITS
-        offset = (starts % WORD_BITS).astype(np.uint64)
-        masks = ((np.uint64(1) << takes.astype(np.uint64)) - np.uint64(1))
-        # one gather + shift over the whole stack: chunk p of every edge of
-        # every trial at once
-        value = words[..., word_of] >> offset
-        straddle = (starts % WORD_BITS) + takes > WORD_BITS
-        if straddle.any():
-            carry = words[..., word_of[straddle] + 1] << (
-                np.uint64(WORD_BITS) - offset[straddle])
-            value[..., straddle] |= carry
-        chunks = np.ascontiguousarray(
-            (value & masks).astype(np.int64).transpose(3, 0, 1, 2))
-        chunks[:, ~present] = -1
         with metrics.timed("net.exchange_words"):
-            got = self.round_many(chunks, [int(t) for t in takes],
-                                  list(labels))
-        dropped = present & (got < 0).any(axis=0)
+            if self.fault_free() and not self.record_full_history:
+                out, dropped = self._fault_free_chunks(words, present,
+                                                       width, spans, labels)
+            else:
+                out, dropped = self._chunk_rounds(words, present, spans,
+                                                  labels)
         tracer = tracing.active()
         if tracer is not None or metrics.enabled():
             n_dropped = int(np.count_nonzero(dropped))
@@ -354,7 +344,60 @@ class BatchedClique:
                 tracer.transport_event(
                     label=label or (labels[0] if labels else ""),
                     width=width, chunks=len(spans), dropped=n_dropped)
-        got = np.where(got < 0, 0, got).astype(np.uint64)
+        return out, dropped
+
+    def _fault_free_chunks(self, words: np.ndarray, present: np.ndarray,
+                           width: int, spans, labels: Sequence[str],
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+        """The fault-free exchange: book the chunk rounds as
+        :meth:`round_many` books a staged stack (each carries the present
+        entries, none is corrupted) and deliver the payload cut to
+        ``width`` bits."""
+        sent_entries = self._off_diagonal(present)
+        if self._fast_booking():
+            self.rounds_used += len(spans)
+            self.bits_sent += width * sent_entries
+        else:
+            for (_, take), label in zip(spans, labels):
+                self._book_round_many(None, None, None, take, label,
+                                      sent_entries)
+        out = np.zeros_like(words)
+        whole, rest = divmod(width, WORD_BITS)
+        out[..., :whole] = words[..., :whole]
+        if rest:
+            out[..., whole] = words[..., whole] & np.uint64((1 << rest) - 1)
+        out[~present] = 0
+        return out, np.zeros(present.shape, dtype=bool)
+
+    def _chunk_rounds(self, words: np.ndarray, present: np.ndarray, spans,
+                      labels: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """Stage every chunk round of a packed-word exchange, run them, and
+        reassemble the delivered words and the drop mask."""
+        starts = np.array([s for s, _ in spans], dtype=np.int64)
+        takes = np.array([t for _, t in spans], dtype=np.int64)
+        word_of = starts // WORD_BITS
+        shape = (-1, 1, 1, 1)
+        offset = (starts % WORD_BITS).astype(np.uint64).reshape(shape)
+        masks = ((np.uint64(1) << takes.astype(np.uint64))
+                 - np.uint64(1)).reshape(shape)
+        # one gather stages chunk p of every edge of every trial straight
+        # into round plane p; shift, carry and mask then work in place, so
+        # the rounds' stack is the only plane-stack temporary
+        planes = np.moveaxis(words, 3, 0)
+        value = planes[word_of]
+        value >>= offset
+        straddle = (starts % WORD_BITS) + takes > WORD_BITS
+        if straddle.any():
+            value[straddle] |= planes[word_of[straddle] + 1] << (
+                np.uint64(WORD_BITS) - offset[straddle])
+        value &= masks
+        chunks = value.view(np.int64)
+        chunks[:, ~present] = -1
+        got = self.round_many(chunks, [int(t) for t in takes], list(labels))
+        del value, chunks
+        dropped = present & (got < 0).any(axis=0)
+        np.maximum(got, 0, out=got)
+        got = got.view(np.uint64)
         out = np.zeros_like(words)
         for part, (start, take) in enumerate(spans):
             word, off = divmod(start, WORD_BITS)

@@ -31,6 +31,10 @@ from repro.utils.rng import make_rng
 
 _MAX_K = 14
 _MAX_N = 48  # decode packs codewords into 48-bit integers
+#: (received word, codeword) distances per slice of the full decode table:
+#: a 512 KB XOR block, where one block for all 2^16 words of an n=16, k=8
+#: code would take 134 MB
+_TABLE_SLICE_ELEMENTS = 1 << 16
 
 def _check_dimensions(k: int, n: int) -> None:
     """Reject an [n, k] shape that no code of this module can take."""
@@ -134,13 +138,19 @@ class LinearBlockCode(BinaryCode):
 
     def _full_decode_table(self) -> np.ndarray:
         """Message index of the nearest codeword for every possible packed
-        received word (requires ``n <= 16``).  Computed once per code."""
+        received word (requires ``n <= 16``).  Computed once per code, in
+        slices of :data:`_TABLE_SLICE_ELEMENTS` distances."""
         if self._decode_table is None:
             every = np.arange(1 << self.n, dtype=np.int64)
             codebook = self._codebook.astype(np.int64) \
                 @ (np.int64(1) << np.arange(self.n, dtype=np.int64))
-            self._decode_table = np.bitwise_count(
-                every[:, None] ^ codebook[None, :]).argmin(axis=1)
+            table = np.empty(every.size, dtype=np.intp)
+            step = max(1, _TABLE_SLICE_ELEMENTS >> self.k)
+            for start in range(0, every.size, step):
+                rows = every[start:start + step]
+                table[start:start + step] = np.bitwise_count(
+                    rows[:, None] ^ codebook[None, :]).argmin(axis=1)
+            self._decode_table = table
         return self._decode_table
 
     # -- batched BinaryCode interface -----------------------------------------

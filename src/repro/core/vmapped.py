@@ -518,10 +518,16 @@ class BatchedAdaptiveAllToAll:
                                  (ki + 1) * symbols_per_node] = \
                         grid.reshape(trials, symbols_per_node,
                                      n).transpose(0, 2, 1)
+        # free each plane once the next one exists: these planes, not the
+        # routing, set a one-trial cell's peak memory
+        scatter_words = pack_symbols(scatter_syms, wire_bits)
+        del scatter_syms, encoded
         scattered, _ = net.exchange_words(
-            pack_symbols(scatter_syms, wire_bits), scatter_present,
-            scatter_width, label="adaptive/scatter")
+            scatter_words, scatter_present, scatter_width,
+            label="adaptive/scatter")
+        del scatter_words, scatter_present
         scattered_syms = unpack_symbols(scattered, scatter_symbols, wire_bits)
+        del scattered
         shards = np.zeros((trials, num_parts, num_pieces, ldc.n),
                           dtype=np.int64)
         for j in range(num_parts):
@@ -536,6 +542,7 @@ class BatchedAdaptiveAllToAll:
                                             (ki + 1) * symbols_per_node]
                     shards[:, j, piece] = values.transpose(0, 2, 1).reshape(
                         trials, -1)[:, :ldc.n]
+        del scattered_syms
 
         # ===== Step III continued: R3 broadcast + per-trial query plans ======
         r3_sent = [fresh_seed(g) for g in rngs]
@@ -604,9 +611,13 @@ class BatchedAdaptiveAllToAll:
                 answer_syms[t][:, nodes, :maxs * num_parts] = \
                     padded.reshape(n, nodes.size, -1)
                 answer_present[t][:, nodes] = (counts > 0)[:, None]
+        del giant, padded, piece_stack, shards
+        answer_words = pack_symbols(answer_syms, wire_bits)
+        del answer_syms
         answers, _ = net.exchange_words_ragged(
-            pack_symbols(answer_syms, wire_bits), answer_present,
-            answer_widths, label="adaptive/answers")
+            answer_words, answer_present, answer_widths,
+            label="adaptive/answers")
+        del answer_words, answer_present
 
         # ===== Step III end: local LDC decoding of own sketch slots ==========
         # line decoding ignores the queried index and seed (every row is a
@@ -635,6 +646,7 @@ class BatchedAdaptiveAllToAll:
                 block = symbols[h_flat, :, rank]
                 rows_all[t] = block.reshape(t_symbols, q, nodes.size,
                                             num_parts).transpose(0, 2, 3, 1)
+            del symbols, block
             decoded = ldc.local_decode_many(
                 base, rows_all.reshape(-1, q), 0).reshape(
                     trials, t_symbols, nodes.size, num_parts)

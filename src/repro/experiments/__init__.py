@@ -37,8 +37,9 @@ missing trials.  Cells bigger than
 :data:`repro.experiments.vmap.MAX_BATCH_TRIALS` are chunked.  A cell runs
 batched only when its protocol has a batched port (``nonadaptive``,
 ``det-logn``, ``det-sqrt``, ``adaptive`` — see
-:data:`repro.core.vmapped.BATCHED_PROTOCOLS`), it holds at least two
-trials, and per-trial ``metrics`` snapshots are off; otherwise — and
+:data:`repro.core.vmapped.BATCHED_PROTOCOLS`), one trial fits the byte
+budget, and per-trial ``metrics`` snapshots are off (a singleton cell runs
+its port at one trial); otherwise — and
 whenever per-trial routing schedules diverge or the batched run raises —
 the cell's trials re-execute serially, so store rows are bit-identical to
 the serial backend in every case.

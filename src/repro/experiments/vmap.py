@@ -8,9 +8,10 @@ the batched protocol ports in :mod:`repro.core.vmapped`.  Results are
 split back into exactly the per-trial store rows the serial backend
 writes: same hashes, same derived seeds, bit-identical outcome fields.
 
-Cells fall back to per-trial serial execution (the plain
-:func:`~repro.experiments.runner.execute_trial`) whenever lockstep
-batching is impossible or unprofitable:
+A singleton cell is a batch of one: it runs its batched port at
+``trials=1`` like every other cell.  Cells fall back to per-trial serial
+execution (the plain :func:`~repro.experiments.runner.execute_trial`)
+whenever lockstep batching is impossible or unprofitable:
 
 * the protocol has no batched port (nonadaptive, det-sqrt, det-logn and
   the adaptive compiler all have one in
@@ -20,9 +21,11 @@ batching is impossible or unprofitable:
   nonadaptive's shift-dependent return step at unlucky seeds);
 * per-trial metrics snapshots were requested (``REPRO_OBS_METRICS=1``) —
   a batched run cannot scope counters to one trial;
-* the cell is a singleton, or anything at all goes wrong mid-batch
-  (including ``ProfileError`` configurations) — serial re-execution then
-  reproduces the exact serial ``unsupported``/``error`` rows.
+* a single trial's payload planes exceed the byte budget
+  (:func:`max_batch_trials` returns 0);
+* anything at all goes wrong mid-batch (including ``ProfileError``
+  configurations) — serial re-execution then reproduces the exact serial
+  ``unsupported``/``error`` rows.
 
 One exception is finer-grained: when a *wrapped per-trial adversary*
 crashes inside a :class:`~repro.adversary.PerTrialAdversaryBatch`
@@ -92,11 +95,10 @@ def trial_plane_bytes(trial: TrialSpec) -> int:
 
 def max_batch_trials(trial: TrialSpec) -> int:
     """Largest batch of ``trial``-shaped trials that fits both the count
-    cap and the byte budget.  0 means even a pair blows the budget —
+    cap and the byte budget.  0 means a single trial exceeds the budget —
     the caller must fall back to serial per-trial execution."""
-    limit = min(MAX_BATCH_TRIALS,
-                batch_byte_budget() // max(1, trial_plane_bytes(trial)))
-    return 0 if limit < 2 else int(limit)
+    return int(min(MAX_BATCH_TRIALS,
+                   batch_byte_budget() // max(1, trial_plane_bytes(trial))))
 
 
 def make_batched_adversary(kind: str, alpha: float, seeds: Sequence[int]):
@@ -164,9 +166,9 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     obstacle downgrades the whole chunk."""
     from repro.obs import metrics
 
-    # a singleton or a metrics run never batches, so it must not pay for
-    # importing the batched ports
-    if len(trials) < 2 or metrics.enabled():
+    # a metrics run never batches, so it must not pay for importing the
+    # batched ports
+    if metrics.enabled():
         return _rows_serial(trials, policy)
     from repro.adversary import PerTrialFailure
     from repro.core.messages import AllToAllInstance
@@ -195,9 +197,8 @@ def run_cell_batched(trials: Sequence[TrialSpec],
             return [by_hash[t.content_hash()] for t in trials]
     limit = max_batch_trials(head)
     if limit == 0:
-        # one trial's planes already saturate the byte budget: batching a
-        # pair would double peak memory, so run the cell serially (same
-        # rows — serial is the parity reference)
+        # one trial's planes already exceed the byte budget: run the cell
+        # serially (same rows — serial is the parity reference)
         return _rows_serial(trials, policy)
     if len(trials) > limit:
         return [row

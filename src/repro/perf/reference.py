@@ -195,6 +195,16 @@ def stage_symbols_uint8(symbols: np.ndarray, sym_bits: int) -> np.ndarray:
     return pack_bits(bits.reshape(symbols.shape[:-1] + (-1,)))
 
 
+def full_decode_table_oneshot(code: LinearBlockCode) -> np.ndarray:
+    """The pre-slicing ``LinearBlockCode._full_decode_table``: the
+    distance of every packed received word to every codeword in one
+    ``(2^n, 2^k)`` XOR block, then one ``argmin`` per row."""
+    every = np.arange(1 << code.n, dtype=np.int64)
+    codebook = code._codebook.astype(np.int64) \
+        @ (np.int64(1) << np.arange(code.n, dtype=np.int64))
+    return np.bitwise_count(every[:, None] ^ codebook[None, :]).argmin(axis=1)
+
+
 def search_linear_code_loop(k: int, n: int, target_distance: int,
                             seed: int = 0, attempts: int = 4000):
     """The pre-kernel ``search_linear_code`` without its cache: one

@@ -8,6 +8,7 @@ from repro.adversary import (AdaptiveAdversary, BatchedNonAdaptiveAdversary,
                              NullAdversary, PerTrialAdversaryBatch)
 from repro.adversary.budget import FaultBudgetViolation, validate_fault_sets
 from repro.cliquesim import BatchedClique, CongestedClique
+from repro.obs import metrics, tracing
 from repro.utils.rng import make_rng
 
 N = 16
@@ -84,6 +85,55 @@ class TestBatchedCliqueParity:
         # independent per-trial streams: the drop patterns must differ
         assert not all(np.array_equal(dropped[0], dropped[t])
                        for t in range(1, TRIALS))
+
+
+class TestFaultFreeExchangeWords:
+    """A fault-free ``exchange_words`` books its chunk rounds and cuts the
+    payload to ``width`` bits without staging them; it must deliver, count,
+    record and trace exactly what the staged chunk rounds do (an engine
+    recording full history still stages them)."""
+
+    @staticmethod
+    def run(staged, words, present, width, bandwidth, keep_history,
+            observed):
+        bc = BatchedClique(N, TRIALS, bandwidth=bandwidth,
+                           keep_history=keep_history)
+        bc.record_full_history = staged
+        with metrics.use(observed) as registry, tracing.trace() as tracer:
+            if not observed:
+                tracing.uninstall()
+            got = bc.exchange_words(words, present, width, label="x")
+        rounds = [[(r.index, r.width, r.bits, r.label, r.corrupted_entries)
+                   for r in history] for history in bc.histories]
+        events = [{k: v for k, v in event.items() if k != "t"}
+                  for event in tracer.events[1:]]
+        return (got, bc.rounds_used, bc.bits_sent, bc.entries_corrupted,
+                rounds, events, registry.snapshot()["counters"])
+
+    @pytest.mark.parametrize("width,bandwidth,extra", [
+        (60, 8, 0), (6, 4, 0), (1, 1, 0), (64, 62, 0), (64, 7, 1),
+        (130, 32, 0), (130, 31, 2), (200, 62, 0),
+    ])
+    @pytest.mark.parametrize("keep_history,observed", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_matches_staged_chunk_rounds(self, width, bandwidth, extra,
+                                         keep_history, observed):
+        rng = make_rng(width * 100 + bandwidth)
+        count = -(-width // 64) + extra
+        words = rng.integers(0, np.iinfo(np.int64).max, size=(
+            TRIALS, N, N, count), dtype=np.int64).astype(np.uint64)
+        words ^= rng.integers(0, 2, size=words.shape).astype(np.uint64) << 63
+        present = rng.random((TRIALS, N, N)) < 0.8
+        args = (words, present, width, bandwidth, keep_history, observed)
+        fast = self.run(False, *args)
+        staged = self.run(True, *args)
+        (got_f, dropped_f), *rest_f = fast
+        (got_s, dropped_s), *rest_s = staged
+        assert np.array_equal(got_f, got_s)
+        assert np.array_equal(dropped_f, dropped_s) and not dropped_f.any()
+        for a, b in zip(rest_f, rest_s):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) \
+                else a == b
 
 
 class TestValidateFaultSets:

@@ -1,4 +1,5 @@
-"""Store-row digest pins for the registry campaigns on the vmap backend.
+"""Store-row digest pins for the registry campaigns on the vmap backend,
+and for one-trial cells of every batched protocol on both backends.
 
 Each pin is ``sha256("\\n".join(sorted(row_digest(r) for r in rows)))``
 over a campaign's trial rows.  The serial and vmap backends agree on every
@@ -86,3 +87,60 @@ def test_tail_node_cells_match_pin(protocol, adversary, n, alpha, pin,
     result = run_campaign(spec, store=TrialStore(None), backend="vmap")
     blob = "\n".join(sorted(row_digest(row) for row in result.rows()))
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == pin
+
+
+#: every adversary kind of the registry, one cell each
+ADVERSARY_KINDS = ("null", "adaptive", "nonadaptive", "sliding-window",
+                   "targeted", "iid-corrupt", "iid-erase", "gilbert-elliott",
+                   "byzantine-nodes")
+
+#: the rows the serial protocol bodies produce: (protocol, base seed, pin)
+#: over one n=16, alpha=1/16 trial per adversary kind, computed on the
+#: serial backend.  The batched ports must reproduce them, so these pins
+#: gate replacing the serial bodies with their ports.
+SERIAL_BODY_PINS = [
+    ("nonadaptive", 1,
+     "2ddf6e919a1fcdfdb147597d2a6d07082fab44125f7c18b49991062394b08a21"),
+    ("nonadaptive", 2,
+     "0075acc91682533a2bf985fb8b292636d03b2e62e54260a76f0b1717305b4708"),
+    ("det-sqrt", 1,
+     "897e410d0b3b6e31a1fb75b93b421fa94df9924739268282140de7e148739e18"),
+    ("det-sqrt", 2,
+     "ba57e3c5aead783294f3dcdb7c31ef594fa5390a0d5de832140ce804b262c55c"),
+    ("det-logn", 1,
+     "6d07ab5035fc5dd9c9d86bc27a30a7aab9d7356caef1d5b286278ce4df35454e"),
+    ("det-logn", 2,
+     "223ed907f4b9c81c8f82bb9a44d93ae42c8b64534df2a51af163cd8c7280509f"),
+    ("adaptive", 1,
+     "fff5880170fbf5f9eb35e8cb87a022240cfdce06195d5f992858009a84a905b0"),
+    ("adaptive", 2,
+     "db2f0fa9c0db6fd639e0880e4c5c16cf9922ee27161ccc6b09c8f4acb0124a5b"),
+]
+
+
+def singleton_cells_digest(protocol, base_seed, backend):
+    spec = free_grid(name="serial-body-pin", protocols=(protocol,),
+                     adversaries=ADVERSARY_KINDS, ns=(16,), alphas=(1 / 16,),
+                     base_seed=base_seed)
+    result = run_campaign(spec, store=TrialStore(None), backend=backend)
+    rows = result.rows()
+    assert [row["status"] for row in rows] == ["ok"] * len(ADVERSARY_KINDS)
+    blob = "\n".join(sorted(row_digest(row) for row in rows))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+_SERIAL_BODY_IDS = [f"{p}-seed{s}" for p, s, _ in SERIAL_BODY_PINS]
+
+
+@pytest.mark.parametrize("protocol,base_seed,pin", SERIAL_BODY_PINS,
+                         ids=_SERIAL_BODY_IDS)
+def test_serial_bodies_match_pin(protocol, base_seed, pin):
+    assert singleton_cells_digest(protocol, base_seed, "serial") == pin
+
+
+@pytest.mark.parametrize("protocol,base_seed,pin", SERIAL_BODY_PINS,
+                         ids=_SERIAL_BODY_IDS)
+def test_batched_ports_match_serial_body_pin(protocol, base_seed, pin,
+                                             require_batched):
+    # every cell is a singleton, and each must run its port at trials=1
+    assert singleton_cells_digest(protocol, base_seed, "vmap") == pin

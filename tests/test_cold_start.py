@@ -60,7 +60,11 @@ def test_batched_det_logn_cell_imports_only_its_own_stack():
         sorted(imported & set(NOT_RUN_BY_DET_LOGN))
 
 
-def test_singleton_cell_does_not_import_the_batched_ports():
+def test_singleton_cell_runs_batched():
+    # a one-trial cell runs its batched port at trials=1: the serial
+    # protocol bodies never load
     imported = campaign_imports(replicates=1)
-    assert "repro.core.alltoall" in imported  # the serial engine ran it
-    assert "repro.core.vmapped" not in imported
+    assert "repro.core.vmapped" in imported
+    assert "repro.core.alltoall" not in imported
+    assert not imported & set(NOT_RUN_BY_DET_LOGN), \
+        sorted(imported & set(NOT_RUN_BY_DET_LOGN))

@@ -87,6 +87,40 @@ class TestLinearBlockCode:
         assert np.array_equal(code.decode(noisy), msg)
 
 
+class TestFullDecodeTable:
+    """The sliced table build must equal the one-shot ``(2^n, 2^k)``
+    block, argmin ties included, for every size the table serves."""
+
+    # the oracle's one block is 2^(n+k) int64 distances, so k + n <= 24
+    # (134 MB at n=16, k=8)
+    @pytest.mark.parametrize("k,n", [
+        (1, 1), (1, 2), (2, 5), (4, 8), (3, 12), (7, 13), (9, 14), (4, 16),
+        (5, 16), (8, 16),
+    ])
+    def test_sliced_table_matches_one_shot(self, k, n):
+        # a fresh code: a searched one is shared, and so is its table
+        code = LinearBlockCode(best_effort_linear_code(k, n, seed=k + n)
+                               .generator)
+        assert np.array_equal(code._full_decode_table(),
+                              reference.full_decode_table_oneshot(code))
+
+    def test_extended_hamming_table(self):
+        code = extended_hamming_8_4()
+        assert np.array_equal(code._full_decode_table(),
+                              reference.full_decode_table_oneshot(code))
+
+    @pytest.mark.parametrize("elements,k,n", [
+        (1 << 10, 8, 16),   # 16,384 slices of 4 rows
+        (1 << 12, 5, 15),   # 128-row slices
+        (4, 5, 10),         # fewer distances than codewords: one row each
+    ])
+    def test_small_slices(self, monkeypatch, elements, k, n):
+        monkeypatch.setattr(linear, "_TABLE_SLICE_ELEMENTS", elements)
+        code = LinearBlockCode(best_effort_linear_code(k, n, seed=3).generator)
+        assert np.array_equal(code._full_decode_table(),
+                              reference.full_decode_table_oneshot(code))
+
+
 class TestSearch:
     def test_search_finds_target(self):
         code = search_linear_code(4, 10, 4, seed=1)
