@@ -35,27 +35,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.adversary.budget import max_faulty_degree
-from repro.cliquesim.network import CongestedClique
+from repro.cliquesim.batched import BatchedClique
 from repro.cliquesim.topology import (
     balanced_random_partition,
     consecutive_segments,
     partition_members,
 )
 from repro.coding.reed_muller import ReedMullerLDC, cached_reed_muller
+from repro.core.batched_routing import BatchedRouter, broadcast_many
 from repro.core.messages import AllToAllInstance
 from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
 from repro.core.protocol import (
     AllToAllProtocol,
+    common_shape,
     pack_block,
+    pack_rows,
     unpack_block,
     unpack_rows,
 )
-from repro.core.routing import SuperMessage, SuperMessageRouter, broadcast
 from repro.fields.gfp import is_prime
 from repro.obs import metrics, tracing
 from repro.sketch.ksparse import (KSparseSketch, SketchPlaneStack,
@@ -148,17 +150,66 @@ def design_ldc_for_sketch(t_bits: int, n: int, alpha: float,
     return cached_reed_muller(best[0], 2, best[1])
 
 
+def _element_ids(sources: np.ndarray, targets: np.ndarray,
+                 values: np.ndarray, n: int, width: int,
+                 exact: bool) -> np.ndarray:
+    """Sketch element ids ``((u * n + v) << width) | value`` of received
+    copies; as Python ints (an object array) unless ``exact`` says the
+    int64 plane arithmetic holds them."""
+    if not exact:
+        sources, targets, values = (np.asarray(a).astype(object)
+                                    for a in (sources, targets, values))
+    return ((sources * n + targets) << width) | values
+
+
+def _scalar_recover(spec: SketchSpec, seed: int, bits: np.ndarray, ids):
+    """One sketch's subtraction outside the plane fast path: decode it,
+    remove the received copies, peel; a failure is returned, not raised."""
+    try:
+        sketch = KSparseSketch.from_bits(spec, seed, bits)
+        for element in ids:
+            sketch.add(element, -1)
+        return sketch.recover()
+    except (SketchRecoveryError, ValueError) as exc:
+        return exc
+
+
 class AdaptiveAllToAll(AllToAllProtocol):
-    """Theorem 1.3: randomized, LDC + sketches, adaptive adversary."""
+    """Theorem 1.3: randomized, LDC + sketches, adaptive adversary.
+
+    The compiler's *structure* — message counts, bit lengths, slot
+    numbering, chunking, sketch geometry, round sequence — depends only on
+    ``(n, width, alpha)``, never on a trial's random partition: each node
+    is a concentration holder for exactly one ``(group, segment)`` cell,
+    leaders and gather groupings are fixed by member *index*, and segment
+    contents are deterministic.  Only the node *ids* carrying that
+    structure are per-trial random, and
+    :meth:`~repro.core.batched_routing.BatchedRouter.route` takes them as
+    per-trial node ids.  The sketch algebra runs as single
+    :class:`SketchPlaneStack` calls over every (trial, group, target)
+    sketch at once — or, for a spec outside the int64 plane fast path, as
+    one :class:`KSparseSketch` per sketch over Python-int ids — and LDC
+    encode/decode collapse to whole-batch ``encode_many`` /
+    ``local_decode_many`` calls (line decoding is position-independent,
+    so rows from different trials batch together).
+
+    One transport genuinely diverges: the query-answer exchange, whose
+    width is determined by each trial's R3 query plan.  It runs through
+    :meth:`~repro.cliquesim.batched.BatchedClique.exchange_words_ragged`,
+    so each trial's round count (``net.rounds_by_trial``) and bit total
+    are those of running it alone.
+
+    Per-trial randomness (R1/R2/R3) is drawn from each seed's
+    ``adaptive-randomness`` stream in protocol order, so beliefs, rounds,
+    bits and corruption counts do not depend on the batch a trial ran in.
+    """
 
     name = "adaptive"
 
     def __init__(self, profile: ProtocolProfile = SIMULATION,
-                 params: Optional[AdaptiveParameters] = None,
-                 routing_mode: str = "blocks"):
+                 params: Optional[AdaptiveParameters] = None):
         self.profile = profile
         self.params = params or AdaptiveParameters()
-        self.routing_mode = routing_mode
         #: diagnostics filled by run() (used by E2/E6 benchmarks)
         self.diagnostics = {}
 
@@ -171,48 +222,66 @@ class AdaptiveAllToAll(AllToAllProtocol):
         candidates = [d for d in divisors if 2 <= d <= target]
         return max(candidates) if candidates else 2
 
-    def run(self, instance: AllToAllInstance, net: CongestedClique,
-            seed: int = 0) -> np.ndarray:
-        n = instance.n
-        width = instance.width
+    def run_many(self, instances: Sequence[AllToAllInstance],
+                 net: BatchedClique, seeds: Sequence[int]) -> np.ndarray:
+        n, width = common_shape(instances, net, seeds)
+        trials = net.trials
         alpha = net.adversary.alpha
         params = self.params
-        router = SuperMessageRouter(net, self.profile, mode=self.routing_mode)
+        router = BatchedRouter(net, self.profile)
 
         num_parts = self._num_parts(n, alpha)      # the paper's alpha*n
         part_size = n // num_parts                 # the paper's 1/alpha
         segments = consecutive_segments(n, num_parts)  # S_1..S_{part_size}
-        assert len(segments) == part_size
+        seg_size = num_parts              # |S_i|; there are part_size segments
+        t_idx = np.arange(trials)
 
         # ===== Step I: direct exchange + randomness broadcast ================
-        tilde = net.exchange(instance.messages, width=width,
-                             label="adaptive/exchange")
+        stacked = np.stack([inst.messages for inst in instances])
+        tilde = net.exchange(stacked, width=width, label="adaptive/exchange")
         tilde = np.where(tilde < 0, 0, tilde)  # dropped -> canonical value
 
-        protocol_rng = derive(seed, "adaptive-randomness")
-        r1 = fresh_seed(protocol_rng)
-        r2 = fresh_seed(protocol_rng)
-        seeds_bits = pack_block(np.array([r1, r2], dtype=np.int64), 63)
-        got = broadcast(router, 0, seeds_bits, label="adaptive/seeds")
-        r1, r2 = (int(x) for x in unpack_block(got[0], 2, 63))
+        # draw order per trial: R1, R2 now; R3 only after the scatter
+        rngs = [derive(int(s), "adaptive-randomness") for s in seeds]
+        r1_sent = [fresh_seed(g) for g in rngs]
+        r2_sent = [fresh_seed(g) for g in rngs]
+        payload = np.stack([pack_block(np.array([a, b], dtype=np.int64), 63)
+                            for a, b in zip(r1_sent, r2_sent)])
+        got = broadcast_many(router, 0, payload, label="adaptive/seeds")
+        pairs = [unpack_block(got[t, 0], 2, 63) for t in range(trials)]
+        r1 = [int(p[0]) for p in pairs]
+        r2 = [int(p[1]) for p in pairs]
 
-        # ===== Step II(a): partitions ========================================
-        part_of = balanced_random_partition(n, num_parts, r1)
-        members = partition_members(part_of, num_parts)  # P_j, id-sorted
+        # ===== Step II(a): per-trial partitions ==============================
+        part_of = np.stack([balanced_random_partition(n, num_parts, s)
+                            for s in r1])
+        members_mat = np.stack(
+            [np.stack(partition_members(part_of[t], num_parts))
+             for t in range(trials)]).astype(np.int64)  # (T, J, part_size)
 
         # ===== Step II(b): route M(P_j, S_i) to P_j[i] (Lemma 5.7) ===========
-        step_msgs = []
-        for v in range(n):
-            j = int(part_of[v])
-            for i in range(part_size):
-                bits = pack_block(instance.messages[v, segments[i]], width)
-                target = int(members[j][i])
-                step_msgs.append(SuperMessage.make(v, i, bits, [target]))
-        routed = router.route(step_msgs, label="adaptive/concentrate")
+        # message m = v * part_size + i, in (source, slot) key order;
+        # structure is shared, targets are per-trial partition members
+        M1 = n * part_size
+        v_of_m = np.repeat(np.arange(n), part_size)
+        i_of_m = np.tile(np.arange(part_size), n)
+        packed1 = pack_rows(
+            stacked.reshape(trials, n, part_size, seg_size)
+            .reshape(trials * M1, seg_size), width)
+        L1 = packed1.shape[1]
+        targets1 = members_mat[t_idx[:, None], part_of[:, v_of_m],
+                               i_of_m[None, :]]
+        routed = router.route(
+            v_of_m, i_of_m, np.full(M1, L1, dtype=np.int64), targets1,
+            packed1.reshape(trials, M1, L1), label="adaptive/concentrate")
+        out1 = routed.message_bits()
+        # unpacked1[t, v, i, c] = what P_j[i] received of m[v, segments[i][c]]
+        unpacked1 = unpack_rows(out1.reshape(trials * M1, L1), seg_size,
+                                width).reshape(trials, n, part_size, seg_size)
 
-        # sketch spec shared by all nodes (fixed t-bit serialisation); the
-        # capacity walks down until the sketch fits an LDC codeword with an
-        # acceptable line margin (every node computes the same spec)
+        # sketch spec shared by all nodes and trials (fixed t-bit
+        # serialisation); the capacity walks down until the sketch fits an
+        # LDC codeword with an acceptable line margin
         max_id = n * n * (1 << width) - 1
         spec = None
         ldc = None
@@ -237,6 +306,10 @@ class AdaptiveAllToAll(AllToAllProtocol):
                 break
         if spec is None:
             raise last_error
+        # element ids exceed int64 once width + 2*log2(n) >= 63, and the
+        # plane arithmetic needs more headroom still; outside it the
+        # sketches hash Python ints
+        use_planes = planes_supported(spec)
         t_bits = spec.total_bits
         symbol_bits = (ldc.p - 1).bit_length() - 1   # sketch-bit packing
         wire_bits = (ldc.p - 1).bit_length()         # codeword symbols on the wire
@@ -246,329 +319,331 @@ class AdaptiveAllToAll(AllToAllProtocol):
         num_pieces = -(-n // sketches_per_piece)   # the paper's b
         symbols_per_node = -(-ldc.n // n)
 
+        # ===== Step II(c): every (trial, group, target) sketch in one stack ==
         # P_j[i] builds Sk(P_j, {v}) for each v in S_i from the *true*
-        # messages it received through the resilient routing; each holder's
-        # group block unpacks in one batched call, and on the plane fast
-        # path every (u, v) element of the block is hashed in one shot
-        # (one lockstep sketch stack per block, one column per target v)
-        use_planes = planes_supported(spec)
-        sketch_bits = {}  # (j, v) -> t_pad bits
+        # messages it received through the resilient routing.
+        # ids[t, j, i, c, s] hashes source u = P_j[s]'s received value for
+        # target v = segments[i][c]; row order (t, j, i, c) with v = i*C + c
         with tracing.maybe_span("adaptive/sketch-build"), \
                 metrics.timed("adaptive.sketch_build"):
-            for j in range(num_parts):
-                group = members[j].astype(np.int64)
-                for i in range(part_size):
-                    holder = int(members[j][i])
-                    stacked = np.stack([routed.outputs[holder][(int(u), i)]
-                                        for u in members[j]])
-                    # row per source u in P_j, column per target v in S_i
-                    values_ji = unpack_rows(stacked, num_parts, width)
-                    base = int(segments[i][0])
-                    if use_planes:
-                        seg = segments[i].astype(np.int64)
-                        ids = ((group[:, None] * n + seg[None, :]) << width) \
-                            | values_ji.astype(np.int64)
-                        stack = SketchPlaneStack(spec, [r2] * seg.size)
-                        stack.add_many_lockstep(ids.T, 1)
-                        block_bits = stack.to_bits_many()
-                        padded = np.zeros((seg.size, t_pad), dtype=np.uint8)
-                        padded[:, :t_bits] = block_bits
-                        for v_idx in range(seg.size):
-                            sketch_bits[(j, int(seg[v_idx]))] = padded[v_idx]
-                        continue
-                    # scalar parity oracle: element ids exceed int64 once
-                    # width + 2*log2(n) >= 63, so this arithmetic must
-                    # stay in Python ints (the subtraction path in
-                    # Step IV uses the same form)
-                    for v in segments[i]:
-                        v = int(v)
-                        sk = KSparseSketch(spec, r2)
-                        column = values_ji[:, v - base]
-                        for row, u in enumerate(group):
-                            element = ((int(u) * n + v) << width) \
-                                | int(column[row])
-                            sk.add(element, 1)
-                        raw = sk.to_bits()
-                        padded = np.zeros(t_pad, dtype=np.uint8)
-                        padded[:raw.size] = raw
-                        sketch_bits[(j, v)] = padded
+            u_idx = members_mat[:, :, None, None, :]          # (T, J, 1, 1, S)
+            v_ids = (np.arange(part_size)[:, None] * seg_size
+                     + np.arange(seg_size)[None, :])          # (I, C) = v
+            vals = unpacked1[t_idx[:, None, None, None, None], u_idx,
+                             np.arange(part_size)[None, None, :, None, None],
+                             np.arange(seg_size)[None, None, None, :, None]]
+            per_trial = num_parts * part_size * seg_size      # = J * n
+            ids_all = _element_ids(
+                u_idx, v_ids[None, None, :, :, None], vals, n, width,
+                use_planes).reshape(trials * per_trial, part_size)
+            build_seeds = [s for t in range(trials)
+                           for s in [r2[t]] * per_trial]
+            if use_planes:
+                stack = SketchPlaneStack(spec, build_seeds)
+                stack.add_many_lockstep(ids_all, 1)
+                block_bits = stack.to_bits_many()
+            else:
+                block_bits = np.zeros((trials * per_trial, t_bits),
+                                      dtype=np.uint8)
+                for row, (seed, ids) in enumerate(zip(build_seeds,
+                                                      ids_all)):
+                    sketch = KSparseSketch(spec, seed)
+                    for element in ids:
+                        sketch.add(element, 1)
+                    block_bits[row] = sketch.to_bits()
+            sketch_pad = np.zeros((trials, num_parts, n, t_pad),
+                                  dtype=np.uint8)
+            sketch_pad[..., :t_bits] = block_bits.reshape(
+                trials, num_parts, n, t_bits)
 
         # ===== Step II(b) continued: ship sketches to piece leaders ==========
         # (Lemma 5.8) piece ell holds the sketches of nodes
-        # v in [ell*s_per, (ell+1)*s_per); its leader is P_j[ell mod part_size]
+        # v in [ell*s_per, (ell+1)*s_per); its leader is P_j[ell mod
+        # part_size].  Grouping and slot numbering are fixed by member
+        # *index*: members are id-sorted, so sorting by leader id == sorting
+        # by leader index
         def piece_of(v: int) -> int:
             return v // sketches_per_piece
 
-        def leader_of(j: int, piece: int) -> int:
-            return int(members[j][piece % part_size])
-
-        gather = {}
-        slot_counter = {}
+        meta = []  # (j, i, l, vs, slot) in holder, then leader order
         for j in range(num_parts):
             for i in range(part_size):
-                holder = int(members[j][i])
-                by_leader = {}
+                by_l = {}
                 for v in segments[i]:
-                    v = int(v)
-                    by_leader.setdefault(leader_of(j, piece_of(v)), []).append(v)
-                for leader, vs in sorted(by_leader.items()):
-                    slot = slot_counter.get(holder, 0)
-                    slot_counter[holder] = slot + 1
-                    bits = np.concatenate([sketch_bits[(j, v)] for v in sorted(vs)])
-                    gather.setdefault((holder, slot),
-                                      (bits, leader, j, tuple(sorted(vs))))
-        gather_msgs = [SuperMessage.make(src, slot, bits, [leader])
-                       for (src, slot), (bits, leader, _, _) in gather.items()]
-        gathered = router.route(gather_msgs, label="adaptive/gather")
+                    by_l.setdefault(piece_of(int(v)) % part_size,
+                                    []).append(int(v))
+                for slot, l in enumerate(sorted(by_l)):
+                    meta.append((j, i, l, tuple(sorted(by_l[l])), slot))
+        M2 = len(meta)
+        j_of = np.array([m[0] for m in meta])
+        i_of = np.array([m[1] for m in meta])
+        l_of = np.array([m[2] for m in meta])
+        slots2 = np.array([m[4] for m in meta], dtype=np.int64)
+        sizes2 = np.array([len(m[3]) * t_pad for m in meta], dtype=np.int64)
+        bits2 = np.zeros((trials, M2, int(sizes2.max())), dtype=np.uint8)
+        for m, (j, i, l, vs, slot) in enumerate(meta):
+            bits2[:, m, :sizes2[m]] = \
+                sketch_pad[:, j, list(vs)].reshape(trials, -1)
+        gathered = router.route(
+            members_mat[:, j_of, i_of], slots2, sizes2,
+            members_mat[:, j_of, l_of], bits2, label="adaptive/gather")
+        gbits = gathered.message_bits()
 
-        # leaders assemble their pieces
-        piece_data = {}  # (j, piece) -> message symbol array (ldc.k,)
-        for (src, slot), (bits, leader, j, vs) in gather.items():
-            for position, v in enumerate(vs):
-                chunk = gathered.outputs[leader][(src, slot)][
-                    position * t_pad:(position + 1) * t_pad]
-                piece = piece_of(v)
+        # leaders assemble their pieces (every (j, piece) cell exists)
+        piece_data = np.zeros((trials, num_parts, num_pieces, ldc.k),
+                              dtype=np.int64)
+        for m, (j, i, l, vs, slot) in enumerate(meta):
+            for pos, v in enumerate(vs):
+                symbols = unpack_rows(
+                    gbits[:, m, pos * t_pad:(pos + 1) * t_pad],
+                    t_symbols, symbol_bits)
                 offset = (v % sketches_per_piece) * t_symbols
-                symbols = unpack_block(chunk, t_symbols, symbol_bits)
-                key = (j, piece)
-                if key not in piece_data:
-                    piece_data[key] = np.zeros(ldc.k, dtype=np.int64)
-                piece_data[key][offset:offset + t_symbols] = symbols
+                piece_data[:, j, piece_of(v),
+                           offset:offset + t_symbols] = symbols
 
         # ===== Step III: LDC-encode pieces and scatter symbols ===============
-        piece_keys = sorted(piece_data)
         encoded = ldc.encode_many(
-            np.stack([piece_data[key] % ldc.p for key in piece_keys]))
-        codewords = {key: encoded[idx] for idx, key in enumerate(piece_keys)}
-
-        pieces_by_leader = {}
-        for key in piece_keys:
-            pieces_by_leader.setdefault(leader_of(key[0], key[1]), []).append(key)
-        max_pieces = max(len(v) for v in pieces_by_leader.values())
+            (piece_data % ldc.p).reshape(-1, ldc.k)).reshape(
+                trials, num_parts, num_pieces, ldc.n)
+        pieces_of_l = {l: [p for p in range(num_pieces)
+                           if p % part_size == l]
+                       for l in range(part_size)}
+        max_pieces = max(len(v) for v in pieces_of_l.values() if v)
         scatter_symbols = max_pieces * symbols_per_node
         scatter_width = scatter_symbols * wire_bits
         padded_symbols = symbols_per_node * n
 
         # symbol grid[leader, r, :] = symbols of each of the leader's pieces
-        # at codeword positions s*n + r, packed straight into word planes —
-        # no (n, n, scatter_width) uint8 staging tensor
-        scatter_syms = np.zeros((n, n, scatter_symbols), dtype=np.int64)
-        scatter_present = np.zeros((n, n), dtype=bool)
-        for leader, keys in pieces_by_leader.items():
-            scatter_present[leader, :] = True
-            for ki, key in enumerate(keys):
-                grid = np.zeros(padded_symbols, dtype=np.int64)
-                grid[:ldc.n] = codewords[key]
-                scatter_syms[leader, :,
-                             ki * symbols_per_node:
-                             (ki + 1) * symbols_per_node] = \
-                    grid.reshape(symbols_per_node, n).T
+        # at codeword positions s*n + r, packed straight into word planes
+        scatter_syms = np.zeros((trials, n, n, scatter_symbols),
+                                dtype=np.int64)
+        scatter_present = np.zeros((trials, n, n), dtype=bool)
+        for j in range(num_parts):
+            for l in range(part_size):
+                pieces = pieces_of_l[l]
+                if not pieces:
+                    continue
+                leaders = members_mat[:, j, l]
+                scatter_present[t_idx, leaders, :] = True
+                for ki, piece in enumerate(pieces):
+                    grid = np.zeros((trials, padded_symbols), dtype=np.int64)
+                    grid[:, :ldc.n] = encoded[:, j, piece]
+                    scatter_syms[t_idx, leaders, :,
+                                 ki * symbols_per_node:
+                                 (ki + 1) * symbols_per_node] = \
+                        grid.reshape(trials, symbols_per_node,
+                                     n).transpose(0, 2, 1)
+        # free each plane once the next one exists: these planes, not the
+        # routing, set a one-trial cell's peak memory
+        scatter_words = pack_symbols(scatter_syms, wire_bits)
+        del scatter_syms, encoded
         scattered, scatter_dropped = net.exchange_words(
-            pack_symbols(scatter_syms, wire_bits), scatter_present,
-            scatter_width, label="adaptive/scatter")
+            scatter_words, scatter_present, scatter_width,
+            label="adaptive/scatter")
+        dropped_scatter = scatter_dropped.sum(axis=(1, 2))
+        del scatter_words, scatter_present, scatter_dropped
         scattered_syms = unpack_symbols(scattered, scatter_symbols, wire_bits)
+        del scattered
+        # node r's view of codeword (j, piece) at positions s*n + r
+        shards = np.zeros((trials, num_parts, num_pieces, ldc.n),
+                          dtype=np.int64)
+        for j in range(num_parts):
+            for l in range(part_size):
+                pieces = pieces_of_l[l]
+                if not pieces:
+                    continue
+                leaders = members_mat[:, j, l]
+                for ki, piece in enumerate(pieces):
+                    values = scattered_syms[t_idx, leaders, :,
+                                            ki * symbols_per_node:
+                                            (ki + 1) * symbols_per_node]
+                    shards[:, j, piece] = values.transpose(0, 2, 1).reshape(
+                        trials, -1)[:, :ldc.n]
+        del scattered_syms
 
-        # node r's view of codeword (j, piece) at positions s*n + r,
-        # assembled as one position-indexed array per codeword
-        shard_views = {}  # key -> (ldc.n,) symbol values across holders
-        for leader, keys in pieces_by_leader.items():
-            for ki, key in enumerate(keys):
-                values = scattered_syms[leader, :,
-                                        ki * symbols_per_node:
-                                        (ki + 1) * symbols_per_node]
-                shard_views[key] = values.T.reshape(-1)[:ldc.n].copy()
-
-        # ===== Step III continued: R3 broadcast + query answering ============
-        r3 = fresh_seed(protocol_rng)
-        got3 = broadcast(router, 0, pack_block(np.array([r3]), 63),
-                         label="adaptive/r3")
-        r3 = int(unpack_block(got3[0], 1, 63)[0])
+        # ===== Step III continued: R3 broadcast + per-trial query plans ======
+        r3_sent = [fresh_seed(g) for g in rngs]
+        got3 = broadcast_many(
+            router, 0,
+            np.stack([pack_block(np.array([s], dtype=np.int64), 63)
+                      for s in r3_sent]), label="adaptive/r3")
+        r3 = [int(unpack_block(got3[t, 0], 1, 63)[0]) for t in range(trials)]
 
         # the query plan is identical for every node with the same piece
         # offset (Figure 1): message-symbol indices offset..offset+t_symbols
-        query_positions = {}
-        for offset_slot in range(sketches_per_piece):
-            base = offset_slot * t_symbols
-            for idx in range(base, base + t_symbols):
-                query_positions[idx] = ldc.decode_indices(idx, r3)
-
-        # v's needed (idx, position) pairs grouped by holder node
-        needs_by_offset = {}
-        positions_by_offset = {}  # offset_slot -> {holder: position array}
-        for offset_slot in range(sketches_per_piece):
-            base = offset_slot * t_symbols
-            by_holder = {}
-            for idx in range(base, base + t_symbols):
-                for position in query_positions[idx]:
-                    by_holder.setdefault(int(position) % n, []).append(
-                        (idx, int(position)))
-            needs_by_offset[offset_slot] = by_holder
-            positions_by_offset[offset_slot] = {
-                holder: np.array([pos for _, pos in pairs], dtype=np.int64)
-                for holder, pairs in by_holder.items()}
-        max_slots = max(len(pairs)
-                        for by_holder in needs_by_offset.values()
-                        for pairs in by_holder.values())
+        idx_count = sketches_per_piece * t_symbols
+        qpos = [[ldc.decode_indices(idx, r3[t]) for idx in range(idx_count)]
+                for t in range(trials)]
+        # per (trial, offset_slot): the (t_symbols, q) position matrix, each
+        # query's holder, and its slot — the rank of the query among the
+        # holder's queries in flat (index, query) order
+        q = ldc.p - 1
+        pos_mats = []
+        hold_info = []
+        for t in range(trials):
+            mats = []
+            infos = []
+            for offset_slot in range(sketches_per_piece):
+                base = offset_slot * t_symbols
+                pos_mat = np.stack(qpos[t][base:base + t_symbols])
+                h_flat = pos_mat.reshape(-1) % n
+                counts = np.bincount(h_flat, minlength=n)
+                offsets = np.cumsum(counts) - counts
+                order = np.argsort(h_flat, kind="stable")
+                rank = np.empty(h_flat.size, dtype=np.int64)
+                rank[order] = np.arange(h_flat.size) \
+                    - np.repeat(offsets, counts)
+                mats.append(pos_mat)
+                infos.append((h_flat, counts, rank))
+            pos_mats.append(mats)
+            hold_info.append(infos)
+        max_slots = np.array(
+            [max(int(info[1].max()) for info in hold_info[t])
+             for t in range(trials)], dtype=np.int64)
         answer_symbols = max_slots * num_parts
-        answer_width = answer_symbols * wire_bits
-
-        # every group's codeword of one piece, stacked for one-gather answers
-        piece_stacks = {
-            piece: np.stack([shard_views.get((j, piece),
-                                             np.zeros(ldc.n, dtype=np.int64))
-                             for j in range(num_parts)])
-            for piece in {piece_of(v) for v in range(n)}}
+        answer_widths = answer_symbols * wire_bits  # the PER-TRIAL widths
 
         # answers travel as one direct exchange: entry (r, v) packs, for each
-        # of v's queried positions held by r and each group j, the shard value
-        # of codeword (j, piece_of(v)) at that position — slot-major, then
-        # group, wire_bits each, staged as symbols and packed once into the
-        # transported word planes
-        answer_syms = np.zeros((n, n, answer_symbols), dtype=np.int64)
-        answer_present = np.zeros((n, n), dtype=bool)
-        for v in range(n):
-            offset_slot = v % sketches_per_piece
-            stack = piece_stacks[piece_of(v)]  # (num_parts, ldc.n)
-            for holder, positions in positions_by_offset[offset_slot].items():
-                answer_present[holder, v] = True
-                symbols = stack[:, positions].T  # (num_slots, num_parts)
-                answer_syms[holder, v, :symbols.size] = symbols.reshape(-1)
-        answers, answer_dropped = net.exchange_words(
-            pack_symbols(answer_syms, wire_bits), answer_present,
-            answer_width, label="adaptive/answers")
+        # of v's queried positions held by r and each group j, the shard
+        # value of codeword (j, piece_of(v)) at that position — slot-major,
+        # then group, wire_bits each.  They stage at the widest trial's
+        # symbol count; the ragged exchange transports only each trial's
+        # own answer_widths[t] bits
+        all_nodes = np.arange(n)
+        answer_syms = np.zeros((trials, n, n, int(answer_symbols.max())),
+                               dtype=np.int32)
+        answer_present = np.zeros((trials, n, n), dtype=bool)
+        for t in range(trials):
+            maxs = int(max_slots[t])
+            for offset_slot in range(sketches_per_piece):
+                nodes = all_nodes[all_nodes % sketches_per_piece
+                                  == offset_slot]
+                if nodes.size == 0:
+                    continue
+                h_flat, counts, rank = hold_info[t][offset_slot]
+                piece_stack = shards[t][:, nodes // sketches_per_piece]
+                # every queried position gathered at once, then scattered
+                # into (holder, slot) cells
+                giant = piece_stack[
+                    :, :, pos_mats[t][offset_slot].reshape(-1)]
+                padded = np.zeros((n, nodes.size, maxs, num_parts),
+                                  dtype=np.int64)
+                padded[h_flat, :, rank] = giant.transpose(2, 1, 0)
+                answer_syms[t][:, nodes, :maxs * num_parts] = \
+                    padded.reshape(n, nodes.size, -1)
+                answer_present[t][:, nodes] = (counts > 0)[:, None]
+        del giant, padded, piece_stack, shards
+        answer_words = pack_symbols(answer_syms, wire_bits)
+        del answer_syms
+        answers, answer_dropped = net.exchange_words_ragged(
+            answer_words, answer_present, answer_widths,
+            label="adaptive/answers")
+        dropped_answers = answer_dropped.sum(axis=(1, 2))
+        del answer_words, answer_present, answer_dropped
 
         # ===== Step III end: local LDC decoding of own sketch slots ==========
-        decoded_sketches = {
-            (j, v): np.zeros(t_pad, dtype=np.uint8)
-            for v in range(n) for j in range(num_parts)}
-        sketch_ok = {(j, v): True
-                     for v in range(n) for j in range(num_parts)}
-
+        # line decoding ignores the queried index and seed (every row is a
+        # word over the same evaluation points, decoded in lockstep), so
+        # rows from every trial, index and group batch into one call per
+        # offset slot
+        decoded_sk = np.zeros((trials, num_parts, n, t_pad), dtype=np.uint8)
+        sketch_ok = np.ones((trials, num_parts, n), dtype=bool)
         for offset_slot in range(sketches_per_piece):
-            nodes = np.array(
-                [v for v in range(n) if v % sketches_per_piece == offset_slot])
+            nodes = all_nodes[all_nodes % sketches_per_piece == offset_slot]
             if nodes.size == 0:
                 continue
-            by_holder = needs_by_offset[offset_slot]
-            # unpack each relevant holder's answers to these nodes at once:
-            # holder -> (len(nodes), num_slots, num_parts) symbol array
-            unpacked = {}
-            slot_of = {}
-            for holder, pairs in by_holder.items():
-                num_slots = len(pairs)
-                symbols = unpack_symbols(answers[holder][nodes],
-                                         num_slots * num_parts, wire_bits)
-                unpacked[holder] = symbols.reshape(nodes.size, num_slots,
-                                                   num_parts)
-                slot_of[holder] = {pair: s for s, pair in enumerate(pairs)}
+            rows_all = np.empty(
+                (trials, t_symbols, nodes.size, num_parts, q),
+                dtype=np.int64)
             base = offset_slot * t_symbols
-            for idx in range(base, base + t_symbols):
-                positions = query_positions[idx]
-                rows = np.zeros((nodes.size, num_parts, positions.size),
-                                dtype=np.int64)
-                for qi, position in enumerate(positions):
-                    holder = int(position) % n
-                    s = slot_of[holder][(idx, int(position))]
-                    rows[:, :, qi] = unpacked[holder][:, s, :]
-                decoded = ldc.local_decode_many(
-                    idx, rows.reshape(nodes.size * num_parts, positions.size),
-                    r3).reshape(nodes.size, num_parts)
-                bit_offset = (idx - base) * symbol_bits
-                bad = decoded < 0
-                symbol_bits_arr = ((np.where(bad, 0, decoded)[:, :, None]
-                                    >> np.arange(symbol_bits)[None, None, :])
-                                   & 1).astype(np.uint8)
-                for ni, v in enumerate(nodes):
-                    v = int(v)
-                    for j in range(num_parts):
-                        if bad[ni, j]:
-                            sketch_ok[(j, v)] = False
-                        else:
-                            decoded_sketches[(j, v)][
-                                bit_offset:bit_offset + symbol_bits] = \
-                                symbol_bits_arr[ni, j]
+            for t in range(trials):
+                maxs = int(max_slots[t])
+                h_flat, counts, rank = hold_info[t][offset_slot]
+                # one unpack of every (holder, node) answer plane, one
+                # gather back into (index, query) order; slots past a
+                # holder's own count are zero padding and never gathered
+                symbols = unpack_symbols(answers[t][:, nodes],
+                                         maxs * num_parts, wire_bits)\
+                    .reshape(n, nodes.size, maxs, num_parts)
+                block = symbols[h_flat, :, rank]
+                rows_all[t] = block.reshape(t_symbols, q, nodes.size,
+                                            num_parts).transpose(0, 2, 3, 1)
+            del symbols, block
+            decoded = ldc.local_decode_many(
+                base, rows_all.reshape(-1, q), 0).reshape(
+                    trials, t_symbols, nodes.size, num_parts)
+            bad = decoded < 0
+            symbol_arr = ((np.where(bad, 0, decoded)[..., None]
+                           >> np.arange(symbol_bits)[None, None, None, :])
+                          & 1).astype(np.uint8)
+            for si in range(t_symbols):
+                bit_offset = si * symbol_bits
+                decoded_sk[:, :, nodes,
+                           bit_offset:bit_offset + symbol_bits] = \
+                    symbol_arr[:, si].transpose(0, 2, 1, 3)
+                sketch_ok[:, :, nodes] &= ~bad[:, si].transpose(0, 2, 1)
 
         # ===== Step IV: sketch subtraction and correction (Lemma 2.4) ========
         beliefs = tilde.copy()
-        recovered_count = 0
-        failed_sketches = 0
+        recovered = np.zeros(trials, dtype=np.int64)
+        failed_sketches = np.count_nonzero(~sketch_ok, axis=(1, 2))
         with tracing.maybe_span("adaptive/sketch-subtract"), \
                 metrics.timed("adaptive.sketch_subtract"):
-            survivors_per_key = []  # ((j, v), {element: frequency}) pairs
-            if use_planes:
-                # every decodable sketch subtracts its group's received
-                # copies in one lockstep stack (each has exactly one id per
-                # group member); only the peel itself stays per-sketch
-                ok_keys = [(j, v) for v in range(n) for j in range(num_parts)
-                           if sketch_ok[(j, v)]]
-                failed_sketches += n * num_parts - len(ok_keys)
-                if ok_keys:
-                    stack = SketchPlaneStack.from_bits_many(
-                        spec, [r2] * len(ok_keys),
-                        np.stack([decoded_sketches[key][:t_bits]
-                                  for key in ok_keys]))
-                    members_matrix = np.stack(members).astype(np.int64)
-                    sources = members_matrix[
-                        np.array([j for j, _ in ok_keys])]
-                    targets = np.array([v for _, v in ok_keys],
-                                       dtype=np.int64)[:, None]
-                    ids = ((sources * n + targets) << width) \
-                        | tilde[sources, targets]
-                    stack.add_many_lockstep(ids, -1)
-                    for key, outcome in zip(ok_keys, stack.recover_many()):
-                        if isinstance(outcome, SketchRecoveryError):
-                            failed_sketches += 1
-                        else:
-                            survivors_per_key.append((key, outcome))
+            # every decodable sketch subtracts its group's received copies
+            # (exactly one id per group member); only the peel itself stays
+            # per-sketch
+            tt, jj, vv = np.nonzero(sketch_ok)
+            srcs = members_mat[tt, jj]                       # (R, part_size)
+            ids = _element_ids(srcs, vv[:, None],
+                               tilde[tt[:, None], srcs, vv[:, None]], n,
+                               width, use_planes)
+            seeds_ok = [r2[int(t)] for t in tt]
+            bits_ok = decoded_sk[tt, jj, vv, :t_bits]
+            if not tt.size:
+                outcomes = []
+            elif use_planes:
+                sub = SketchPlaneStack.from_bits_many(spec, seeds_ok, bits_ok)
+                sub.add_many_lockstep(ids, -1)
+                outcomes = sub.recover_many()
             else:
-                for v in range(n):
-                    for j in range(num_parts):
-                        if not sketch_ok[(j, v)]:
-                            failed_sketches += 1
-                            continue
-                        try:
-                            sk = KSparseSketch.from_bits(
-                                spec, r2, decoded_sketches[(j, v)][:t_bits])
-                            for u in members[j]:
-                                u = int(u)
-                                element = (u * n + v) * (1 << width) \
-                                    + int(tilde[u, v])
-                                sk.add(element, -1)
-                            survivors_per_key.append(((j, v), sk.recover()))
-                        except (SketchRecoveryError, ValueError):
-                            failed_sketches += 1
-            for (j, v), survivors in survivors_per_key:
-                for element, frequency in survivors.items():
+                outcomes = [_scalar_recover(spec, seed, row_bits, row_ids)
+                            for seed, row_bits, row_ids
+                            in zip(seeds_ok, bits_ok, ids)]
+            for r, outcome in enumerate(outcomes):
+                t, j, v = int(tt[r]), int(jj[r]), int(vv[r])
+                if isinstance(outcome, Exception):
+                    failed_sketches[t] += 1
+                    continue
+                for element, frequency in outcome.items():
                     if frequency != 1:
                         continue  # -1 entries are v's own wrong copies
                     payload_val = element % (1 << width)
-                    pair = element >> width
-                    u, v_check = divmod(pair, n)
+                    u, v_check = divmod(element >> width, n)
                     if v_check != v or not (0 <= u < n):
                         continue
-                    if int(part_of[u]) != j:
+                    if int(part_of[t, u]) != j:
                         continue
-                    beliefs[u, v] = payload_val
-                    recovered_count += 1
+                    beliefs[t, u, v] = payload_val
+                    recovered[t] += 1
 
-        self.diagnostics = {
-            "num_parts": num_parts,
-            "part_size": part_size,
-            "sketch_bits": t_bits,
-            "ldc": repr(ldc),
-            "ldc_query_count": ldc.query_count,
-            "pieces_per_group": num_pieces,
-            "sketches_per_piece": sketches_per_piece,
-            "scatter_width": scatter_width,
-            "answer_width": answer_width,
-            "recovered": recovered_count,
-            "failed_sketches": failed_sketches,
-            # adversarial "no message" drops, per transport step: entries of
-            # the direct exchanges whose payloads were silenced, and relay
-            # bits silenced inside the routing steps
-            "dropped_scatter_entries": int(scatter_dropped.sum()),
-            "dropped_answer_entries": int(answer_dropped.sum()),
-            "routing_dropped_entries": (routed.dropped_entries
-                                        + gathered.dropped_entries),
-        }
+        self.trial_records = {"diagnostics": [
+            {"num_parts": num_parts,
+             "part_size": part_size,
+             "sketch_bits": t_bits,
+             "ldc": repr(ldc),
+             "ldc_query_count": ldc.query_count,
+             "pieces_per_group": num_pieces,
+             "sketches_per_piece": sketches_per_piece,
+             "scatter_width": scatter_width,
+             "answer_width": int(answer_widths[t]),
+             "recovered": int(recovered[t]),
+             "failed_sketches": int(failed_sketches[t]),
+             # adversarial "no message" drops, per transport step: entries
+             # of the direct exchanges whose payloads were silenced, and
+             # relay bits silenced inside the routing steps
+             "dropped_scatter_entries": int(dropped_scatter[t]),
+             "dropped_answer_entries": int(dropped_answers[t]),
+             "routing_dropped_entries": int(routed.dropped[t]
+                                            + gathered.dropped[t])}
+            for t in range(trials)]}
         return beliefs

@@ -6,13 +6,15 @@ takes the routing as index arrays — sources, slots, sizes, targets — with
 shared ``(M,)`` or per-trial ``(trials, M)`` node ids, builds its
 :class:`~repro.core.routing.WavePlan` with
 :func:`~repro.core.routing.plan_waves` and hands it to the one wave
-kernel, :func:`~repro.core.routing.route_waves`.  Placements are exactly
-what a serial run of each trial computes; when per-trial schedules take
-different batch counts the planner raises
+kernel, :func:`~repro.core.routing.route_waves`.  Every protocol's
+``run_many`` routes through it, at one trial on the serial path.
+Placements are exactly what a one-trial run of each trial computes; when
+per-trial schedules take different batch counts the planner raises
 :class:`~repro.core.routing.CellUnbatchable` and the caller falls back to
 per-trial serial execution.
 
-Blocks mode only: cover-free routing stays on the serial path.
+Blocks mode only: cover-free routing runs through
+:class:`~repro.core.routing.SuperMessageRouter`.
 """
 
 from __future__ import annotations

@@ -14,102 +14,89 @@ of ``(n/2) * width`` bits per node (Lemma 6.3).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.cliquesim.network import CongestedClique
-from repro.cliquesim.topology import flip
+from repro.cliquesim.batched import BatchedClique
+from repro.core.batched_routing import BatchedRouter
 from repro.core.messages import AllToAllInstance
 from repro.core.profiles import ProtocolProfile, SIMULATION
-from repro.core.protocol import AllToAllProtocol, pack_rows, unpack_rows
-from repro.core.routing import SuperMessage, SuperMessageRouter
+from repro.core.protocol import (AllToAllProtocol, common_shape, pack_rows,
+                                 unpack_rows)
 
 
 class DetLogAllToAll(AllToAllProtocol):
-    """Theorem 1.4: deterministic, O(log n) iterations, alpha = Θ(1)."""
+    """Theorem 1.4: deterministic, O(log n) iterations, alpha = Θ(1).
+
+    The butterfly pairing is fixed by ``n``, so every iteration is one
+    gather, one route and one scatter over a ``(trials, n, |S|, |T|)``
+    belief array."""
 
     name = "det-logn"
 
-    def __init__(self, profile: ProtocolProfile = SIMULATION,
-                 routing_mode: str = "blocks"):
+    def __init__(self, profile: ProtocolProfile = SIMULATION):
         self.profile = profile
-        self.routing_mode = routing_mode
-        #: per-iteration invariant records (used by the Figure 2 benchmark)
+        #: per-iteration invariant records of trial 0 (used by the Figure 2
+        #: benchmark); ``trial_records["trace"]`` holds every trial's
         self.trace = []
 
-    def run(self, instance: AllToAllInstance, net: CongestedClique,
-            seed: int = 0) -> np.ndarray:
-        n = instance.n
+    def run_many(self, instances: Sequence[AllToAllInstance],
+                 net: BatchedClique, seeds: Sequence[int]) -> np.ndarray:
+        n, width = common_shape(instances, net, seeds)
+        trials = net.trials
         log_n = n.bit_length() - 1
         if 1 << log_n != n:
             raise ValueError(f"n={n} must be a power of two "
                              f"(Lemma 2.8 reduces the general case)")
-        width = instance.width
-        router = SuperMessageRouter(net, self.profile, mode=self.routing_mode)
-        self.trace = []
-
-        # state[u] = (sources asc, targets asc, belief values |S| x |T|)
-        state = {
-            u: (np.array([u]), np.arange(n),
-                instance.messages[u].reshape(1, n).copy())
-            for u in range(n)
-        }
+        router = BatchedRouter(net, self.profile)
+        nodes = np.arange(n)
+        traces = [[] for _ in range(trials)]
+        # beliefs[t, u, s, j]: node u's value for its s-th source and j-th
+        # target, both ascending; |S| doubles and |T| halves per iteration
+        beliefs = np.stack([inst.messages for inst in instances]) \
+            .reshape(trials, n, 1, n)
 
         for i in range(1, log_n + 1):
-            bit = i - 1  # most significant first
-            # every node holds the same (sources x targets) shape in an
-            # iteration, so the whole round packs/unpacks as one batch
-            meta = {}
-            send_stack = []
-            for u in range(n):
-                sources, targets, values = state[u]
-                half = targets.size // 2
-                lower_targets, upper_targets = targets[:half], targets[half:]
-                own_bit = (u >> (log_n - 1 - bit)) & 1
-                partner = flip(u, bit, 1 - own_bit, n)
-                # u keeps the half matching its own bit and ships the other
-                if own_bit == 0:
-                    keep_t, keep_vals = lower_targets, values[:, :half]
-                    send_vals = values[:, half:]
-                else:
-                    keep_t, keep_vals = upper_targets, values[:, half:]
-                    send_vals = values[:, :half]
-                send_stack.append(send_vals.reshape(-1))
-                meta[u] = (sources, keep_t, keep_vals, partner)
-            packed = pack_rows(np.stack(send_stack), width)
-            messages = [SuperMessage.make(u, 0, packed[u], [meta[u][3]])
-                        for u in range(n)]
-            result = router.route(messages, label=f"det-logn/iter{i}")
+            position = log_n - i  # bit i - 1 of the id, most significant first
+            partner_of = nodes ^ (1 << position)
+            num_sources, num_targets = beliefs.shape[2:]
+            half = num_targets // 2
+            # [t, u, b, s, j]: the targets' bit at ``position`` is b.  Node u
+            # keeps the half whose bit is its own and sends the other one.
+            halves = beliefs.reshape(trials, n, num_sources, 2, half) \
+                .transpose(0, 1, 3, 2, 4)
+            send_bit = 1 - ((nodes >> position) & 1)
+            sent = halves[:, nodes, send_bit]
+            # the butterfly pairing is fixed by n, so one schedule serves
+            # the whole batch; row (t, u) of the stack goes to partner(u)
+            packed = pack_rows(sent.reshape(trials * n, -1), width)
+            bit_len = packed.shape[1]
+            res = router.route(
+                nodes, np.zeros(n), np.full(n, bit_len), partner_of,
+                packed.reshape(trials, n, bit_len),
+                label=f"det-logn/iter{i}")
+            received = unpack_rows(
+                res.message_bits()[:, partner_of].reshape(trials * n, bit_len),
+                num_sources * half, width)
+            # u's s-th source and its partner's s-th source differ only at
+            # ``position``, so the merged ascending source list interleaves
+            # them as 2s + bit: the received half takes the sent half's
+            # slots, and the kept half is already in place
+            halves[:, nodes, send_bit] = \
+                received.reshape(trials, n, num_sources, half)
+            beliefs = beliefs.reshape(trials, n, 2 * num_sources, half)
+            failures = res.failed.sum(axis=1)
+            for t in range(trials):
+                traces[t].append({
+                    "iteration": i,
+                    "sources_per_node": 2 * num_sources,
+                    "targets_per_node": half,
+                    "rounds_so_far": int(net.rounds_used),
+                    "routing_decode_failures": int(failures[t]),
+                    "routing_dropped_entries": int(res.dropped[t]),
+                })
 
-            received_stack = np.stack(
-                [result.outputs[u][(meta[u][3], 0)] for u in range(n)])
-            num_sources = state[0][0].size
-            num_keep = state[0][1].size // 2
-            received_all = unpack_rows(
-                received_stack, num_sources * num_keep, width
-            ).reshape(n, num_sources, num_keep)
-            new_state = {}
-            for u in range(n):
-                sources, keep_t, keep_vals, partner = meta[u]
-                partner_sources = meta[partner][0]
-                merged_sources = np.concatenate([sources, partner_sources])
-                order = np.argsort(merged_sources)
-                merged_values = np.concatenate(
-                    [keep_vals, received_all[u]], axis=0)
-                new_state[u] = (merged_sources[order], keep_t,
-                                merged_values[order])
-            state = new_state
-            self.trace.append({
-                "iteration": i,
-                "sources_per_node": state[0][0].size,
-                "targets_per_node": state[0][1].size,
-                "rounds_so_far": net.rounds_used,
-                "routing_decode_failures": len(result.decode_failures),
-                "routing_dropped_entries": result.dropped_entries,
-            })
-
-        beliefs = np.full((n, n), -1, dtype=np.int64)
-        for u in range(n):
-            sources, targets, values = state[u]
-            assert targets.size == 1 and int(targets[0]) == u
-            beliefs[sources, u] = values[:, 0]
-        return beliefs
+        self.trial_records = {"trace": traces}
+        # beliefs[t, u, s, 0] is u's value of m(s, u)
+        return np.ascontiguousarray(beliefs[:, :, :, 0].transpose(0, 2, 1))

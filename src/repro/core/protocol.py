@@ -8,26 +8,65 @@ contributing ``width`` little-endian bits.
 
 from __future__ import annotations
 
-import abc
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.cliquesim.network import CongestedClique
+from repro.cliquesim.batched import BatchedClique
+from repro.cliquesim.network import CongestedClique, _serial
 from repro.core.messages import AllToAllInstance
 from repro.utils.bits import pack_bits, pack_symbols, unpack_bits, unpack_symbols
 
 
-class AllToAllProtocol(abc.ABC):
-    """A protocol solving AllToAllComm (Definition 1) on a given network."""
+class AllToAllProtocol:
+    """A protocol solving AllToAllComm (Definition 1) on a given network.
+
+    A protocol runs lockstep trials with :meth:`run_many`, and a serial
+    :meth:`run` is its batch of one.  Protocols without a batched body
+    override :meth:`run` instead."""
 
     #: short name used by the registry and the benchmark tables
     name: str = "abstract"
 
-    @abc.abstractmethod
+    #: per-trial records of the last :meth:`run_many` by attribute name,
+    #: e.g. ``trial_records["diagnostics"][t]``; :meth:`run` exposes
+    #: trial 0's under that name
+    trial_records: Dict[str, List] = {}
+
+    def run_many(self, instances: Sequence[AllToAllInstance],
+                 net: BatchedClique, seeds: Sequence[int]) -> np.ndarray:
+        """Execute trial ``t``'s instance with seed ``seeds[t]`` in trial
+        ``t`` of ``net`` and return the ``(trials, n, n)`` belief stack."""
+        raise NotImplementedError(
+            f"{type(self).__name__} runs one trial at a time")
+
     def run(self, instance: AllToAllInstance, net: CongestedClique,
             seed: int = 0) -> np.ndarray:
         """Execute on ``net`` and return the belief matrix ``O`` with
-        ``O[u, v]`` = node v's conclusion about ``m_{u,v}`` (-1 = none)."""
+        ``O[u, v]`` = node v's conclusion about ``m_{u,v}`` (-1 = none).
+
+        This is :meth:`run_many` on ``net``'s one-trial engine; an
+        exception of the serial adversary reaches the caller as itself."""
+        beliefs = _serial(self.run_many, [instance], net.engine, [seed])[0]
+        for name, per_trial in self.trial_records.items():
+            setattr(self, name, per_trial[0])
+        return beliefs
+
+
+def common_shape(instances: Sequence[AllToAllInstance], net: BatchedClique,
+                 seeds: Sequence[int]):
+    """``(n, width)`` of a batch, checked against ``net`` and the seeds."""
+    if not instances:
+        raise ValueError("need at least one instance")
+    n = instances[0].n
+    width = instances[0].width
+    if any(inst.n != n or inst.width != width for inst in instances):
+        raise ValueError("batched trials must share n and width")
+    if len(instances) != net.trials or len(seeds) != net.trials:
+        raise ValueError(
+            f"expected {net.trials} instances and seeds, got "
+            f"{len(instances)} and {len(seeds)}")
+    return n, width
 
 
 def pack_block(values: np.ndarray, width: int) -> np.ndarray:

@@ -38,8 +38,9 @@ a :class:`WavePlan` from those index arrays, placing every message's run
 of chunks with :func:`_grouped_greedy`; :func:`route_waves` then moves the
 payload of any number of lockstep trials.  :meth:`SuperMessageRouter.route`
 converts its message list to the arrays and runs as one trial;
-:class:`~repro.core.batched_routing.BatchedRouter` feeds whole campaign
-cells.  Cover-free mode keeps its own chunker, scheduler and executor.
+:class:`~repro.core.batched_routing.BatchedRouter` feeds the protocols'
+trial batches.  Cover-free mode keeps its own chunker, scheduler and
+executor.
 
 The wave kernel moves rows, not bits.  In round 1 a chunk's codeword is
 one contiguous run of a source's words, relays ``block * L`` to ``block *

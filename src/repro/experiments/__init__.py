@@ -35,11 +35,11 @@ only in ``replicate`` (and hence in derived seeds).  Grouping happens
 *after* resume filtering, so a partially-cached cell batches only its
 missing trials.  Cells bigger than
 :data:`repro.experiments.vmap.MAX_BATCH_TRIALS` are chunked.  A cell runs
-batched only when its protocol has a batched port (``nonadaptive``,
+batched only when its protocol has a batched ``run_many`` (``nonadaptive``,
 ``det-logn``, ``det-sqrt``, ``adaptive`` — see
 :data:`repro.core.vmapped.BATCHED_PROTOCOLS`), one trial fits the byte
-budget, and per-trial ``metrics`` snapshots are off (a singleton cell runs
-its port at one trial); otherwise — and
+budget, and per-trial ``metrics`` snapshots are off (a singleton cell is a
+batch of one); otherwise — and
 whenever per-trial routing schedules diverge or the batched run raises —
 the cell's trials re-execute serially, so store rows are bit-identical to
 the serial backend in every case.

@@ -3,18 +3,20 @@
 ``run_campaign(..., backend="vmap")`` groups a campaign's pending trials
 into *cells* — trials sharing ``(protocol, adversary, n, alpha, width,
 bandwidth)``, i.e. everything except the replicate axis — and executes each
-cell as a single :class:`~repro.cliquesim.batched.BatchedClique` run via
-the batched protocol ports in :mod:`repro.core.vmapped`.  Results are
-split back into exactly the per-trial store rows the serial backend
-writes: same hashes, same derived seeds, bit-identical outcome fields.
+cell as a single :class:`~repro.cliquesim.batched.BatchedClique` run of
+its protocol's ``run_many`` (resolved through :mod:`repro.core.vmapped`).
+Results are split back into exactly the per-trial store rows the serial
+backend writes: same hashes, same derived seeds, bit-identical outcome
+fields.  The serial backend runs the same ``run_many`` one trial at a
+time, so the two backends differ only in how many trials share a batch.
 
-A singleton cell is a batch of one: it runs its batched port at
-``trials=1`` like every other cell.  Cells fall back to per-trial serial
-execution (the plain :func:`~repro.experiments.runner.execute_trial`)
-whenever lockstep batching is impossible or unprofitable:
+A singleton cell is a batch of one like every other cell.  Cells fall
+back to per-trial serial execution (the plain
+:func:`~repro.experiments.runner.execute_trial`) whenever lockstep
+batching is impossible or unprofitable:
 
-* the protocol has no batched port (nonadaptive, det-sqrt, det-logn and
-  the adaptive compiler all have one in
+* the protocol has no batched ``run_many`` (the baselines; nonadaptive,
+  det-sqrt, det-logn and the adaptive compiler are all in
   :data:`~repro.core.vmapped.BATCHED_PROTOCOLS`);
 * per-trial routing schedules diverge
   (:class:`~repro.core.routing.CellUnbatchable` — e.g.
@@ -166,8 +168,8 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     obstacle downgrades the whole chunk."""
     from repro.obs import metrics
 
-    # a metrics run never batches, so it must not pay for importing the
-    # batched ports
+    # a batched run cannot scope metrics to one trial, so a metrics run
+    # executes its trials one at a time
     if metrics.enabled():
         return _rows_serial(trials, policy)
     from repro.adversary import PerTrialFailure

@@ -516,7 +516,7 @@ class SketchPlanes:
 class SketchPlaneStack:
     """A ``(trials, rows, buckets)`` stack of sketch planes advancing in
     lockstep — one plane set per trial, each with its own shared-randomness
-    seed (the vmap adaptive port derives a distinct R2 per trial).
+    seed (the adaptive compiler derives a distinct R2 per trial).
 
     Per-trial updates may be ragged (each trial adds its own id set); merge
     and (de)serialisation are lockstep tensor ops across the whole stack.

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.adaptive import AdaptiveAllToAll
 from repro.experiments import TrialStore, free_grid, run_campaign
 from repro.experiments.runner import STATUS_OK
 from repro.sketch import ksparse
@@ -60,18 +61,18 @@ def recovery_spy(monkeypatch):
 
 class TestAdaptiveVmapParity:
     def test_fault_free_cell_is_bit_identical(self, monkeypatch):
-        # spy that the batched port actually ran: a silent whole-cell
-        # serial fallback would also produce matching rows
-        from repro.core import vmapped
+        # spy that the cell actually ran as one batch: a silent whole-cell
+        # serial fallback would also produce matching rows, and the serial
+        # backend runs one-trial batches
         ran = {"count": 0}
-        original = vmapped.BatchedAdaptiveAllToAll.run_many
+        original = AdaptiveAllToAll.run_many
 
         def spying(self, instances, net, seeds):
-            ran["count"] += 1
+            if net.trials > 1:
+                ran["count"] += 1
             return original(self, instances, net, seeds)
 
-        monkeypatch.setattr(vmapped.BatchedAdaptiveAllToAll, "run_many",
-                            spying)
+        monkeypatch.setattr(AdaptiveAllToAll, "run_many", spying)
         serial, vmap = run_both(adaptive_cell("adaptive-vmap-ff"))
         assert digest(serial) == digest(vmap)
         rows = vmap.rows()
@@ -101,13 +102,14 @@ class TestAdaptiveVmapParity:
         # a sketch-recovery failure that *escapes* the lockstep handling
         # must degrade the cell to per-trial serial execution with the
         # exact serial rows — never crash the batch
-        from repro.core import vmapped
+        original = AdaptiveAllToAll.run_many
 
         def explode(self, instances, net, seeds):
-            raise ksparse.SketchRecoveryError("injected mid-batch failure")
+            if net.trials > 1:
+                raise ksparse.SketchRecoveryError("injected mid-batch failure")
+            return original(self, instances, net, seeds)
 
-        monkeypatch.setattr(vmapped.BatchedAdaptiveAllToAll, "run_many",
-                            explode)
+        monkeypatch.setattr(AdaptiveAllToAll, "run_many", explode)
         spec = adaptive_cell("adaptive-vmap-blowup", replicates=2)
         serial, vmap = run_both(spec)
         assert digest(serial) == digest(vmap)

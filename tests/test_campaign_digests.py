@@ -8,6 +8,7 @@ that alters a single outcome field fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -118,15 +119,19 @@ SERIAL_BODY_PINS = [
 ]
 
 
-def singleton_cells_digest(protocol, base_seed, backend):
-    spec = free_grid(name="serial-body-pin", protocols=(protocol,),
-                     adversaries=ADVERSARY_KINDS, ns=(16,), alphas=(1 / 16,),
-                     base_seed=base_seed)
-    result = run_campaign(spec, store=TrialStore(None), backend=backend)
-    rows = result.rows()
-    assert [row["status"] for row in rows] == ["ok"] * len(ADVERSARY_KINDS)
+def rows_digest(spec, backend):
+    rows = run_campaign(spec, store=TrialStore(None), backend=backend).rows()
+    assert [row["status"] for row in rows] == ["ok"] * len(rows)
     blob = "\n".join(sorted(row_digest(row) for row in rows))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def singleton_cells_digest(protocol, base_seed, backend, n=16,
+                           alpha=1 / 16):
+    spec = free_grid(name="serial-body-pin", protocols=(protocol,),
+                     adversaries=ADVERSARY_KINDS, ns=(n,), alphas=(alpha,),
+                     base_seed=base_seed)
+    return rows_digest(spec, backend)
 
 
 _SERIAL_BODY_IDS = [f"{p}-seed{s}" for p, s, _ in SERIAL_BODY_PINS]
@@ -144,3 +149,82 @@ def test_batched_ports_match_serial_body_pin(protocol, base_seed, pin,
                                              require_batched):
     # every cell is a singleton, and each must run its port at trials=1
     assert singleton_cells_digest(protocol, base_seed, "vmap") == pin
+
+
+#: the same gate at n=64, alpha=1/32, base seed 1: (protocol, pin), one
+#: trial per adversary kind, computed on the serial backend while each
+#: protocol still had a serial body beside its batched port
+SERIAL_BODY_PINS_N64 = [
+    ("nonadaptive",
+     "8b0c11c47e2ad42d27c06341d2e2020d720eeeb999fdb17c55c5ecc5653ad9d8"),
+    ("det-sqrt",
+     "8555094638af8a9c33120e8fe23200bd258f6eeaa41aa7a6ec8918cb62d13b23"),
+    ("det-logn",
+     "f992fbd1260e6b2009c49d19cf5de24701e774cd4bd3e4552d10a61c008b0606"),
+    ("adaptive",
+     "75776fe3c363701e5e630b384b6598e32b3d2fe7a7732443a521f26da274261c"),
+]
+
+
+@pytest.mark.parametrize("backend", ["serial", "vmap"])
+@pytest.mark.parametrize("protocol,pin", SERIAL_BODY_PINS_N64,
+                         ids=[p for p, _ in SERIAL_BODY_PINS_N64])
+def test_n64_cells_match_serial_body_pin(protocol, pin, backend, request):
+    if backend == "vmap":
+        request.getfixturevalue("require_batched")
+    assert singleton_cells_digest(protocol, 1, backend, n=64,
+                                  alpha=1 / 32) == pin
+
+
+#: adaptive under the adaptive adversary at n=32, width 50, alpha=1/32:
+#: element ids ``((u * n + v) << width) | value`` outgrow int64, so the
+#: sketch spec fails ``planes_supported`` and the compiler hashes them as
+#: Python ints (computed on the serial backend like the pins above)
+WIDE_SKETCH_PIN = \
+    "07c1fcdfee02a2e5dc8c29fb0acd803959da2cf4f6658076cd61393ca7629485"
+
+
+@pytest.mark.parametrize("backend", ["serial", "vmap"])
+def test_wide_sketch_cell_matches_pin(backend, request):
+    if backend == "vmap":
+        request.getfixturevalue("require_batched")
+    spec = free_grid(name="wide-sketch-pin", protocols=("adaptive",),
+                     adversaries=("adaptive",), ns=(32,), alphas=(1 / 32,),
+                     widths=(50,), replicates=2)
+    assert rows_digest(spec, backend) == WIDE_SKETCH_PIN
+
+
+#: each protocol's run records (``report.extra`` and det-logn's ``trace``)
+#: over four adversaries at n=16, width 4, bandwidth 8, computed while each
+#: protocol still had a serial body: (protocol, pin)
+DIAGNOSTICS_PINS = [
+    ("nonadaptive",
+     "8b6c451e3d201571695129ab16ab8e522532cce8ed081b14716f9f6d9a9baeec"),
+    ("det-sqrt",
+     "3e533accaf9ab485c5a4bb931e7d8d2f31cd96dc88aa9352c969c63e129ecbeb"),
+    ("det-logn",
+     "f8f0a6289ea7500ae2c6b95bb25944929102eb0b365289f951da05d3c968fa1d"),
+    ("adaptive",
+     "47ee5fdbb24c58bf9b4346e97575ba87844d75adc0852010269acb6541ceae0d"),
+]
+
+
+@pytest.mark.parametrize("protocol,pin", DIAGNOSTICS_PINS,
+                         ids=[p for p, _ in DIAGNOSTICS_PINS])
+def test_run_records_match_pin(protocol, pin):
+    from repro.core.alltoall import make_protocol, run_protocol
+    from repro.core.messages import AllToAllInstance
+    from repro.experiments.runner import make_adversary
+
+    records = []
+    for seed, kind in enumerate(("null", "adaptive", "iid-erase",
+                                 "byzantine-nodes")):
+        instance = AllToAllInstance.random(16, width=4, seed=100 + seed)
+        runner = make_protocol(protocol)
+        report = run_protocol(runner, instance,
+                              make_adversary(kind, 1 / 16, 200 + seed),
+                              bandwidth=8, seed=300 + seed)
+        records.append({"adversary": kind, "extra": report.extra,
+                        "trace": getattr(runner, "trace", None)})
+    blob = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == pin
