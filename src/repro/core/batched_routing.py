@@ -13,8 +13,8 @@ per-trial schedules take different batch counts the planner raises
 :class:`~repro.core.routing.CellUnbatchable` and the caller falls back to
 per-trial serial execution.
 
-Blocks mode only: cover-free routing runs through
-:class:`~repro.core.routing.SuperMessageRouter`.
+Blocks mode only: :class:`~repro.core.routing.SuperMessageRouter` plans
+cover-free routings and runs them on the same kernel.
 """
 
 from __future__ import annotations

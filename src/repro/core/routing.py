@@ -15,17 +15,19 @@ Relay-set assignment supports two modes:
   paper's ``InLoad``/``OutLoad`` are identically 1, so *no* codeword
   position is lost to overlap and the entire distance budget of the code is
   available against the adversary.  This replaces the randomized cover-free
-  sets at simulation scale (see DESIGN.md §2): the paper needs cover-free
-  families because its ``kn`` relay sets must be fixed obliviously; with the
-  instance public (as Theorem 4.1 assumes — "the target set of each of the
-  kn super-messages is known to all the nodes") the explicit schedule is
-  computable by every node locally and achieves overlap 0.
+  sets at simulation scale (see the README's routing section): the paper
+  needs cover-free families because its ``kn`` relay sets must be fixed
+  obliviously; with the instance public (as Theorem 4.1 assumes — "the
+  target set of each of the kn super-messages is known to all the nodes")
+  the explicit schedule is computable by every node locally and achieves
+  overlap 0.
 * ``"coverfree"`` — the paper-faithful mode: relay sets come from an
   (r, δ)-cover-free family w.r.t. the instance's IN/OUT constraint
   collection H (Lemma 4.4), and bits are dropped wherever ``InLoad`` or
   ``OutLoad`` exceeds 1, exactly as in Section 4.2.  The family and the
   loads are public, so the target decodes a dropped position as an
-  erasure.  Used by the fidelity tests and the E11 ablation.
+  erasure.  Its plan gives each chunk a relay set, and the same wave
+  kernel runs it.  Used by the fidelity tests and the E11 ablation.
 
 Batches execute in *waves* of ``B`` (the bandwidth): B independent 1-bit
 instances ride in the B bit-planes of a single round, which is exactly the
@@ -39,8 +41,8 @@ of chunks with :func:`_grouped_greedy`; :func:`route_waves` then moves the
 payload of any number of lockstep trials.  :meth:`SuperMessageRouter.route`
 converts its message list to the arrays and runs as one trial;
 :class:`~repro.core.batched_routing.BatchedRouter` feeds the protocols'
-trial batches.  Cover-free mode keeps its own chunker, scheduler and
-executor.
+trial batches.  Cover-free mode plans in
+:meth:`SuperMessageRouter._plan_coverfree` and runs on the same kernel.
 
 The wave kernel moves rows, not bits.  In round 1 a chunk's codeword is
 one contiguous run of a source's words, relays ``block * L`` to ``block *
@@ -56,9 +58,8 @@ to ``MAX_ROUND_WIDTH``.  When ``L`` does not divide n, the nodes past
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,15 +105,6 @@ def _structure(messages: Sequence[SuperMessage]):
 
 
 @dataclass
-class _Chunk:
-    source: int
-    slot: int
-    index: int
-    bits: np.ndarray
-    targets: Tuple[int, ...]
-
-
-@dataclass
 class RoutingResult:
     """Per-target outputs plus transport diagnostics."""
 
@@ -142,7 +134,7 @@ class CellUnbatchable(Exception):
 
 @dataclass
 class WavePlan:
-    """A scheduled blocks-mode routing over ``trials`` lockstep trials.
+    """A scheduled routing over ``trials`` lockstep trials.
 
     Chunk ``c`` carries bits ``[chunk_start[c], chunk_start[c] +
     chunk_size[c])`` of message ``chunk_msg[c]``; these canonical arrays are
@@ -150,7 +142,12 @@ class WavePlan:
     ``t`` sends message ``m`` from ``sources[t, m]`` and places chunk ``c``
     in ``(batch[t, c], block[t, c])``.  Message ``m`` has ``fanout[m]``
     targets, so its (message, target) *pairs* are a ragged run of
-    ``targets[t, :]`` in message order."""
+    ``targets[t, :]`` in message order.
+
+    ``relays`` is ``None`` for contiguous blocks: chunk ``c`` relays over
+    nodes ``block * L`` to ``block * L + L - 1``.  Otherwise codeword
+    position ``j`` of chunk ``c`` relays over node ``relays[t, c, j]``,
+    and ``block[t, c]`` is the chunk's row of its batch's family."""
 
     chunk_msg: np.ndarray      # (C,)
     chunk_start: np.ndarray    # (C,)
@@ -162,6 +159,7 @@ class WavePlan:
     batch: np.ndarray          # (trials, C)
     block: np.ndarray          # (trials, C)
     num_batches: int
+    relays: Optional[np.ndarray] = None  # (trials, C, L) relay sets
 
 
 @dataclass
@@ -571,25 +569,62 @@ def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
                     num_batches=num_batches)
 
 
+def _relay_hop(send_round, cells: np.ndarray, planes: np.ndarray,
+               bits: np.ndarray, sent, trials: int, n: int, width: int,
+               label: str, target_major: bool = False):
+    """One round of relay-set positions.  Bit ``bits[r, j]`` moves as a
+    one-bit row to cell ``cells[r, j] = (trial * n + node) * n + relay``
+    on plane ``planes[r]`` — :func:`_stage`'s cell at ``length=1`` — if
+    ``sent`` holds there (``True``: everywhere) and no other position
+    takes that (cell, plane) slot.  Returns the bits read back, 0 where
+    none moved or the word was lost, the lost mask and the moved mask."""
+    keys = cells * width + planes[:, None]
+    # in sorted order a slot's first key is followed by its own copy
+    # exactly when another position shares the slot
+    ordered = np.append(np.sort(keys, axis=None), -1)
+    go = sent & (ordered[np.searchsorted(ordered[:-1], keys) + 1] != keys)
+    cells, planes = cells[go], np.broadcast_to(planes[:, None], go.shape)[go]
+    delivered = send_round(_stage(cells, planes, bits[go][:, None], trials,
+                                  n, width, target_major), width, label)
+    got, lost = _take(delivered, cells, planes, 1, width, target_major)
+    received = np.zeros(go.shape, dtype=np.uint8)
+    lost_at = np.zeros(go.shape, dtype=bool)
+    received[go], lost_at[go] = got[:, 0], lost[:, 0]
+    return received, lost_at, go
+
+
 def route_waves(send_round, n: int, bandwidth: int, code, length: int,
                 plan: WavePlan, bits: np.ndarray,
                 label: str) -> BatchedRoutingResult:
-    """Run ``plan``'s blocks-mode waves; the one wave implementation.
+    """Run ``plan``'s waves; the one wave implementation, for contiguous
+    blocks and for relay sets alike.
 
     ``bits[t, m]`` is trial ``t``'s payload of message ``m``, zero-padded
     to a common length.  ``send_round(intended, width, label)`` moves one
     ``(trials, n, n)`` round and returns the delivered stack.  Each wave
     packs up to ``bandwidth`` batches into bit-planes (Lemma 2.9) and takes
-    two rounds — source to relay block, relay block to target — around one
-    batched encode and one batched decode of every trial's rows.
+    two rounds — source to relays, relays to target — around one batched
+    encode and one batched decode of every trial's rows.
 
-    A codeword moves as one row: round 1 writes it at (trial, source,
-    block) of a source-major view of the round, round 2 writes each
-    (chunk, target) copy at (trial, target, block) of a target-major view,
-    and both rounds read whole rows back (:func:`_stage`, :func:`_take`).
-    Nodes past ``(n // length) * length`` relay nothing."""
+    With contiguous blocks a codeword moves as one row: round 1 writes it
+    at (trial, source, block) of a source-major view of the round, round 2
+    writes each (chunk, target) copy at (trial, target, block) of a
+    target-major view, and both rounds read whole rows back
+    (:func:`_stage`, :func:`_take`).  Nodes past ``(n // length) * length``
+    relay nothing.
+
+    With ``plan.relays`` each codeword position moves as its own one-bit
+    row at (trial, node, relay), and Section 4.2's loads decide which
+    positions move: one goes out in round 1 only if no other chunk of its
+    batch uses its (source, relay) pair (InLoad 1), and is forwarded in
+    round 2 only if it went out and no other (chunk, target) row of its
+    batch uses its (relay, target) pair (OutLoad 1, counted over every
+    position).  The families and the loads are public, so a position not
+    forwarded reaches an erasure-aware code as a declared erasure.  In
+    both modes ``dropped`` and ``erased`` count network drops only."""
     trials = plan.batch.shape[0]
     blocks = n // length
+    relays = plan.relays
     capacity = max(1, code.k)
     arange_cap = np.arange(capacity)
     # every message's payload as rows of capacity-bit pieces
@@ -615,7 +650,8 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
         tr, ch = np.nonzero((plan.batch >= lo) & (plan.batch < lo + width))
         planes = plan.batch[tr, ch] - lo
         msgs = plan.chunk_msg[ch]
-        block = plan.block[tr, ch]
+        # each chunk's relay block, or its (R, L) relay ids
+        relay = plan.block[tr, ch] if relays is None else relays[tr, ch]
 
         # one batched encode of every trial's chunks in the wave
         payload = np.where(arange_cap < plan.chunk_size[ch][:, None],
@@ -624,14 +660,24 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
         codewords = np.asarray(code.encode_many(payload), dtype=np.uint8)
         del payload
 
-        # round 1: source -> relay block, a row per (trial, source, block)
-        cells = (tr * n + plan.sources[tr, msgs]) * blocks + block
-        delivered = send_round(
-            _stage(cells, planes, codewords, trials, n, width), width,
-            f"{wl}/r1")
-        del codewords
-        relayed, lost = _take(delivered, cells, planes, length, width)
-        del delivered
+        if relays is None:
+            # round 1: source -> relay block, a row per (trial, source,
+            # block)
+            cells = (tr * n + plan.sources[tr, msgs]) * blocks + relay
+            delivered = send_round(
+                _stage(cells, planes, codewords, trials, n, width), width,
+                f"{wl}/r1")
+            del codewords
+            relayed, lost = _take(delivered, cells, planes, length, width)
+            del delivered
+        else:
+            # round 1: source -> relays, a bit per (trial, source, relay)
+            # where InLoad is 1
+            cells = (tr * n + plan.sources[tr, msgs])[:, None] * n + relay
+            relayed, lost, sent = _relay_hop(send_round, cells, planes,
+                                             codewords, True, trials, n,
+                                             width, f"{wl}/r1")
+            del codewords
         if lost.any():
             dropped += _per_trial(tr, lost, trials)
         del lost
@@ -642,33 +688,48 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
         fan = chunk_fan[ch]
         if int(fan.sum()) != fan.size:
             expand, within = _ragged(fan)
-            tr, planes, block, relayed = (tr[expand], planes[expand],
-                                          block[expand], relayed[expand])
+            tr, planes, relay, relayed = (tr[expand], planes[expand],
+                                          relay[expand], relayed[expand])
+            if relays is not None:
+                sent = sent[expand]
             rows = rows[expand] + within
             pairs = pairs[expand] + within
         tgts = plan.targets[tr, pairs]
 
-        # round 2: relay block -> target, a row per (trial, target, block)
-        cells = (tr * n + tgts) * blocks + block
-        delivered = send_round(
-            _stage(cells, planes, relayed, trials, n, width,
-                   target_major=True), width, f"{wl}/r2")
-        del relayed
-        received, erase = _take(delivered, cells, planes, length, width,
-                                target_major=True)
-        del delivered
-        # round-2 drops are receiver-known erasures: erasure-aware codes
-        # get them for the doubled pure-drop radius (gated so drop-free
-        # waves take the plain decode path)
-        declared = {}
+        if relays is None:
+            # round 2: relay block -> target, a row per (trial, target,
+            # block)
+            cells = (tr * n + tgts) * blocks + relay
+            delivered = send_round(
+                _stage(cells, planes, relayed, trials, n, width,
+                       target_major=True), width, f"{wl}/r2")
+            del relayed
+            received, erase = _take(delivered, cells, planes, length, width,
+                                    target_major=True)
+            del delivered
+            erasures = erase
+        else:
+            # round 2: relay -> target, a bit per (trial, target, relay)
+            # where the position went out and OutLoad is 1
+            cells = (tr * n + tgts)[:, None] * n + relay
+            received, erase, forward = _relay_hop(
+                send_round, cells, planes, relayed, sent, trials, n, width,
+                f"{wl}/r2", target_major=True)
+            del relayed
+            erasures = erase | ~forward
         if erase.any():
             lost = _per_trial(tr, erase, trials)
             dropped += lost
             if erasure_aware:
                 erased += lost
-                declared["erasures"] = erase
+        # round-2 drops, and relay-set positions not forwarded, are
+        # receiver-known erasures: erasure-aware codes get them for the
+        # doubled pure-drop radius (gated so waves with none take the plain
+        # decode path)
+        declared = {"erasures": erasures} \
+            if erasure_aware and erasures.any() else {}
         decoded, failed = code.decode_many_flagged(received, **declared)
-        del received, erase, declared
+        del received, erase, erasures, declared
         decoded_all[tr, rows] = decoded[:, :capacity]
         failed_all[tr, rows] = np.asarray(failed, dtype=bool)
 
@@ -683,22 +744,47 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
         codeword_bits=length, dropped=dropped, erased=erased)
 
 
+#: chunks of one source, or towards one target, that a cover-free batch
+#: takes; Lemma 4.4's constraint sets are then pairs
+COVERFREE_K = 2
+#: overlap bound of the verified family construction; larger than
+#: ``profile.delta`` because simulation-scale group sizes are small
+COVERFREE_DELTA = 0.3
+
+
+def _capacity_batches(chunks: Sequence[SuperMessage], k: int):
+    """Cover-free mode's scheduler: chunk by chunk, each given as its
+    message, join the first batch in which the chunk's source and each of
+    its targets hold fewer than ``k`` chunks, at the next position.
+    Returns every batch as its chunk list and its source -> positions and
+    target -> positions groups."""
+    batches = []
+    for c, msg in enumerate(chunks):
+        b = next((b for b, (_, by_source, by_target) in enumerate(batches)
+                  if len(by_source.get(msg.source, ())) < k
+                  and all(len(by_target.get(t, ())) < k
+                          for t in msg.targets)), len(batches))
+        if b == len(batches):
+            batches.append(([], {}, {}))
+        members, by_source, by_target = batches[b]
+        by_source.setdefault(msg.source, []).append(len(members))
+        for t in msg.targets:
+            by_target.setdefault(t, []).append(len(members))
+        members.append(c)
+    return batches
+
+
 class SuperMessageRouter:
     """Executes SuperMessagesRouting instances on a network."""
 
     def __init__(self, net: CongestedClique,
                  profile: ProtocolProfile = SIMULATION,
-                 mode: str = "blocks",
-                 coverfree_k: int = 2):
+                 mode: str = "blocks"):
         if mode not in ("blocks", "coverfree"):
             raise ValueError(f"unknown routing mode {mode!r}")
         self.net = net
         self.profile = profile
         self.mode = mode
-        self.coverfree_k = coverfree_k
-        #: overlap parameter for the verified family construction; larger
-        #: than profile.delta because simulation-scale group sizes are small
-        self.coverfree_delta = 0.3
         self._construction_rng = derive(profile.construction_seed,
                                         f"router:{net.n}")
 
@@ -715,9 +801,15 @@ class SuperMessageRouter:
         n = net.n
         length, code = self.profile.select_routing_code(n, net.adversary.alpha)
         if self.mode == "coverfree":
-            return self._route_coverfree(messages, label)
-        plan = plan_waves(1, n, n // length, max(1, code.k),
-                          *_structure(messages))
+            # cover-freeness needs group size >> k/delta, so the relay sets
+            # stay small relative to n; low-rate codes absorb the overlap
+            length = max(8, n // 16)
+            code = self.profile.routing_code_at_rate(
+                length, min(self.profile.code_rate, 1.0 / 8))
+            plan = self._plan_coverfree(messages, max(1, code.k), length)
+        else:
+            plan = plan_waves(1, n, n // length, max(1, code.k),
+                              *_structure(messages))
         bits = np.zeros((1, len(messages), int(plan.sizes.max(initial=1))),
                         dtype=np.uint8)
         for j, msg in enumerate(messages):
@@ -744,212 +836,49 @@ class SuperMessageRouter:
                              erased_entries=int(result.erased[0]))
 
     # -- cover-free mode ----------------------------------------------------------
-    def _route_coverfree(self, messages: Sequence[SuperMessage],
-                         label: str) -> RoutingResult:
-        net = self.net
-        # cover-freeness needs group size >> k/delta, so the relay sets
-        # stay small relative to n; low-rate codes absorb the overlap
-        length = max(8, net.n // 16)
-        code = self.profile.routing_code_at_rate(
-            length, min(self.profile.code_rate, 1.0 / 8))
-        chunks = self._split_into_chunks(messages, max(1, code.k))
-        batches = self._schedule_capacity(chunks, self.coverfree_k)
-        start_rounds = net.rounds_used
-        raw: Dict[int, Dict[MessageKey, Dict[int, np.ndarray]]] = \
-            defaultdict(lambda: defaultdict(dict))
-        failures: List[Tuple[int, MessageKey]] = []
-        stats = {"dropped": 0, "erased": 0}
-        bandwidth = net.bandwidth
-        for wave_start in range(0, len(batches), bandwidth):
-            wave = batches[wave_start:wave_start + bandwidth]
-            self._execute_wave_coverfree(
-                wave, length, code, raw, failures, stats,
-                f"{label}/wave{wave_start // bandwidth}")
+    def _plan_coverfree(self, messages: Sequence[SuperMessage],
+                        capacity: int, length: int) -> WavePlan:
+        """Cover-free mode's one-trial :class:`WavePlan`.
 
-        outputs = self._reassemble(messages, raw)
-        return RoutingResult(outputs=outputs,
-                             rounds=net.rounds_used - start_rounds,
-                             decode_failures=failures,
-                             batches=len(batches),
-                             codeword_bits=length,
-                             dropped_entries=stats["dropped"],
-                             erased_entries=stats["erased"])
-
-    def _split_into_chunks(self, messages: Sequence[SuperMessage],
-                           capacity: int) -> List[_Chunk]:
-        chunks: List[_Chunk] = []
-        for j in _key_order(self.net.n, *_structure(messages)).tolist():
-            msg = messages[j]
-            bits = np.array(msg.bits, dtype=np.uint8)
-            for index, start in enumerate(range(0, bits.size, capacity)):
-                chunks.append(_Chunk(source=msg.source, slot=msg.slot,
-                                     index=index,
-                                     bits=bits[start:start + capacity],
-                                     targets=msg.targets))
-        return chunks
-
-    @staticmethod
-    def _schedule_capacity(chunks: List[_Chunk],
-                           k: int) -> List[List[Tuple[_Chunk, int]]]:
-        """Cover-free mode: cap per-source and per-target chunks per batch
-        at k; the within-batch set index is positional."""
-        batches: List[List[Tuple[_Chunk, int]]] = []
-        src_count: List[Dict[int, int]] = []
-        tgt_count: List[Dict[int, int]] = []
-        for chunk in chunks:
-            placed = False
-            for b, batch in enumerate(batches):
-                if src_count[b][chunk.source] >= k:
-                    continue
-                if any(tgt_count[b][t] >= k for t in chunk.targets):
-                    continue
-                batch.append((chunk, len(batch)))
-                src_count[b][chunk.source] += 1
-                for t in chunk.targets:
-                    tgt_count[b][t] += 1
-                placed = True
-                break
-            if not placed:
-                batches.append([(chunk, 0)])
-                src_count.append(defaultdict(int))
-                tgt_count.append(defaultdict(int))
-                src_count[-1][chunk.source] = 1
-                for t in chunk.targets:
-                    tgt_count[-1][t] = 1
-        return batches
-
-    def _execute_wave_coverfree(self, wave, length, code, raw, failures,
-                                stats, label):
+        Chunks, in (source, slot) key order, fill batches as
+        :func:`_capacity_batches` places them.  Each batch, in batch order,
+        draws one (r, δ)-cover-free family w.r.t. its constraint
+        collection H (Lemma 4.4): the positions sharing a source (INind),
+        then those sharing a target (OUTind).  A chunk's relays are its
+        family row."""
         from repro.coverfree.random_construction import \
             build_cover_free_family
-        net = self.net
-        n = net.n
-        planes = len(wave)
-        all_items = []
-        for plane, batch in enumerate(wave):
-            if not batch:
-                continue
-            # build the constraint collection H for this batch: the chunks of
-            # each source (INind) and the chunks targeted at each node (OUTind)
-            local_index = {}
-            for position, (chunk, _) in enumerate(batch):
-                local_index[position] = chunk
-            by_source = defaultdict(list)
-            by_target = defaultdict(list)
-            for position, (chunk, _) in enumerate(batch):
-                by_source[chunk.source].append(position)
-                for t in chunk.targets:
-                    by_target[t].append(position)
-            constraints = [tuple(v) for v in by_source.values() if len(v) > 1]
-            constraints += [tuple(v) for v in by_target.values() if len(v) > 1]
+        n = self.net.n
+        sources, slots, sizes, targets, fanout = _structure(messages)
+        order = _key_order(n, sources, slots, sizes, targets, fanout)
+        n_chunks = -(-sizes // capacity)
+        chunk_msg, within = _ragged(n_chunks)
+        chunk_start = within * capacity
+        keyed = np.argsort(np.argsort(order)[chunk_msg], kind="stable")
+        batches = _capacity_batches(
+            [messages[m] for m in chunk_msg[keyed].tolist()], COVERFREE_K)
+        batch = np.empty(chunk_msg.size, dtype=np.int64)
+        row = np.empty(chunk_msg.size, dtype=np.int64)
+        relays = np.empty((chunk_msg.size, length), dtype=np.int64)
+        for b, (members, by_source, by_target) in enumerate(batches):
+            constraints = [tuple(group) for group in (*by_source.values(),
+                                                      *by_target.values())
+                           if len(group) > 1]
             family = build_cover_free_family(
-                ground_size=n, num_sets=len(batch), set_size=length,
-                delta=self.coverfree_delta, rng=self._construction_rng,
+                ground_size=n, num_sets=len(members), set_size=length,
+                delta=COVERFREE_DELTA, rng=self._construction_rng,
                 constraints=constraints or None)
-            # in/out loads w.r.t. the family
-            in_load = defaultdict(lambda: defaultdict(int))   # source -> relay
-            out_load = defaultdict(lambda: defaultdict(int))  # relay -> target
-            for position, (chunk, _) in enumerate(batch):
-                relays = family.set_elements(position)
-                for w in relays:
-                    in_load[chunk.source][int(w)] += 1
-                for t in chunk.targets:
-                    for w in relays:
-                        out_load[int(w)][t] += 1
-            all_items.append((plane, batch, family, in_load, out_load))
-        if not all_items:
-            return
-
-        flat = [(plane, chunk, family.set_elements(position), in_load, out_load)
-                for plane, batch, family, in_load, out_load in all_items
-                for position, (chunk, _) in enumerate(batch)]
-        padded = np.zeros((len(flat), code.k), dtype=np.uint8)
-        for row, (_, chunk, _, _, _) in enumerate(flat):
-            padded[row, :chunk.bits.size] = chunk.bits
-        codewords = code.encode_many(padded).astype(np.int64)
-
-        values = np.zeros((n, n), dtype=np.int64)
-        present = np.zeros((n, n), dtype=bool)
-        for row, (plane, chunk, relays, in_load, _) in enumerate(flat):
-            for pos, w in enumerate(relays):
-                if in_load[chunk.source][int(w)] == 1:
-                    values[chunk.source, int(w)] |= int(codewords[row, pos]) << plane
-                    present[chunk.source, int(w)] = True
-        delivered1 = net.round(np.where(present, values, -1), width=planes,
-                               label=f"{label}/r1")
-
-        values2 = np.zeros((n, n), dtype=np.int64)
-        present2 = np.zeros((n, n), dtype=bool)
-        for row, (plane, chunk, relays, in_load, out_load) in enumerate(flat):
-            for pos, w in enumerate(relays):
-                w = int(w)
-                if in_load[chunk.source][w] != 1:
-                    continue
-                got = delivered1[chunk.source, w]
-                if got < 0:
-                    stats["dropped"] += 1
-                bit1 = 0 if got < 0 else (int(got) >> plane) & 1
-                for t in chunk.targets:
-                    if out_load[w][t] == 1:
-                        values2[w, t] |= bit1 << plane
-                        present2[w, t] = True
-        delivered2 = net.round(np.where(present2, values2, -1), width=planes,
-                               label=f"{label}/r2")
-
-        rows = []
-        row_erasures = []
-        row_skipped = []
-        metas = []
-        for row, (plane, chunk, relays, in_load, out_load) in enumerate(flat):
-            for t in chunk.targets:
-                bits2 = np.zeros(code.n, dtype=np.uint8)
-                erased = np.zeros(code.n, dtype=bool)
-                skipped = np.zeros(code.n, dtype=bool)
-                for pos, w in enumerate(relays):
-                    w = int(w)
-                    if in_load[chunk.source][w] == 1 and out_load[w][t] == 1:
-                        got2 = delivered2[w, t]
-                        if got2 < 0:
-                            stats["dropped"] += 1
-                            erased[pos] = True
-                        bits2[pos] = 0 if got2 < 0 else (int(got2) >> plane) & 1
-                    else:
-                        skipped[pos] = True
-                rows.append(bits2)
-                row_erasures.append(erased)
-                row_skipped.append(skipped)
-                metas.append((chunk, t))
-        erase_mat = np.stack(row_erasures)
-        # a position skipped for InLoad or OutLoad > 1 carries nothing, and
-        # the family and the loads are public, so the target declares it
-        # an erasure too; erased_entries still counts network drops only
-        declared = erase_mat | np.stack(row_skipped)
-        if declared.any() and getattr(code, "supports_erasures", False):
-            stats["erased"] += int(erase_mat.sum())
-            decoded, failed = code.decode_many_flagged(np.stack(rows),
-                                                       erasures=declared)
-        else:
-            decoded, failed = code.decode_many_flagged(np.stack(rows))
-        for (chunk, t), message_bits, bad in zip(metas, decoded, failed):
-            raw[t][(chunk.source, chunk.slot)][chunk.index] = \
-                message_bits[:chunk.bits.size]
-            if bad:
-                failures.append((t, (chunk.source, chunk.slot)))
-
-    # -- reassembly ---------------------------------------------------------------
-    @staticmethod
-    def _reassemble(messages, raw):
-        outputs: Dict[int, Dict[MessageKey, np.ndarray]] = defaultdict(dict)
-        for msg in messages:
-            for t in msg.targets:
-                pieces = raw[t].get(msg.key, {})
-                parts = [pieces[i] for i in sorted(pieces)]
-                if parts:
-                    combined = np.concatenate(parts)[:len(msg.bits)]
-                else:
-                    combined = np.zeros(len(msg.bits), dtype=np.uint8)
-                outputs[t][msg.key] = combined
-        return dict(outputs)
+            chunks = keyed[members]
+            batch[chunks] = b
+            row[chunks] = np.arange(len(members))
+            relays[chunks] = family.sets
+        return WavePlan(chunk_msg=chunk_msg, chunk_start=chunk_start,
+                        chunk_size=np.minimum(capacity,
+                                              sizes[chunk_msg] - chunk_start),
+                        sizes=sizes, fanout=fanout, sources=sources[None],
+                        targets=targets[None], batch=batch[None],
+                        block=row[None], num_batches=len(batches),
+                        relays=relays[None])
 
 
 def broadcast(router: SuperMessageRouter, source: int, bits,

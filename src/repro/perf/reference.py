@@ -10,6 +10,7 @@ keep both sides honest).  Nothing outside ``repro.perf`` should import these
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -18,8 +19,8 @@ from repro.cliquesim.network import CongestedClique
 from repro.coding.interfaces import DecodingFailure
 from repro.coding.ldc_interfaces import LocalDecodingFailure
 from repro.coding.linear import LinearBlockCode
-from repro.core.routing import (BatchedRoutingResult, WavePlan, _Chunk,
-                                _per_trial, _ragged)
+from repro.core.routing import (BatchedRoutingResult, WavePlan, _per_trial,
+                                _ragged)
 from repro.fields.gfp import PrimeField
 from repro.utils.rng import make_rng
 
@@ -318,6 +319,15 @@ def exchange_chunked(net: CongestedClique, intended: np.ndarray,
     for chunk, offset in chunks:
         out |= chunk << offset
     return np.where(missing, -1, out)
+
+
+@dataclass
+class _Chunk:
+    source: int
+    slot: int
+    index: int
+    bits: np.ndarray
+    targets: Tuple[int, ...]
 
 
 def schedule_blocks_reference(chunks: List[_Chunk],

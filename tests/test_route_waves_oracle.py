@@ -1,13 +1,20 @@
-"""The row wave kernel against its per-bit oracle.
+"""The row wave kernel and its relay-set branch against the per-bit
+oracle.
 
 ``repro.core.routing.route_waves`` stages every codeword as one row of a
 (trial, node, block) view and reads whole rows back;
 ``repro.perf.reference.route_waves_per_bit`` moves each bit under its own
-(trial, sender, receiver) key.  On the same plan and the same deliveries
-they must stage the same rounds and return the same rows, failure flags and
-drop and erasure counts — with tail nodes, fan-out, waves whose planes
-share cells, the widest round, per-trial node ids and a lossy transport.
+(trial, sender, receiver) key.  Given each block's own nodes as relay
+sets, the kernel's relay-set branch moves each codeword position as its
+own one-bit row.  On the same plan and the same deliveries all three must
+stage the same rounds and return the same rows, failure flags and drop and
+erasure counts — with tail nodes, fan-out, waves whose planes share cells,
+the widest round, per-trial node ids and a lossy transport.  A hand-built
+plan then checks what only relay sets can do: positions whose loads
+exceed 1 stay off the network and are declared erasures.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,7 +24,7 @@ from repro.coding.repetition import RepetitionCode
 from repro.core import batched_routing
 from repro.core.batched_routing import BatchedRouter, broadcast_many
 from repro.core.profiles import SIMULATION
-from repro.core.routing import plan_waves, route_waves
+from repro.core.routing import WavePlan, plan_waves, route_waves
 from repro.perf.reference import route_waves_per_bit
 
 
@@ -42,25 +49,34 @@ def lossy_round(seed, corrupt=0.0, drop=0.0):
 
 def assert_kernels_agree(n, bandwidth, code, length, plan, bits,
                          corrupt=0.0, drop=0.0, seed=0):
+    # the same plan with each block's own nodes as its relay sets
+    relay_sets = dataclasses.replace(
+        plan, relays=plan.block[:, :, None] * length + np.arange(length))
     results, stages = [], []
-    for kernel in (route_waves, route_waves_per_bit):
+    for kernel, kernel_plan in ((route_waves_per_bit, plan),
+                                (route_waves, plan),
+                                (route_waves, relay_sets)):
         send, staged = lossy_round(seed, corrupt, drop)
-        results.append(kernel(send, n, bandwidth, code, length, plan, bits,
-                              "oracle"))
+        results.append(kernel(send, n, bandwidth, code, length, kernel_plan,
+                              bits, "oracle"))
         stages.append(staged)
-    rows, per_bit = results
-    # the same intended rounds, so the transport saw the same traffic
-    assert len(stages[0]) == len(stages[1]) == rows.rounds
-    for (a, width_a, label_a), (b, width_b, label_b) in zip(*stages):
-        assert (width_a, label_a) == (width_b, label_b)
-        assert a.dtype == np.int64 and a.shape == (plan.batch.shape[0], n, n)
-        np.testing.assert_array_equal(a, b)
-    for name in ("decoded", "failed", "dropped", "erased", "row_pair",
-                 "row_start", "row_size", "pair_msg"):
-        np.testing.assert_array_equal(getattr(rows, name),
-                                      getattr(per_bit, name), err_msg=name)
-    assert (rows.rounds, rows.batches, rows.codeword_bits) == \
-        (per_bit.rounds, per_bit.batches, per_bit.codeword_bits)
+    per_bit, rows = results[:2]
+    for result, staged in zip(results[1:], stages[1:]):
+        # the same intended rounds, so the transport saw the same traffic
+        assert len(staged) == len(stages[0]) == result.rounds
+        for (a, width_a, label_a), (b, width_b, label_b) in zip(staged,
+                                                                stages[0]):
+            assert (width_a, label_a) == (width_b, label_b)
+            assert a.dtype == np.int64 \
+                and a.shape == (plan.batch.shape[0], n, n)
+            np.testing.assert_array_equal(a, b)
+        for name in ("decoded", "failed", "dropped", "erased", "row_pair",
+                     "row_start", "row_size", "pair_msg"):
+            np.testing.assert_array_equal(getattr(result, name),
+                                          getattr(per_bit, name),
+                                          err_msg=name)
+        assert (result.rounds, result.batches, result.codeword_bits) == \
+            (per_bit.rounds, per_bit.batches, per_bit.codeword_bits)
     return rows
 
 
@@ -172,3 +188,70 @@ def test_lossy_transport(make_code):
         assert (rows.erased > 0).all()
     else:
         assert not rows.erased.any()
+
+
+class ErasureSpy:
+    """A code that records the erasure masks its decoder is given."""
+
+    def __init__(self, code):
+        self.code = code
+        self.erasures = []
+
+    def __getattr__(self, name):
+        return getattr(self.code, name)
+
+    def decode_many_flagged(self, words, erasures=None):
+        self.erasures.append(erasures)
+        if erasures is None:
+            return self.code.decode_many_flagged(words)
+        return self.code.decode_many_flagged(words, erasures=erasures)
+
+
+def test_relay_set_loads():
+    # one batch of three chunks: chunks 0 and 1 share the (source 0,
+    # relay 3) pair (InLoad 2); the (chunk 0, target 5) and (chunk 2,
+    # target 5) rows share the (relay 6, target 5) pair, and the (relay 3,
+    # target 5) pair with chunk 0's position that never went out (OutLoad
+    # 2 both)
+    n, length = 16, 8
+    code = ErasureSpy(SIMULATION.routing_code_at_rate(length, 1 / 4))
+    assert code.supports_erasures
+    relays = np.array([[0, 1, 2, 3, 4, 5, 6, 7],
+                       [3, 8, 9, 10, 11, 12, 13, 14],
+                       [6, 3, 10, 11, 12, 13, 14, 15]])
+    plan = WavePlan(chunk_msg=np.arange(3), chunk_start=np.zeros(3, np.int64),
+                    chunk_size=np.full(3, code.k), sizes=np.full(3, code.k),
+                    fanout=np.ones(3, np.int64), sources=np.array([[0, 0, 1]]),
+                    targets=np.array([[5, 6, 5]]),
+                    batch=np.zeros((1, 3), np.int64), block=np.arange(3)[None],
+                    num_batches=1, relays=relays[None])
+    bits = np.random.default_rng(7).integers(0, 2, (1, 3, code.k),
+                                             dtype=np.uint8)
+    staged = []
+
+    def send(intended, width, label):
+        # the network drops chunk 2's position 2 on its way to relay 10,
+        # and chunk 0's position 1 on its way from relay 1 to target 5
+        staged.append(intended.copy())
+        out = intended.copy()
+        out[0, 1, 10 if label.endswith("r1") else 5] = -1
+        return out
+
+    result = route_waves(send, n, 1, code, length, plan, bits, "loads")
+    round1, round2 = (intended[0] for intended in staged)
+    # overloaded positions never reach the network
+    assert round1[0, 3] == -1
+    assert round2[3, 5] == round2[3, 6] == round2[6, 5] == -1
+    # a position at InLoad 1 goes out even when its OutLoad is 2
+    assert min(round1[0, 6], round1[1, 6], round1[1, 3]) >= 0
+    assert (round1 >= 0).sum() == 3 * length - 2
+    assert (round2 >= 0).sum() == 3 * length - 5
+    # skipped positions and the round-2 drop are declared erasures; the
+    # counters see the two network drops, and one of them as an erasure
+    (declared,) = code.erasures
+    expect = np.zeros((3, length), dtype=bool)
+    expect[0, [1, 3, 6]] = expect[1, 0] = expect[2, [0, 1]] = True
+    np.testing.assert_array_equal(declared, expect)
+    assert (result.dropped.tolist(), result.erased.tolist()) == ([2], [1])
+    assert not result.failed.any()
+    np.testing.assert_array_equal(result.message_bits(), bits)

@@ -22,6 +22,7 @@ from repro.core.routing import (
     SuperMessageRouter,
     broadcast,
 )
+from repro.faults.channels import IIDEdgeChannel
 from repro.utils.rng import make_rng
 
 
@@ -134,32 +135,58 @@ class TestAdversarialRouting:
             got = result.received(msg.targets[0], msg.source, 0)
             assert np.array_equal(got, np.array(msg.bits, dtype=np.uint8))
 
-    def test_alpha_too_large_raises(self):
+    @pytest.mark.parametrize("mode", ["blocks", "coverfree"])
+    def test_alpha_too_large_raises(self, mode):
+        # both modes check the adversary's budget before any routing work
         with pytest.raises(ProfileError):
             route_instance(16, [SuperMessage.make(0, 0, [1], [1])],
-                           adversary=AdaptiveAdversary(0.3, seed=1))
+                           adversary=AdaptiveAdversary(0.3, seed=1),
+                           mode=mode)
+
+
+def matching_adversary():
+    return NonAdaptiveAdversary(1 / 128, RoundRobinMatchingStrategy(), seed=2)
+
+
+#: cover-free routings, (n, bandwidth, adversary, slots per node, bits per
+#: message, targets per message), and the sha256 of their outputs as the
+#: per-bit cover-free executor computed them
+COVERFREE_PINS = {
+    "matching": ((128, 8, matching_adversary, 1, 16, 1),
+                 "008eeec4b6c17386303909c735dbfc7d"
+                 "74a9fe281939dce1a6c913f5e057d1ed"),
+    # OutLoad across several targets: 32 batches in 8 rounds
+    "fan-out-3": ((128, 8, matching_adversary, 1, 16, 3),
+                  "543f2e107a178520b6f5df3b64027778"
+                  "c5876b53f5f69879df3266b022b17287"),
+    # positions skipped for their loads with nothing dropped
+    "fault-free": ((512, 8, NullAdversary, 1, 64, 1),
+                   "ce22e118bc275759784f460df3f42e20"
+                   "88754df44816a12c0cd74e03e6096ffc"),
+    # network drops, some of them declared round-2 erasures
+    "erasures": ((128, 8, lambda: IIDEdgeChannel(1 / 64, mode="erase",
+                                                 seed=3), 1, 16, 1),
+                 "695797cdfc402ef978b11bbf41413967"
+                 "92cd313082232643ffd927c6e23a63ce"),
+    # 24 one-plane rounds, several slots per source; one delivery is
+    # wrong and unflagged, the [8, 1, 5] code's 2e + s = d case
+    "one-plane": ((128, 1, matching_adversary, 3, 8, 1),
+                  "71ce092eaff45b8aa867f7b995a4eea4"
+                  "fd713a14e5ffe110f953816e393c746b"),
+}
 
 
 class TestCoverFreeMode:
     """The paper-faithful relay-set mode needs group sizes >> k/delta, so
-    it only becomes comfortable at larger n (DESIGN.md §2) — these tests run
-    at n = 128 where the verified construction succeeds."""
+    it only becomes comfortable at larger n (README, "Cover-free routing
+    runs on the same kernel") — these tests run at n >= 128 where the
+    verified construction succeeds."""
 
-    def test_fault_free(self, rng):
-        n = 128
-        msgs = [SuperMessage.make(u, 0,
-                                  rng.integers(0, 2, 4).astype(np.uint8),
-                                  [(u + 1) % n])
-                for u in range(n)]
-        result, _ = route_instance(n, msgs, mode="coverfree")
-        for msg in msgs:
-            got = result.received(msg.targets[0], msg.source, 0)
-            assert np.array_equal(got, np.array(msg.bits, dtype=np.uint8))
-
-    def test_fault_free_n512(self, rng):
-        # at n=512 some relay positions carry InLoad or OutLoad > 1 and are
-        # skipped; the target must declare them erasures, not read 0 bits
-        n = 512
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_fault_free(self, n, rng):
+        # relay positions with InLoad or OutLoad > 1 are skipped, and the
+        # target must declare them erasures, not read 0 bits: read as 0s
+        # they lost messages at n=512
         msgs = [SuperMessage.make(u, 0,
                                   rng.integers(0, 2, 16).astype(np.uint8),
                                   [(u + 1) % n])
@@ -187,31 +214,34 @@ class TestCoverFreeMode:
             for m in msgs)
         assert correct >= int(0.95 * n)
 
-    def test_digest_under_matching_adversary(self):
-        # pins the cover-free executor's outputs — relay families, skipped
-        # positions declared erasures, adversarial errors — so that a new
-        # cover-free kernel must reproduce them exactly
-        n = 128
-        bits = np.random.default_rng(11).integers(0, 2, (n, 16))
-        msgs = [SuperMessage.make(u, 0, bits[u].astype(np.uint8),
-                                  [(u * 7 + 1) % n])
-                for u in range(n)]
-        adv = NonAdaptiveAdversary(1 / n, RoundRobinMatchingStrategy(),
-                                   seed=2)
-        result, net = route_instance(n, msgs, adversary=adv,
-                                     mode="coverfree")
-        assert net.entries_corrupted > 0
+    @pytest.mark.parametrize("case", list(COVERFREE_PINS))
+    def test_digest_under_matching_adversary(self, case):
+        # pins the cover-free outputs — relay families, skipped positions
+        # declared erasures, adversarial errors and drops — so that any
+        # cover-free kernel must reproduce them exactly.  Slot s of node u
+        # goes to (7u + 1 + s + 5i) mod n for target i.
+        (n, bandwidth, adversary, slots, width, fan), pin = \
+            COVERFREE_PINS[case]
+        bits = np.random.default_rng(11).integers(0, 2, (n, slots, width))
+        msgs = [SuperMessage.make(u, s, bits[u, s].astype(np.uint8),
+                                  [(7 * u + 1 + s + 5 * i) % n
+                                   for i in range(fan)])
+                for u in range(n) for s in range(slots)]
+        result, net = route_instance(n, msgs, adversary=adversary(),
+                                     bandwidth=bandwidth, mode="coverfree")
+        if adversary is matching_adversary:
+            assert net.entries_corrupted > 0
         digest = hashlib.sha256()
         for msg in msgs:
-            digest.update(
-                result.received(msg.targets[0], msg.source, 0).tobytes())
+            for target in msg.targets:
+                digest.update(result.received(target, msg.source,
+                                              msg.slot).tobytes())
         # the bits sent count the relay positions the families left unskipped
         digest.update(repr((sorted(result.decode_failures), result.rounds,
                             result.batches, result.dropped_entries,
                             result.erased_entries, net.bits_sent,
                             net.entries_corrupted)).encode())
-        assert digest.hexdigest() == (
-            "008eeec4b6c17386303909c735dbfc7d74a9fe281939dce1a6c913f5e057d1ed")
+        assert digest.hexdigest() == pin
 
     def test_invalid_mode(self):
         net = CongestedClique(8)
