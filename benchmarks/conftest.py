@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see the
-per-experiment index in DESIGN.md) and *prints* the rows it measured next to
-the paper's claim, so ``pytest benchmarks/ --benchmark-only -s`` doubles as
-the EXPERIMENTS.md data source.
+Every benchmark regenerates one table or figure of the paper (its module
+docstring names which) and *prints* the rows it measured next to the
+paper's claim, so ``pytest benchmarks/ --benchmark-only -s`` prints every
+measured row.
 """
 
 import numpy as np

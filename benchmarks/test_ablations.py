@@ -1,4 +1,4 @@
-"""E11 — ablations of the design choices DESIGN.md calls out.
+"""E11 — ablations of the simulator's design choices.
 
 (a) *relay-set construction*: the deterministic disjoint-block schedule
     (zero overlap) vs the paper's randomized cover-free sets (bounded

@@ -7,8 +7,8 @@ corrupted edges per round in total.
 Measured: the LDC + sketch pipeline end to end under the rushing adaptive
 flip adversary: delivery accuracy, rounds, sketch-repair statistics, and the
 substituted Reed–Muller LDC's parameters (q, margins).  Absolute round
-counts carry simulation-scale constants (DESIGN.md §2: the t << alpha*n
-asymptotic regime starts far above laptop n); the *resilience* against the
+counts carry simulation-scale constants (the t << alpha*n asymptotic
+regime starts far above laptop n); the *resilience* against the
 rushing adversary is the reproduced phenomenon.
 """
 

@@ -4,13 +4,12 @@ from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "base": ("Adversary", "NullAdversary", "RoundOutcome", "RoundView"),
-    "batched": ("BatchRoundView", "BatchedAdversary",
-                "BatchedNonAdaptiveAdversary", "BatchedNullAdversary",
+    "batched": ("BatchRoundView", "BatchedAdversary", "BatchedNullAdversary",
                 "PerTrialAdversaryBatch", "PerTrialFailure"),
     "budget": ("FaultBudgetViolation", "fault_degrees",
                "greedy_symmetric_selection", "max_faulty_degree",
                "validate_fault_set", "validate_fault_sets"),
-    "nonadaptive": ("NonAdaptiveAdversary",),
+    "nonadaptive": ("BatchedNonAdaptiveAdversary", "NonAdaptiveAdversary"),
     "adaptive": ("AdaptiveAdversary", "SlidingWindowAdversary",
                  "TargetedAdaptiveAdversary"),
     "strategies": ("BlockStrategy", "CONTENT_ATTACKS", "NoEdgesStrategy",

@@ -11,9 +11,11 @@ The engine calls the adversary once per round with a :class:`RoundView`:
 
 Adaptivity is an *information* distinction, enforced structurally:
 
-* a non-adaptive adversary's ``select_edges`` is routed through
-  :meth:`NonAdaptiveAdversary.schedule_edges`, which receives only the round
-  index (the F_i schedule is fixed "at the beginning of the simulation");
+* the non-adaptive adversary
+  (:class:`~repro.adversary.nonadaptive.BatchedNonAdaptiveAdversary`)
+  chooses its fault sets through an edge strategy that receives only the
+  round index and the adversary's private schedule stream (the F_i
+  schedule is fixed "at the beginning of the simulation");
 * content corruption may use full history and the intended messages of the
   current round in *both* models (footnote 3 of the paper);
 * an adaptive (rushing) adversary's ``select_edges`` receives the full

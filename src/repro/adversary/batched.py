@@ -14,16 +14,18 @@ leading batch axis:
    delivered payload stack; the engine clamps it so only entries across a
    trial's own faulty edges may differ from that trial's intended payloads.
 
-Per-trial randomness stays independent inside the batch: every trial's
-streams are derived from its own seed exactly as a serial adversary
-derives them, which is what makes a batched cell bit-identical to running
-its trials one at a time.  :class:`PerTrialAdversaryBatch` is the generic
-fallback — it wraps one serial adversary instance per trial, so every
-existing adversary works unbatched under the batched engine (the serial
-:class:`~repro.cliquesim.network.CongestedClique` runs its adversary as a
-one-slot batch of this kind); :class:`BatchedNonAdaptiveAdversary` is the
-natively batched α-NBD adversary whose masks are assembled with tensor
-ops.
+Each oblivious adversary has one implementation, a
+:class:`SeededBatchedAdversary`: every stream of trial ``t`` derives from
+``seeds[t]``, so a batch over seeds ``[s1, ..., sk]`` runs exactly as ``k``
+one-seed instances, and a serial run uses a one-seed instance (the
+non-adaptive adversary of :mod:`repro.adversary.nonadaptive` and the
+channels of :mod:`repro.faults.channels`).  :class:`PerTrialAdversaryBatch`
+drives one serial :class:`~repro.adversary.base.Adversary` per trial
+instead; it carries the adversaries that have no batched implementation —
+the rushing adaptive family, which reads each round's intended payloads,
+the FP23 nemesis and user adversaries — and the serial
+:class:`~repro.cliquesim.network.CongestedClique` runs such an adversary as
+a one-slot batch of this kind.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import numpy as np
 
 from repro.adversary.base import Adversary, RoundOutcome, RoundView
 from repro.adversary.budget import max_faulty_degree
-from repro.adversary.strategies import _tournament_matching
-from repro.utils.rng import derive
 
 
 class PerTrialFailure(Exception):
@@ -143,32 +143,31 @@ class BatchedNullAdversary(BatchedAdversary):
 
 
 class PerTrialAdversaryBatch(BatchedAdversary):
-    """Generic fallback: drive one serial adversary instance per trial.
+    """Drive one serial adversary instance per trial.
 
-    Every existing :class:`~repro.adversary.base.Adversary` subclass works
-    under the batched engine through this wrapper, unbatched: each round,
-    each trial's instance is consulted with that trial's serial
-    :class:`RoundView` in trial order, so its private RNG advances exactly
-    as it would have in a serial run of that trial alone.
+    An :class:`~repro.adversary.base.Adversary` without a batched
+    implementation works under the batched engine through this wrapper,
+    unbatched: each round, each trial's instance is consulted with that
+    trial's serial :class:`RoundView` in trial order, so its private RNG
+    advances exactly as it would have in a serial run of that trial alone.
 
-    The budget the engine holds the batch to is read from the wrapped
-    adversaries after their own ``begin_protocol``: ``alpha`` (which some
-    adversaries only fix there) and ``validation_alpha`` (the degree budget
-    a Byzantine-node model declares), each shared by every trial.
+    The engine holds the batch to the ``alpha`` the wrapped adversaries
+    share after their own ``begin_protocol`` (some adversaries only fix it
+    there).
     """
 
     def __init__(self, adversaries: Sequence[Adversary]):
         if not adversaries:
             raise ValueError("need at least one per-trial adversary")
         self.adversaries = list(adversaries)
-        super().__init__(alpha=self._shared("alpha"))
+        super().__init__(alpha=self._shared_alpha())
         self.reads_history = any(a.reads_history for a in self.adversaries)
 
-    def _shared(self, name: str) -> float:
-        values = {getattr(a, name, a.alpha) for a in self.adversaries}
+    def _shared_alpha(self) -> float:
+        values = {a.alpha for a in self.adversaries}
         if len(values) != 1:
             raise ValueError(
-                f"per-trial adversaries must share one {name}, got {values}")
+                f"per-trial adversaries must share one alpha, got {values}")
         return values.pop()
 
     def begin_protocol(self, n: int, trials: int) -> None:
@@ -179,8 +178,7 @@ class PerTrialAdversaryBatch(BatchedAdversary):
         super().begin_protocol(n, trials)
         for adversary in self.adversaries:
             adversary.begin_protocol(n)
-        self.alpha = self._shared("alpha")
-        self.validation_alpha = self._shared("validation_alpha")
+        self.alpha = self._shared_alpha()
 
     def select_edges_many(self, view: BatchRoundView) -> np.ndarray:
         masks = np.zeros(view.intended.shape, dtype=bool)
@@ -206,57 +204,32 @@ class PerTrialAdversaryBatch(BatchedAdversary):
         return delivered
 
 
-class BatchedNonAdaptiveAdversary(BatchedAdversary):
-    """Natively batched α-NBD adversary (the batched-mask fast path).
+class SeededBatchedAdversary(BatchedAdversary):
+    """A batched adversary with one seed per trial.
 
-    Bit-identical to ``trials`` independent
-    :class:`~repro.adversary.nonadaptive.NonAdaptiveAdversary` instances
-    with the default :class:`RandomRegularStrategy` edge schedule: each
-    trial's schedule/content streams are derived from its own seed exactly
-    as the serial constructor derives them, and only the per-trial
-    *permutation draws* (inherently independent streams) run in a Python
-    loop — mask assembly gathers the precomputed tournament matchings for
-    all trials at once, and the flip/drop content attacks are single
-    ``np.where`` passes over the ``(trials, n, n)`` stack.
+    Subclasses derive every stream of trial ``t`` from ``seeds[t]`` alone,
+    so a trial's faults do not depend on the batch it runs in.  The two
+    deterministic content attacks live here: ``flip`` inverts every bit
+    of a faulty entry at its trial's own width (fabricating all-ones on a
+    silent edge), and ``drop`` erases it.
     """
+
+    #: the content attacks :meth:`corrupt_many` knows
+    content_attacks = ("flip", "drop")
 
     def __init__(self, alpha: float, seeds: Sequence[int],
                  content_attack: str = "flip"):
         super().__init__(alpha)
-        if content_attack not in ("flip", "drop", "random"):
+        if content_attack not in self.content_attacks:
             raise ValueError(f"unknown content attack {content_attack!r}")
         self.seeds = [int(s) for s in seeds]
         self.content_attack = content_attack
-        self._schedule_rngs: List[np.random.Generator] = []
-        self._rngs: List[np.random.Generator] = []
-        self._matchings: Optional[np.ndarray] = None
 
     def begin_protocol(self, n: int, trials: int) -> None:
         if trials != len(self.seeds):
             raise ValueError(
                 f"{len(self.seeds)} seeds cannot cover {trials} trials")
         super().begin_protocol(n, trials)
-        # the exact per-trial derivations of the serial adversary
-        self._rngs = [derive(s, f"adversary:{n}") for s in self.seeds]
-        self._schedule_rngs = [derive(s, f"nbd-schedule:{n}")
-                               for s in self.seeds]
-        m = n if n % 2 == 0 else n + 1
-        self._matchings = np.stack([_tournament_matching(n, r)
-                                    for r in range(m - 1)])
-
-    def select_edges_many(self, view: BatchRoundView) -> np.ndarray:
-        budget = self.budget
-        if budget < 1:
-            return np.zeros((self.trials, self.n, self.n), dtype=bool)
-        # independent per-trial permutation draws, one gather for the masks;
-        # trials a serial run would already have finished draw nothing
-        masks = np.zeros((self.trials, self.n, self.n), dtype=bool)
-        for t, rng in enumerate(self._schedule_rngs):
-            if not view.trial_active(t):
-                continue
-            choice = rng.permutation(self._matchings.shape[0])[:budget]
-            masks[t] = self._matchings[choice].any(axis=0)
-        return masks
 
     def corrupt_many(self, view: BatchRoundView,
                      edges: np.ndarray) -> np.ndarray:
@@ -264,20 +237,14 @@ class BatchedNonAdaptiveAdversary(BatchedAdversary):
         mask = np.asarray(edges, dtype=bool)
         if self.content_attack == "drop":
             return np.where(mask, np.int64(-1), intended)
-        if self.content_attack == "flip":
-            if view.widths is not None:
-                all_ones = ((np.int64(1) << view.widths.astype(np.int64))
-                            - 1)[:, None, None]
-            else:
-                all_ones = np.int64((1 << view.width) - 1)
-            flipped = np.where(intended >= 0, intended ^ all_ones, all_ones)
-            return np.where(mask, flipped, intended)
-        # "random" draws from each trial's private stream in serial order
-        delivered = intended.copy()
-        for t, rng in enumerate(self._rngs):
-            count = int(mask[t].sum())
-            if count:
-                high = 1 << view.trial_width(t)
-                delivered[t][mask[t]] = rng.integers(0, high, size=count,
-                                                     dtype=np.int64)
-        return delivered
+        # flip at each trial's *own* width: flipping a ragged round at the
+        # batch-wide maximum would let the engine's clip land a flipped
+        # all-ones payload back on ``intended``, diverging from a serial
+        # run of that trial
+        if view.widths is not None:
+            widths = np.asarray(view.widths, dtype=np.int64)
+            all_ones = ((np.int64(1) << widths) - 1)[:, None, None]
+        else:
+            all_ones = np.int64((1 << view.width) - 1)
+        flipped = np.where(intended >= 0, intended ^ all_ones, all_ones)
+        return np.where(mask, flipped, intended)

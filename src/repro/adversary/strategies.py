@@ -1,9 +1,11 @@
 """Edge-selection and content-corruption strategies.
 
-Edge strategies produce a symmetric fault set within the degree budget; the
-:class:`~repro.adversary.nonadaptive.NonAdaptiveAdversary` and
-:class:`~repro.adversary.adaptive.AdaptiveAdversary` wrappers decide what
-information a strategy may see (round index only vs. the full rushing view).
+Edge strategies produce a symmetric fault set within the degree budget.
+The non-adaptive adversary
+(:class:`~repro.adversary.nonadaptive.BatchedNonAdaptiveAdversary`) calls
+one with the round index and its private schedule stream only, so a
+strategy cannot see what the protocol sends; the rushing
+:class:`~repro.adversary.adaptive.AdaptiveAdversary` sees the full view.
 
 The gallery covers the fault patterns the paper discusses:
 
@@ -25,28 +27,25 @@ from typing import Optional
 import numpy as np
 
 
-def _tournament_matching(n: int, round_index: int) -> np.ndarray:
-    """Perfect matching number ``round_index`` of the circle method.
+def tournament_matchings(n: int, indices) -> np.ndarray:
+    """Union of the circle-method matchings numbered ``indices``.
 
-    For even ``n`` this enumerates ``n - 1`` pairwise edge-disjoint perfect
-    matchings; for odd ``n`` one node sits out per matching.
+    The method fixes label ``k`` (``n - 1`` for even ``n``, ``n`` for odd
+    ``n``) and rotates the others: in matching ``r`` a label ``x`` outside
+    ``{r, k}`` pairs with ``(2r - x) mod k``, and ``r`` pairs with ``k``.
+    For even ``n`` this enumerates ``n - 1`` pairwise edge-disjoint
+    perfect matchings; for odd ``n`` label ``k`` is no node, so node ``r``
+    sits out of matching ``r``.  Indices are taken mod ``k``.
     """
-    mask = np.zeros((n, n), dtype=bool)
-    m = n if n % 2 == 0 else n + 1
-    r = round_index % (m - 1)
-    # circle method over labels 0..m-1 where label m-1 is fixed
-    def real(label: int) -> Optional[int]:
-        return label if label < n else None
-
-    a, b = real(m - 1), real(r)
-    if a is not None and b is not None and a != b:
-        mask[a, b] = mask[b, a] = True
-    for i in range(1, m // 2):
-        x = real((r + i) % (m - 1))
-        y = real((r - i) % (m - 1))
-        if x is not None and y is not None and x != y:
-            mask[x, y] = mask[y, x] = True
-    return mask
+    k = n - 1 if n % 2 == 0 else n
+    labels = np.arange(k)
+    rounds = np.asarray(indices, dtype=np.int64).reshape(-1, 1) % k
+    partner = (2 * rounds - labels) % k
+    partner[partner == labels] = k
+    # one spare row and column hold the non-node label k of odd n
+    mask = np.zeros((k + 1, k + 1), dtype=bool)
+    mask[labels, partner] = mask[partner, labels] = True
+    return mask[:n, :n]
 
 
 class RoundRobinMatchingStrategy:
@@ -57,7 +56,7 @@ class RoundRobinMatchingStrategy:
                  rng: np.random.Generator) -> np.ndarray:
         if budget < 1:
             return np.zeros((n, n), dtype=bool)
-        return _tournament_matching(n, round_index)
+        return tournament_matchings(n, [round_index])
 
 
 class RandomRegularStrategy:
@@ -66,14 +65,10 @@ class RandomRegularStrategy:
 
     def __call__(self, n: int, budget: int, round_index: int,
                  rng: np.random.Generator) -> np.ndarray:
-        mask = np.zeros((n, n), dtype=bool)
         if budget < 1:
-            return mask
-        m = n if n % 2 == 0 else n + 1
-        choices = rng.permutation(m - 1)[:budget]
-        for matching_index in choices:
-            mask |= _tournament_matching(n, int(matching_index))
-        return mask
+            return np.zeros((n, n), dtype=bool)
+        k = n - 1 if n % 2 == 0 else n
+        return tournament_matchings(n, rng.permutation(k)[:budget])
 
 
 class BlockStrategy:

@@ -96,7 +96,7 @@ def adaptive_crossover_n(sketch_bits: int, alpha_of_n, rate: float = 0.5,
     its 1/alpha leaders holding ~rate*n bits each, i.e.
     ``t <= rate / alpha(n)``.  Below this n the sketch machinery costs more
     bandwidth than resending messages outright — which is why
-    simulation-scale round counts carry large constants (DESIGN.md §2).
+    simulation-scale round counts carry large constants.
     """
     n = 4
     while n < n_max:

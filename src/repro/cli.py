@@ -31,24 +31,14 @@ import time
 
 import numpy as np
 
-from repro.adversary import AdaptiveAdversary, NonAdaptiveAdversary, NullAdversary
 from repro.cliquesim.network import CongestedClique
 from repro.cliquesim.trace import format_breakdown
 from repro.core import AllToAllInstance, make_protocol, verify_beliefs
 from repro.core.alltoall import PROTOCOLS
 from repro.core.applications import resilient_consensus
 from repro.core.profiles import ProfileError
+from repro.experiments.runner import make_adversary
 from repro.utils.rng import make_rng
-
-
-def _adversary(kind: str, alpha: float, seed: int):
-    if alpha <= 0:
-        return NullAdversary()
-    if kind == "adaptive":
-        return AdaptiveAdversary(alpha, seed=seed)
-    if kind == "nonadaptive":
-        return NonAdaptiveAdversary(alpha, seed=seed)
-    raise ValueError(f"unknown adversary kind {kind!r}")
 
 
 def _run_once(protocol_name: str, n: int, alpha: float, adversary_kind: str,
@@ -57,7 +47,7 @@ def _run_once(protocol_name: str, n: int, alpha: float, adversary_kind: str,
     from repro.obs import tracing
     instance = AllToAllInstance.random(n, width=1, seed=seed)
     protocol = make_protocol(protocol_name)
-    adversary = _adversary(adversary_kind, alpha, seed + 1)
+    adversary = make_adversary(adversary_kind, alpha, seed + 1)
     net = CongestedClique(n, bandwidth=bandwidth, adversary=adversary)
     if trace_path:
         with tracing.trace("run", protocol=protocol_name, n=n, alpha=alpha,
@@ -100,7 +90,7 @@ def cmd_sweep(args) -> int:
         instance = AllToAllInstance.random(args.n, width=1, seed=args.seed)
         try:
             protocol = make_protocol(args.protocol)
-            adversary = _adversary(args.adversary, alpha, args.seed + 1)
+            adversary = make_adversary(args.adversary, alpha, args.seed + 1)
             net = CongestedClique(args.n, bandwidth=args.bandwidth,
                                   adversary=adversary)
             beliefs = protocol.run(instance, net, seed=args.seed + 2)
@@ -126,7 +116,7 @@ def cmd_table1(args) -> int:
         instance = AllToAllInstance.random(args.n, width=1, seed=args.seed)
         try:
             protocol = make_protocol(name)
-            adversary = _adversary(adversary_kind, alpha, args.seed + 1)
+            adversary = make_adversary(adversary_kind, alpha, args.seed + 1)
             net = CongestedClique(args.n, bandwidth=args.bandwidth,
                                   adversary=adversary)
             beliefs = protocol.run(instance, net, seed=args.seed + 2)
@@ -143,7 +133,7 @@ def cmd_consensus(args) -> int:
     rng = make_rng(args.seed)
     inputs = rng.integers(0, 2, size=args.n)
     protocol = make_protocol(args.protocol)
-    adversary = _adversary(args.adversary, args.alpha, args.seed + 1)
+    adversary = make_adversary(args.adversary, args.alpha, args.seed + 1)
     report = resilient_consensus(inputs, protocol, adversary,
                                  bandwidth=args.bandwidth, seed=args.seed)
     print(f"inputs: {int(inputs.sum())} ones / {args.n}")

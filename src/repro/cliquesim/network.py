@@ -10,22 +10,27 @@ Payloads here are ``(n, n)`` int64 matrices — entry ``(u, v)`` is the value
 batch axis, calls the engine method of the same name and strips the axis
 again.
 
-The serial adversary rides in a one-slot
-:class:`~repro.adversary.batched.PerTrialAdversaryBatch` (a
-:class:`~repro.adversary.base.NullAdversary` becomes the engine's
-fault-free :class:`~repro.adversary.batched.BatchedNullAdversary`), so it
-sees exactly the serial :class:`~repro.adversary.base.RoundView` of its
-trial, and an exception it raises reaches the caller unchanged.
+A :class:`~repro.adversary.batched.BatchedAdversary` — the non-adaptive
+adversary and the stochastic channels, built for one seed — goes to the
+engine as it is.  A :class:`~repro.adversary.base.NullAdversary` becomes
+the engine's fault-free
+:class:`~repro.adversary.batched.BatchedNullAdversary`.  Any other
+:class:`~repro.adversary.base.Adversary` (the rushing adaptive family, the
+FP23 nemesis, a user adversary) rides in a one-slot
+:class:`~repro.adversary.batched.PerTrialAdversaryBatch`, so it sees
+exactly the serial :class:`~repro.adversary.base.RoundView` of its trial,
+and an exception it raises reaches the caller unchanged.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.adversary.base import Adversary, NullAdversary, RoundOutcome
 from repro.adversary.batched import (
+    BatchedAdversary,
     BatchedNullAdversary,
     PerTrialAdversaryBatch,
     PerTrialFailure,
@@ -53,19 +58,23 @@ class CongestedClique:
     """A bandwidth-B Congested Clique with an attached mobile adversary."""
 
     def __init__(self, n: int, bandwidth: int = 1,
-                 adversary: Optional[Adversary] = None,
+                 adversary: Union[Adversary, BatchedAdversary, None] = None,
                  record_full_history: bool = False,
                  keep_history: bool = True):
         self.adversary = adversary if adversary is not None else NullAdversary()
         fault_free = isinstance(self.adversary, NullAdversary)
+        if fault_free:
+            engine_adversary = BatchedNullAdversary()
+        elif isinstance(self.adversary, BatchedAdversary):
+            engine_adversary = self.adversary
+        else:
+            engine_adversary = PerTrialAdversaryBatch([self.adversary])
         # keep_history=False keeps only the scalar counters — one
         # RoundOutcome per round is real memory over a long campaign.  An
         # adversary that reads view.history forces it back on (it would
         # otherwise see an empty record), as does record_full_history.
         self.engine = BatchedClique(
-            n, 1, bandwidth=bandwidth,
-            adversary=(BatchedNullAdversary() if fault_free
-                       else PerTrialAdversaryBatch([self.adversary])),
+            n, 1, bandwidth=bandwidth, adversary=engine_adversary,
             keep_history=keep_history or record_full_history)
         if fault_free:
             self.adversary.begin_protocol(n)

@@ -3,7 +3,7 @@
 Protocols label every round (``routing/wave0/r1``, ``adaptive/scatter`` …),
 so the history can be folded into a per-phase breakdown — which rounds a
 protocol spends where, and where the adversary landed its corruption.  Used
-by EXPERIMENTS.md and the examples; handy for anyone profiling a new
+by ``repro run --phases`` and the examples; handy for anyone profiling a new
 protocol on the simulator.
 """
 

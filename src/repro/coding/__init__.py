@@ -4,7 +4,8 @@ The protocols consume two abstract interfaces:
 
 * :class:`~repro.coding.interfaces.BinaryCode` — constant rate/distance
   binary codes (Definition 3; the Justesen code of Lemma 2.1 is substituted
-  by :func:`~repro.coding.justesen.make_justesen_code`, see DESIGN.md).
+  by :func:`~repro.coding.justesen.make_justesen_code`; README, "Code
+  design", has its inner code).
 * :class:`~repro.coding.ldc_interfaces.LocallyDecodableCode` — non-adaptive
   LDCs (Definition 4; the KMRS code of Lemma 2.2 is substituted by
   :class:`~repro.coding.reed_muller.ReedMullerLDC`).

@@ -2,9 +2,9 @@
 
 Outer code: Reed–Solomon over GF(2^m).  Inner code: a fixed short binary
 linear code with exact ML decoding (Justesen used the varying Wozencraft
-ensemble; see DESIGN.md §2 for why a fixed good inner code preserves the
-contract the protocols rely on — constant rate, constant relative distance,
-polynomial-time encoding/decoding).
+ensemble; a fixed good inner code, searched as README "Code design"
+describes, preserves the contract the protocols rely on — constant rate,
+constant relative distance, polynomial-time encoding/decoding).
 
 Decoding is the classical two-stage procedure: ML-decode each inner block to
 an outer symbol, then bounded-distance RS decoding across blocks.  A bit

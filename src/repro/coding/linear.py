@@ -5,8 +5,8 @@ These serve two roles:
 * **Inner codes** of the Justesen-like concatenated construction
   (``repro.coding.justesen``).  Justesen's original construction uses the
   Wozencraft ensemble of varying inner codes; we substitute one fixed good
-  inner code per DESIGN.md — the relevant contract (constant rate and
-  distance, exact ML decoding of each short block) is identical.
+  inner code (README, "Code design") — the relevant contract (constant
+  rate and distance, exact ML decoding of each short block) is identical.
 * **Stand-alone codes for tiny messages**, e.g. encoding a single
   Theta(log n)-bit message in the non-adaptive compiler (Section 5.1).
 

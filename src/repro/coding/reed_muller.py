@@ -2,9 +2,9 @@
 
 The paper instantiates its adaptive compiler with the Kopparty–Meir–
 Ron-Zewi–Saraf LDC (constant rate, ``q = exp(sqrt(log n log log n))``
-queries).  That construction is far beyond a faithful reimplementation; per
-DESIGN.md §2 we substitute the classical Reed–Muller LDC, which offers every
-property Section 5.2 actually uses:
+queries).  That construction is far beyond a faithful reimplementation, so
+we substitute the classical Reed–Muller LDC (README, "Line decoding"),
+which offers every property Section 5.2 actually uses:
 
 * **non-adaptive** local decoding: the queried positions are an affine line
   through the decoded point with a direction derived only from
@@ -14,7 +14,8 @@ property Section 5.2 actually uses:
 * polynomial-time encoding and decoding.
 
 The rate is a smaller constant and ``q = p - 1 = O(n^{1/m})`` instead of
-``n^{o(1)}``; EXPERIMENTS.md reports the concrete α this costs.
+``n^{o(1)}``; ``benchmarks/test_table1_adaptive.py`` prints the concrete
+α this costs.
 
 Encoding is *systematic on the principal lattice*: the message symbols are
 the evaluations of an m-variate degree-≤d polynomial over GF(p) at the

@@ -23,12 +23,12 @@ IV.  sketch subtraction (Lemma 2.4): v adds every received ``~m_{u,v}`` with
      frequency -1; what survives in the sketch is precisely the set of
      corrupted messages and their corrections (Lemma B.1).
 
-Substitutions at simulation scale (DESIGN.md §2): the KMRS LDC is replaced
-by a Reed–Muller LDC, and the query-answer transfer of Lemma 5.9 is a
-direct exchange (each queried value crosses one edge, so a fraction <= ~2α
-of any node's query answers is corrupted — which is exactly the corruption
-model the LDC's line decoding absorbs; the super-message formulation is
-asymptotically equivalent but needs the n >> t regime).
+Substitutions at simulation scale: the KMRS LDC is replaced by a
+Reed–Muller LDC (README, "Line decoding"), and the query-answer transfer of
+Lemma 5.9 is a direct exchange (each queried value crosses one edge, so a
+fraction <= ~2α of any node's query answers is corrupted — which is exactly
+the corruption model the LDC's line decoding absorbs; the super-message
+formulation is asymptotically equivalent but needs the n >> t regime).
 """
 
 from __future__ import annotations

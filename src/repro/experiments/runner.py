@@ -37,36 +37,26 @@ STATUS_SKIPPED = "skipped"           # never ran: time budget / dead fleet
 def make_adversary(kind: str, alpha: float, seed: int):
     """Resolve an adversary *name* (the declarative form used by specs).
 
-    For the stochastic channel kinds, ``alpha`` is the per-edge fault
-    probability (and the degree budget the masks are trimmed to); for
-    ``byzantine-nodes`` it is the *node* fraction — ``floor(alpha * n)``
-    nodes corrupt all of their incident edges.
+    The natively batched kinds (``nonadaptive`` and the channels) are
+    :func:`~repro.experiments.vmap.make_batched_adversary` built for the
+    one seed.  For the stochastic channel kinds, ``alpha`` is the per-edge
+    fault probability (and the degree budget the masks are trimmed to);
+    for ``byzantine-nodes`` it is the *node* fraction — ``floor(alpha *
+    n)`` nodes corrupt all of their incident edges.
     """
-    from repro.adversary import (AdaptiveAdversary, NonAdaptiveAdversary,
-                                 NullAdversary, SlidingWindowAdversary,
+    from repro.adversary import (AdaptiveAdversary, NullAdversary,
+                                 SlidingWindowAdversary,
                                  TargetedAdaptiveAdversary)
-    from repro.faults.channels import (ByzantineNodeAdversary,
-                                       GilbertElliottChannel, IIDEdgeChannel)
+    from repro.experiments.vmap import make_batched_adversary
     if kind == "null" or alpha <= 0:
         return NullAdversary()
     if kind == "adaptive":
         return AdaptiveAdversary(alpha, seed=seed)
-    if kind == "nonadaptive":
-        return NonAdaptiveAdversary(alpha, seed=seed)
     if kind == "sliding-window":
         return SlidingWindowAdversary(alpha, seed=seed)
     if kind == "targeted":
         return TargetedAdaptiveAdversary(alpha, victims=(0,), seed=seed)
-    if kind == "iid-corrupt":
-        return IIDEdgeChannel(alpha, mode="corrupt", seed=seed)
-    if kind == "iid-erase":
-        return IIDEdgeChannel(alpha, mode="erase", seed=seed)
-    if kind == "gilbert-elliott":
-        return GilbertElliottChannel(alpha, mode="corrupt", seed=seed)
-    if kind == "byzantine-nodes":
-        return ByzantineNodeAdversary(alpha, mode="corrupt", seed=seed)
-    raise ValueError(f"unknown adversary kind {kind!r}; known: "
-                     f"{sorted(ADVERSARIES)}")
+    return make_batched_adversary(kind, alpha, [seed])
 
 
 #: declarative adversary catalog (name -> short description)

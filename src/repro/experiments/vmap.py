@@ -104,12 +104,13 @@ def max_batch_trials(trial: TrialSpec) -> int:
 
 
 def make_batched_adversary(kind: str, alpha: float, seeds: Sequence[int]):
-    """Batched analogue of :func:`~repro.experiments.runner.make_adversary`:
-    native batched implementations where they exist, the per-trial wrapper
-    (serial instances driven in lockstep) for everything else."""
+    """Batched analogue of :func:`~repro.experiments.runner.make_adversary`,
+    and the one place the natively batched kinds are built.  The rushing
+    kinds have no batched implementation: one serial instance per trial
+    runs in lockstep."""
     from repro.adversary import (BatchedNonAdaptiveAdversary,
                                  BatchedNullAdversary, PerTrialAdversaryBatch)
-    from repro.experiments.runner import make_adversary
+    from repro.experiments.runner import ADVERSARIES, make_adversary
     from repro.faults.channels import (BatchedByzantineNodeAdversary,
                                        BatchedGilbertElliottChannel,
                                        BatchedIIDEdgeChannel)
@@ -125,8 +126,11 @@ def make_batched_adversary(kind: str, alpha: float, seeds: Sequence[int]):
         return BatchedGilbertElliottChannel(alpha, seeds, mode="corrupt")
     if kind == "byzantine-nodes":
         return BatchedByzantineNodeAdversary(alpha, seeds, mode="corrupt")
-    return PerTrialAdversaryBatch(
-        [make_adversary(kind, alpha, seed) for seed in seeds])
+    if kind in ("adaptive", "sliding-window", "targeted"):
+        return PerTrialAdversaryBatch(
+            [make_adversary(kind, alpha, seed) for seed in seeds])
+    raise ValueError(f"unknown adversary kind {kind!r}; known: "
+                     f"{sorted(ADVERSARIES)}")
 
 
 def group_cells(trials: Sequence[TrialSpec]) -> "OrderedDict":

@@ -4,8 +4,8 @@ Two halves:
 
 * :mod:`repro.faults.channels` — stochastic per-edge channel adversaries
   (i.i.d. and Gilbert–Elliott bursty, in ``corrupt`` and ``erase``
-  flavours) and the Byzantine-*node* adversary, each with serial and
-  natively-batched implementations;
+  flavours) and the Byzantine-*node* adversary, each one batched
+  implementation whose serial name is its one-seed instance;
 * :mod:`repro.faults.resilience` — per-trial wall-clock timeouts, bounded
   retries with exponential backoff (bit-identical on success), and the
   ``REPRO_CHAOS_TIMEOUT`` chaos-injection hook.
@@ -22,8 +22,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "channels": ("BatchedByzantineNodeAdversary",
                  "BatchedGilbertElliottChannel", "BatchedIIDEdgeChannel",
                  "ByzantineNodeAdversary", "GilbertElliottChannel",
-                 "IIDEdgeChannel", "StochasticEdgeChannel",
-                 "degree_capped_mask"),
+                 "IIDEdgeChannel", "degree_capped_mask"),
     "resilience": ("CHAOS_TIMEOUT_ENV", "NO_POLICY", "ResiliencePolicy",
                    "TrialTimeout", "chaos_timeout_fraction",
                    "execute_trial_resilient", "trial_alarm"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,12 +41,6 @@ def decode_many_loop(code, words: np.ndarray):
         except DecodingFailure:
             failed[i] = True
     return out, failed
-
-
-def encode_many_loop(code, messages: np.ndarray) -> np.ndarray:
-    """Per-word encode loop (the pre-refactor generic `encode_many`)."""
-    messages = np.asarray(messages)
-    return np.stack([code.encode(row) for row in messages])
 
 
 def rs_encode_poly_mod(codec, messages: np.ndarray) -> np.ndarray:
@@ -230,6 +224,29 @@ def search_linear_code_loop(k: int, n: int, target_distance: int,
             f"no [{n},{k}] code with distance >= {target_distance} found; "
             f"best was {best.min_distance if best else 0}")
     return best
+
+
+def tournament_matching_loop(n: int, round_index: int) -> np.ndarray:
+    """Perfect matching number ``round_index`` of the circle method, one
+    pair at a time: the loop that
+    :func:`~repro.adversary.strategies.tournament_matchings` replaced."""
+    mask = np.zeros((n, n), dtype=bool)
+    m = n if n % 2 == 0 else n + 1
+    r = round_index % (m - 1)
+
+    # circle method over labels 0..m-1 where label m-1 is fixed
+    def real(label: int) -> Optional[int]:
+        return label if label < n else None
+
+    a, b = real(m - 1), real(r)
+    if a is not None and b is not None and a != b:
+        mask[a, b] = mask[b, a] = True
+    for i in range(1, m // 2):
+        x = real((r + i) % (m - 1))
+        y = real((r - i) % (m - 1))
+        if x is not None and y is not None and x != y:
+            mask[x, y] = mask[y, x] = True
+    return mask
 
 
 def greedy_symmetric_selection_loop(priorities: np.ndarray, budget: int,

@@ -10,6 +10,7 @@ from repro.adversary.adaptive import (
     TargetedAdaptiveAdversary,
 )
 from repro.adversary.base import RoundView
+from repro.adversary.batched import BatchRoundView
 from repro.adversary.budget import (
     FaultBudgetViolation,
     fault_degrees,
@@ -27,8 +28,10 @@ from repro.adversary.strategies import (
     corrupt_drop,
     corrupt_flip,
     corrupt_random,
+    tournament_matchings,
 )
-from repro.perf.reference import greedy_symmetric_selection_loop
+from repro.perf.reference import (greedy_symmetric_selection_loop,
+                                  tournament_matching_loop)
 from repro.utils.rng import make_rng
 
 
@@ -37,6 +40,14 @@ def view_for(n, width=1, intended=None, index=0, label=""):
         intended = np.ones((n, n), dtype=np.int64)
     return RoundView(index=index, width=width, intended=intended,
                      history=[], label=label)
+
+
+def batch_view_for(n, width=1, intended=None, index=0):
+    """The one-trial view a one-seed batched adversary sees in a serial
+    run."""
+    if intended is None:
+        intended = np.ones((n, n), dtype=np.int64)
+    return BatchRoundView(index=index, width=width, intended=intended[None])
 
 
 class TestBudget:
@@ -119,8 +130,12 @@ class TestBudget:
         # (1/49) * 196 is 3.9999999999999996: the group count is 4, not 2
         assert AdaptiveAllToAll._num_parts(196, 1 / 49) == 4
         byzantine = ByzantineNodeAdversary(0.58)
-        byzantine.begin_protocol(50)
-        assert len(byzantine.faulty_nodes) == 29
+        byzantine.begin_protocol(50, 1)
+        view = batch_view_for(50)
+        mask = byzantine.select_edges_many(view)
+        assert (fault_degrees(mask[0]) == 49).sum() == 29
+        delivered = byzantine.corrupt_many(view, mask)
+        assert (delivered[0][mask[0]] == 0).all()  # width-1 flip of 1
 
 
 class _ZeroRng:
@@ -248,6 +263,25 @@ class TestStrategies:
     def test_no_edges(self):
         assert not NoEdgesStrategy()(8, 4, 0, make_rng(0)).any()
 
+    def test_tournament_matchings_match_the_loop(self):
+        # the closed form against the circle-method loop it replaced: every
+        # matching (and indices past one period) for n = 2..79, then the
+        # unions of random choice sets RandomRegularStrategy draws
+        rng = make_rng(17)
+        for n in range(2, 80):
+            k = n - 1 if n % 2 == 0 else n
+            loops = [tournament_matching_loop(n, r) for r in range(k)]
+            for r in range(k + 3):
+                mask = tournament_matchings(n, [r])
+                assert mask.shape == (n, n)
+                assert np.array_equal(mask, loops[r % k]), (n, r)
+                assert fault_degrees(mask).max() == 1
+            for _ in range(4):
+                choice = rng.permutation(k)[:int(rng.integers(1, k + 1))]
+                union = np.logical_or.reduce([loops[r] for r in choice])
+                assert np.array_equal(tournament_matchings(n, choice),
+                                      union), (n, choice)
+
 
 class TestContentAttacks:
     def test_flip_inverts_bits(self):
@@ -280,20 +314,22 @@ class TestContentAttacks:
 class TestNonAdaptive:
     def test_schedule_ignores_messages(self):
         adv = NonAdaptiveAdversary(0.25, seed=3)
-        adv.begin_protocol(16)
-        a = adv.select_edges(view_for(16, intended=np.zeros((16, 16),
-                                                            dtype=np.int64)))
+        adv.begin_protocol(16, 1)
+        a = adv.select_edges_many(batch_view_for(
+            16, intended=np.zeros((16, 16), dtype=np.int64)))
         adv2 = NonAdaptiveAdversary(0.25, seed=3)
-        adv2.begin_protocol(16)
-        b = adv2.select_edges(view_for(
+        adv2.begin_protocol(16, 1)
+        b = adv2.select_edges_many(batch_view_for(
             16, intended=np.ones((16, 16), dtype=np.int64) * 7, width=3))
+        assert a.any()
         assert np.array_equal(a, b)
 
     def test_schedule_varies_by_round(self):
         adv = NonAdaptiveAdversary(0.25, seed=3)
-        adv.begin_protocol(16)
-        a = adv.schedule_edges(0)
-        b = adv.schedule_edges(1)
+        adv.begin_protocol(16, 1)
+        views = [batch_view_for(16, index=r) for r in range(2)]
+        a, b = (adv.corrupt_many(view, adv.select_edges_many(view))
+                for view in views)
         assert not np.array_equal(a, b)
 
     def test_unknown_attack_rejected(self):

@@ -143,7 +143,7 @@ class TestFailureModels:
 
     def test_model_predicts_measured_regime(self):
         """Calibration check against the measured adaptive run at n=64,
-        alpha=1/32 (EXPERIMENTS.md): ~10-30 failed sketches of 128."""
+        alpha=1/32: ~10-30 failed sketches of 128."""
         per_query = exposure_per_query(1 / 32)
         line = LineModel(queries=30, margin=8, per_query=per_query)
         sketch = SketchModel(lines=98, line=line)

@@ -193,25 +193,6 @@ class TestPerTrialBudget:
     """A wrapped serial adversary is held to the budget it declares once
     its own ``begin_protocol`` has run."""
 
-    def test_wrapped_byzantine_nodes_match_native_masks(self):
-        from repro.faults.channels import (BatchedByzantineNodeAdversary,
-                                           ByzantineNodeAdversary)
-        seeds = [41, 42]
-        wrapped = BatchedClique(N, 2, bandwidth=4, adversary=(
-            PerTrialAdversaryBatch(
-                [ByzantineNodeAdversary(0.125, seed=s) for s in seeds])))
-        native = BatchedClique(N, 2, bandwidth=4, adversary=(
-            BatchedByzantineNodeAdversary(0.125, seeds)))
-        for r in range(3):
-            vals = payload_stack(300 + r)[:2]
-            assert np.array_equal(wrapped.exchange(vals, width=WIDTH),
-                                  native.exchange(vals, width=WIDTH))
-        assert wrapped.rounds_used == native.rounds_used
-        assert np.array_equal(wrapped.bits_sent, native.bits_sent)
-        assert np.array_equal(wrapped.entries_corrupted,
-                              native.entries_corrupted)
-        assert wrapped.entries_corrupted.min() > 0
-
     def test_wrapped_nemesis_matches_serial_engine(self):
         from repro.adversary.nemesis import FP23MatchingNemesis
         seeds = [7, 8]
@@ -248,7 +229,7 @@ class TestSerialAdversaryErrors:
         from repro.experiments.runner import STATUS_ERROR, run_single
         from repro.experiments.spec import TrialSpec
 
-        class Crashing(NonAdaptiveAdversary):
+        class Crashing(AdaptiveAdversary):
             def select_edges(self, view):
                 raise RuntimeError("boom")
 

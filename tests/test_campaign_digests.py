@@ -228,3 +228,72 @@ def test_run_records_match_pin(protocol, pin):
                         "trace": getattr(runner, "trace", None)})
     blob = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == pin
+
+
+def _nbd_adversary(case, seed):
+    from repro.adversary import (BlockStrategy, NoEdgesStrategy,
+                                 NonAdaptiveAdversary,
+                                 RoundRobinMatchingStrategy, StaticStrategy)
+    strategies = {"matching": RoundRobinMatchingStrategy,
+                  "blocks": BlockStrategy, "static": StaticStrategy,
+                  "no-edges": NoEdgesStrategy}
+    if case in strategies:
+        return NonAdaptiveAdversary(1 / 16, strategies[case](), seed=seed)
+    return NonAdaptiveAdversary(1 / 16, content_attack=case, seed=seed)
+
+
+#: ``NonAdaptiveAdversary`` paths no campaign pin covers: each edge
+#: strategy but the default, and each content attack but the default
+#: ``flip``, at n=16, width 4, bandwidth 8, alpha=1/16.  Each pin hashes
+#: ``(rounds, bits_sent, correct_entries, entries_corrupted_in_transit)``
+#: of one ``run_protocol``: (protocol, case, pin)
+NBD_PINS = [
+    ("det-sqrt", "matching",
+     "6fd2805a188905b964082e6d533a6d47385e8256b17209d7c10441f3c0aed10c"),
+    ("det-sqrt", "blocks",
+     "9c07c551678c412f302cff871a76a6c729d06a75dba351f80ece6ae0badb0826"),
+    ("det-sqrt", "static",
+     "6fd2805a188905b964082e6d533a6d47385e8256b17209d7c10441f3c0aed10c"),
+    ("det-sqrt", "no-edges",
+     "858bbfbe4eef8786fd4058e496409479bcaad25a8896000b0d647849b64d92f2"),
+    ("det-sqrt", "drop",
+     "6fd2805a188905b964082e6d533a6d47385e8256b17209d7c10441f3c0aed10c"),
+    ("det-sqrt", "random",
+     "6fd2805a188905b964082e6d533a6d47385e8256b17209d7c10441f3c0aed10c"),
+    ("naive", "matching",
+     "7f54e7b21c3cf56389378f13f4b0b2e1e915eb57777b9c2bd5854014cd28be17"),
+    ("naive", "blocks",
+     "43f124d498d222e57b302f5ef0f2705d49d62014a6dc4bb18d435fcf84479797"),
+    ("naive", "static",
+     "7f54e7b21c3cf56389378f13f4b0b2e1e915eb57777b9c2bd5854014cd28be17"),
+    ("naive", "no-edges",
+     "5c9b6a205112f16dcfdb88f7bbd3bf1f6e52f93a691fd3638b9747422be5acd3"),
+    ("naive", "drop",
+     "a137750c53932044970bf16da71b020db142c871fa306b8b9195b66ee6434137"),
+    ("naive", "random",
+     "81f580aedf0d29229d4fa76047c66ad4394ac857dc7038c3313f232a73a20142"),
+]
+
+
+def nbd_report(protocol, case):
+    from repro.baseline.naive import NaiveAllToAll
+    from repro.core.alltoall import make_protocol, run_protocol
+    from repro.core.messages import AllToAllInstance
+
+    index = [c for _, c, _ in NBD_PINS].index(case)
+    runner = NaiveAllToAll() if protocol == "naive" else \
+        make_protocol(protocol)
+    instance = AllToAllInstance.random(16, width=4, seed=100 + index)
+    return run_protocol(runner, instance, _nbd_adversary(case, 200 + index),
+                        bandwidth=8, seed=300 + index)
+
+
+@pytest.mark.parametrize("protocol,case,pin", NBD_PINS,
+                         ids=[f"{p}-{c}" for p, c, _ in NBD_PINS])
+def test_nonadaptive_adversary_paths_match_pin(protocol, case, pin):
+    report = nbd_report(protocol, case)
+    if case != "no-edges":
+        assert report.entries_corrupted_in_transit > 0
+    outcome = repr((report.rounds, report.bits_sent, report.correct_entries,
+                    report.entries_corrupted_in_transit))
+    assert hashlib.sha256(outcome.encode("utf-8")).hexdigest() == pin

@@ -1,4 +1,4 @@
-"""Public-API smoke tests: everything README/DESIGN advertises imports and
+"""Public-API smoke tests: everything the README advertises imports and
 carries a docstring (a downstream user's first contact with the library)."""
 
 import importlib

@@ -200,18 +200,18 @@ class TestSigkillResume:
 
 class TestPerTrialFallback:
     def test_one_crashing_adversary_degrades_one_trial(self, monkeypatch):
-        from repro.adversary import (NonAdaptiveAdversary,
+        from repro.adversary import (AdaptiveAdversary,
                                      PerTrialAdversaryBatch)
         from repro.experiments import vmap as vmap_mod
         from repro.experiments.runner import execute_trial
 
         spec = free_grid(name="flaky", protocols=("nonadaptive",),
-                         adversaries=("nonadaptive",), ns=(16,),
+                         adversaries=("adaptive",), ns=(16,),
                          alphas=(0.12,), widths=(8,), replicates=6)
         trials = spec.trials()
         boom_seed = trials[2].adversary_seed
 
-        class Flaky(NonAdaptiveAdversary):
+        class Flaky(AdaptiveAdversary):
             def __init__(self, alpha, seed):
                 super().__init__(alpha, seed=seed)
                 self._seed = seed
