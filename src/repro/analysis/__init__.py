@@ -13,13 +13,6 @@ from repro.analysis.bounds import (
     kmrs_query_complexity,
     table1_alpha,
 )
-from repro.analysis.sweeps import (
-    ScalingPoint,
-    SweepPoint,
-    ThresholdResult,
-    resilience_threshold,
-    round_scaling,
-)
 from repro.analysis.failure_model import (
     AdaptiveRunModel,
     LineModel,
@@ -45,9 +38,4 @@ __all__ = [
     "binomial_tail",
     "exposure_per_query",
     "poisson_tail",
-    "ScalingPoint",
-    "SweepPoint",
-    "ThresholdResult",
-    "resilience_threshold",
-    "round_scaling",
 ]

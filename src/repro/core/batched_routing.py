@@ -1,20 +1,18 @@
-"""Trial-batched super-message routing over a :class:`BatchedClique`.
+"""The one super-message router, trial-batched over a :class:`BatchedClique`.
 
 A campaign cell runs the *same* routing step in every trial, so each wave's
 two clique rounds move all trials at once.  :meth:`BatchedRouter.route`
-takes the routing as index arrays — sources, slots, sizes, targets — with
-shared ``(M,)`` or per-trial ``(trials, M)`` node ids, builds its
-:class:`~repro.core.routing.WavePlan` with
-:func:`~repro.core.routing.plan_waves` and hands it to the one wave
-kernel, :func:`~repro.core.routing.route_waves`.  Every protocol's
-``run_many`` routes through it, at one trial on the serial path.
-Placements are exactly what a one-trial run of each trial computes; when
-per-trial schedules take different batch counts the planner raises
-:class:`~repro.core.routing.CellUnbatchable` and the caller falls back to
-per-trial serial execution.
-
-Blocks mode only: :class:`~repro.core.routing.SuperMessageRouter` plans
-cover-free routings and runs them on the same kernel.
+takes the routing as index arrays — sources, slots, sizes, targets — picks
+the routing code, plans in its relay-set mode
+(:func:`~repro.core.routing.plan_waves` or
+:func:`~repro.core.routing.plan_coverfree`) and hands the plan to the one
+wave kernel, :func:`~repro.core.routing.route_waves`.  Every protocol's
+``run_many`` routes through it, and
+:class:`~repro.core.routing.SuperMessageRouter` runs one trial on it.
+Blocks-mode placements are exactly what a one-trial run of each trial
+computes; when per-trial schedules take different batch counts the planner
+raises :class:`~repro.core.routing.CellUnbatchable` and the caller falls
+back to per-trial serial execution.
 """
 
 from __future__ import annotations
@@ -23,17 +21,26 @@ import numpy as np
 
 from repro.cliquesim.batched import BatchedClique
 from repro.core.profiles import ProtocolProfile, SIMULATION
-from repro.core.routing import BatchedRoutingResult, plan_waves, route_waves
+from repro.core.routing import (BatchedRoutingResult, plan_coverfree,
+                                plan_waves, route_waves)
 from repro.obs import metrics, tracing
+from repro.utils.rng import derive
 
 
 class BatchedRouter:
-    """Routes one instance per trial, lockstep over the batch."""
+    """Routes one instance per trial, lockstep over the batch; cover-free
+    families come from one construction stream across ``route`` calls."""
 
     def __init__(self, net: BatchedClique,
-                 profile: ProtocolProfile = SIMULATION):
+                 profile: ProtocolProfile = SIMULATION,
+                 mode: str = "blocks"):
+        if mode not in ("blocks", "coverfree"):
+            raise ValueError(f"unknown routing mode {mode!r}")
         self.net = net
         self.profile = profile
+        self.mode = mode
+        self._construction_rng = derive(profile.construction_seed,
+                                        f"router:{net.n}")
 
     def route(self, sources, slots, sizes, targets, bits_stack: np.ndarray,
               fanout=None, label: str = "routing") -> BatchedRoutingResult:
@@ -41,8 +48,8 @@ class BatchedRouter:
         ``t``'s row ``bits_stack[t, m]`` (zero-padded), from
         ``sources[m]`` to its ``fanout[m]`` targets, the next entries of
         ``targets`` (one each by default).  Node ids are shared ``(M,)`` /
-        ``(P,)`` arrays or per-trial ``(trials, M)`` / ``(trials, P)``
-        ones; see :func:`~repro.core.routing.plan_waves`."""
+        ``(P,)`` arrays or, in blocks mode, per-trial ``(trials, M)`` /
+        ``(trials, P)`` ones; see :func:`~repro.core.routing.plan_waves`."""
         net = self.net
         sizes = np.asarray(sizes, dtype=np.int64)
         with metrics.timed("routing.route"), \
@@ -57,11 +64,22 @@ class BatchedRouter:
                     f"bits_stack must be (trials={net.trials}, "
                     f"M={sizes.size}, L >= {sizes.max(initial=0)}); got "
                     f"{bits_stack.shape}")
+            # both modes check the adversary's budget before any planning
             length, code = self.profile.select_routing_code(
                 net.n, net.adversary.alpha)
-            plan = plan_waves(net.trials, net.n, net.n // length,
-                              max(1, code.k), sources, slots, sizes, targets,
-                              fanout)
+            if self.mode == "coverfree":
+                # cover-freeness needs group size >> k/delta, so relay sets
+                # stay small; low-rate codes absorb the overlap
+                length = max(8, net.n // 16)
+                code = self.profile.routing_code_at_rate(
+                    length, min(self.profile.code_rate, 1.0 / 8))
+                plan = plan_coverfree(net.trials, net.n, length,
+                                      max(1, code.k), self._construction_rng,
+                                      sources, slots, sizes, targets, fanout)
+            else:
+                plan = plan_waves(net.trials, net.n, net.n // length,
+                                  max(1, code.k), sources, slots, sizes,
+                                  targets, fanout)
             return route_waves(net.round, net.n, net.bandwidth, code, length,
                                plan, bits_stack, label)
 

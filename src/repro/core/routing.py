@@ -33,16 +33,15 @@ Batches execute in *waves* of ``B`` (the bandwidth): B independent 1-bit
 instances ride in the B bit-planes of a single round, which is exactly the
 parallel-composition argument of Lemma 2.9 / the proof of Theorem 4.1.
 
-Blocks mode has one scheduler, one plan builder and one wave kernel.  The
+There is one router, one planner per mode and one wave kernel.  The
 schedule depends only on message structure — sources, slots, sizes and
-targets, public by Theorem 4.1's assumption — so :func:`plan_waves` builds
-a :class:`WavePlan` from those index arrays, placing every message's run
-of chunks with :func:`_grouped_greedy`; :func:`route_waves` then moves the
-payload of any number of lockstep trials.  :meth:`SuperMessageRouter.route`
-converts its message list to the arrays and runs as one trial;
-:class:`~repro.core.batched_routing.BatchedRouter` feeds the protocols'
-trial batches.  Cover-free mode plans in
-:meth:`SuperMessageRouter._plan_coverfree` and runs on the same kernel.
+targets, public by Theorem 4.1's assumption — so :func:`plan_waves` (with
+:func:`_grouped_greedy`) and :func:`plan_coverfree` build a
+:class:`WavePlan` from those index arrays, and :func:`route_waves` moves
+the payload of any number of lockstep trials.
+:class:`~repro.core.batched_routing.BatchedRouter` picks the code and the
+planner; :class:`SuperMessageRouter` runs a message list there as one
+trial.
 
 The wave kernel moves rows, not bits.  In round 1 a chunk's codeword is
 one contiguous run of a source's words, relays ``block * L`` to ``block *
@@ -63,11 +62,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cliquesim.network import CongestedClique
+from repro.cliquesim.network import CongestedClique, _serial
 from repro.core.profiles import ProfileError, ProtocolProfile, SIMULATION
-from repro.obs import metrics, tracing
 from repro.utils.bits import as_bits
-from repro.utils.rng import derive
 
 MessageKey = Tuple[int, int]  # (source, slot)
 
@@ -485,26 +482,12 @@ def _key_order(n: int, sources: np.ndarray, slots: np.ndarray,
     return order
 
 
-def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
-               sources, slots, sizes, targets,
-               fanout=None) -> WavePlan:
-    """Schedule a blocks-mode routing of ``trials`` lockstep trials; the
-    one place a :class:`WavePlan` is built.
-
-    Message ``m`` sends ``sizes[m]`` bits, cut into ``capacity``-bit
-    chunks, from node ``sources[m]`` (slot ``slots[m]``) to its
-    ``fanout[m]`` targets, the next ``fanout[m]`` entries of ``targets``
-    (one each by default).  Theorem 4.1 makes this structure public, so
-    the schedule depends on nothing else.  Shared ``(M,)`` sources and
-    ``(P,)`` targets are scheduled once and broadcast; per-trial ``(trials,
-    M)`` / ``(trials, P)`` ones are scheduled trial by trial, in each
-    trial's (source, slot) key order.  Raises :class:`CellUnbatchable`
-    when per-trial batch counts differ, since the trials then take
-    different round counts, and :class:`ProfileError` unless there are 1
-    to 62 relay blocks."""
-    if not 1 <= num_blocks <= 62:  # block masks must fit an int64
-        raise ProfileError(f"{num_blocks} relay blocks of n={n} nodes; the "
-                           f"scheduler takes 1 to 62")
+def _unplaced(trials: int, capacity: int, sources, slots, sizes, targets,
+              fanout):
+    """:func:`plan_waves`' and :func:`plan_coverfree`'s message
+    arguments, normalised and checked: a :class:`WavePlan` without its
+    placements, which holds the node ids broadcast over the trials, the
+    ``(M,)`` slots, and whether the node ids are shared."""
     sizes = np.asarray(sizes, dtype=np.int64)
     num_messages = sizes.size
     slots = np.asarray(slots, dtype=np.int64)
@@ -521,18 +504,50 @@ def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
             f"and fanout, (M,) or (trials, M) sources and (P,) or (trials, "
             f"P) targets; got {slots.shape}, {fanout.shape}, "
             f"{sources.shape} and {targets.shape}")
-    shared = sources.ndim == 1 and targets.ndim == 1
-    sources = np.broadcast_to(sources, (trials, num_messages))
-    targets = np.broadcast_to(targets, (trials, num_pairs))
-
-    n_chunks = -(-sizes // capacity)
-    chunk_msg, within = _ragged(n_chunks)
+    chunk_msg, within = _ragged(-(-sizes // capacity))
     chunk_start = within * capacity
+    plan = WavePlan(chunk_msg=chunk_msg, chunk_start=chunk_start,
+                    chunk_size=np.minimum(capacity,
+                                          sizes[chunk_msg] - chunk_start),
+                    sizes=sizes, fanout=fanout,
+                    sources=np.broadcast_to(sources, (trials, num_messages)),
+                    targets=np.broadcast_to(targets, (trials, num_pairs)),
+                    batch=None, block=None, num_batches=0)
+    return plan, slots, sources.ndim == 1 and targets.ndim == 1
+
+
+def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
+               sources, slots, sizes, targets,
+               fanout=None) -> WavePlan:
+    """Schedule a blocks-mode routing of ``trials`` lockstep trials.
+
+    Message ``m`` sends ``sizes[m]`` bits, cut into ``capacity``-bit
+    chunks, from node ``sources[m]`` (slot ``slots[m]``) to its
+    ``fanout[m]`` targets, the next ``fanout[m]`` entries of ``targets``
+    (one each by default).  Theorem 4.1 makes this structure public, so
+    the schedule depends on nothing else.  Shared ``(M,)`` sources and
+    ``(P,)`` targets are scheduled once and broadcast; per-trial ``(trials,
+    M)`` / ``(trials, P)`` ones are scheduled trial by trial, in each
+    trial's (source, slot) key order.  Raises :class:`CellUnbatchable`
+    when per-trial batch counts differ, since the trials then take
+    different round counts, and :class:`ProfileError` unless there are 1
+    to 62 relay blocks."""
+    if not 1 <= num_blocks <= 62:  # block masks must fit an int64
+        raise ProfileError(f"{num_blocks} relay blocks of n={n} nodes; the "
+                           f"scheduler takes 1 to 62")
+    plan, slots, shared = _unplaced(trials, capacity, sources, slots, sizes,
+                                    targets, fanout)
+    sizes, fanout, chunks = plan.sizes, plan.fanout, plan.chunk_msg.size
+    n_chunks = -(-sizes // capacity)
     first_chunk = np.cumsum(n_chunks) - n_chunks
     pair_ptr = np.cumsum(fanout) - fanout
-
-    def schedule(src, tgt):
+    scheduled = 1 if shared else trials
+    batch = np.empty((scheduled, chunks), dtype=np.int64)
+    block = np.empty((scheduled, chunks), dtype=np.int64)
+    counts = set()
+    for t in range(scheduled):
         # greedy in key order, scattered back into message order
+        src, tgt = plan.sources[t], plan.targets[t]
         order = _key_order(n, src, slots, sizes, tgt, fanout)
         owner, rank = _ragged(fanout[order])
         batch_o, block_o, num_batches = _grouped_greedy(
@@ -540,33 +555,16 @@ def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
             num_blocks, fanout[order])
         owner, rank = _ragged(n_chunks[order])
         canon = first_chunk[order][owner] + rank
-        batch = np.empty(chunk_msg.size, dtype=np.int64)
-        block = np.empty(chunk_msg.size, dtype=np.int64)
-        batch[canon] = batch_o
-        block[canon] = block_o
-        return batch, block, num_batches
-
-    if shared:
-        batch, block, num_batches = schedule(sources[0], targets[0])
-        batch = np.broadcast_to(batch, (trials, batch.size))
-        block = np.broadcast_to(block, (trials, block.size))
-    else:
-        batch = np.empty((trials, chunk_msg.size), dtype=np.int64)
-        block = np.empty((trials, chunk_msg.size), dtype=np.int64)
-        counts = set()
-        for t in range(trials):
-            batch[t], block[t], num_batches = schedule(sources[t],
-                                                       targets[t])
-            counts.add(num_batches)
-        if len(counts) > 1:
-            raise CellUnbatchable(f"per-trial schedules diverge: batch "
-                                  f"counts {sorted(counts)}")
-    return WavePlan(chunk_msg=chunk_msg, chunk_start=chunk_start,
-                    chunk_size=np.minimum(capacity,
-                                          sizes[chunk_msg] - chunk_start),
-                    sizes=sizes, fanout=fanout, sources=sources,
-                    targets=targets, batch=batch, block=block,
-                    num_batches=num_batches)
+        batch[t, canon] = batch_o
+        block[t, canon] = block_o
+        counts.add(num_batches)
+    if len(counts) > 1:
+        raise CellUnbatchable(f"per-trial schedules diverge: batch "
+                              f"counts {sorted(counts)}")
+    plan.batch = np.broadcast_to(batch, (trials, chunks))
+    plan.block = np.broadcast_to(block, (trials, chunks))
+    plan.num_batches = num_batches
+    return plan
 
 
 def _relay_hop(send_round, cells: np.ndarray, planes: np.ndarray,
@@ -752,133 +750,114 @@ COVERFREE_K = 2
 COVERFREE_DELTA = 0.3
 
 
-def _capacity_batches(chunks: Sequence[SuperMessage], k: int):
+def _capacity_batches(chunks: Sequence[Tuple[int, Sequence[int]]], k: int):
     """Cover-free mode's scheduler: chunk by chunk, each given as its
-    message, join the first batch in which the chunk's source and each of
-    its targets hold fewer than ``k`` chunks, at the next position.
+    source and its target list, join the first batch in which the source
+    and each target hold fewer than ``k`` chunks, at the next position.
     Returns every batch as its chunk list and its source -> positions and
     target -> positions groups."""
     batches = []
-    for c, msg in enumerate(chunks):
+    for c, (source, tgts) in enumerate(chunks):
         b = next((b for b, (_, by_source, by_target) in enumerate(batches)
-                  if len(by_source.get(msg.source, ())) < k
-                  and all(len(by_target.get(t, ())) < k
-                          for t in msg.targets)), len(batches))
+                  if len(by_source.get(source, ())) < k
+                  and all(len(by_target.get(t, ())) < k for t in tgts)),
+                 len(batches))
         if b == len(batches):
             batches.append(([], {}, {}))
         members, by_source, by_target = batches[b]
-        by_source.setdefault(msg.source, []).append(len(members))
-        for t in msg.targets:
+        by_source.setdefault(source, []).append(len(members))
+        for t in tgts:
             by_target.setdefault(t, []).append(len(members))
         members.append(c)
     return batches
 
 
+def plan_coverfree(trials: int, n: int, length: int, capacity: int,
+                   rng: np.random.Generator, sources, slots, sizes, targets,
+                   fanout=None) -> WavePlan:
+    """Schedule a cover-free routing of :func:`plan_waves`' messages over
+    ``trials`` lockstep trials.  Chunks, in (source, slot) key order, fill
+    batches as :func:`_capacity_batches` places them.  Each batch, in
+    batch order, draws from ``rng`` one (r, δ)-cover-free family of
+    ``length``-node sets w.r.t. its constraint collection H (Lemma 4.4):
+    the positions sharing a source (INind), then those sharing a target
+    (OUTind).  A chunk's relays are its family row.  A family serves every
+    trial, so node ids must be shared ``(M,)`` / ``(P,)`` arrays."""
+    from repro.coverfree.random_construction import \
+        build_cover_free_family
+    plan, slots, shared = _unplaced(trials, capacity, sources, slots, sizes,
+                                    targets, fanout)
+    if not shared:
+        raise ValueError("cover-free routing draws one family per batch for "
+                         "all trials; it takes shared (M,) sources and (P,) "
+                         "targets only")
+    sources, targets, fanout = plan.sources[0], plan.targets[0], plan.fanout
+    order = _key_order(n, sources, slots, plan.sizes, targets, fanout)
+    chunks = plan.chunk_msg.size
+    keyed = np.argsort(np.argsort(order)[plan.chunk_msg], kind="stable")
+    pairs = targets.tolist()
+    by_message = [(source, pairs[end - fan:end]) for source, fan, end in zip(
+        sources.tolist(), fanout.tolist(), np.cumsum(fanout).tolist())]
+    batches = _capacity_batches(
+        [by_message[m] for m in plan.chunk_msg[keyed].tolist()], COVERFREE_K)
+    batch = np.empty(chunks, dtype=np.int64)
+    row = np.empty(chunks, dtype=np.int64)
+    relays = np.empty((chunks, length), dtype=np.int64)
+    for b, (members, by_source, by_target) in enumerate(batches):
+        constraints = [tuple(group) for group in (*by_source.values(),
+                                                  *by_target.values())
+                       if len(group) > 1]
+        family = build_cover_free_family(
+            ground_size=n, num_sets=len(members), set_size=length,
+            delta=COVERFREE_DELTA, rng=rng, constraints=constraints or None)
+        placed = keyed[members]
+        batch[placed] = b
+        row[placed] = np.arange(placed.size)
+        relays[placed] = family.sets
+    plan.batch, plan.block, plan.relays = (
+        np.broadcast_to(a, (trials,) + a.shape) for a in (batch, row, relays))
+    plan.num_batches = len(batches)
+    return plan
+
+
 class SuperMessageRouter:
-    """Executes SuperMessagesRouting instances on a network."""
+    """Executes SuperMessagesRouting instances on a network: one trial of
+    a :class:`~repro.core.batched_routing.BatchedRouter` on its engine."""
 
     def __init__(self, net: CongestedClique,
                  profile: ProtocolProfile = SIMULATION,
                  mode: str = "blocks"):
-        if mode not in ("blocks", "coverfree"):
-            raise ValueError(f"unknown routing mode {mode!r}")
+        # batched_routing imports this module at its top
+        from repro.core.batched_routing import BatchedRouter
         self.net = net
         self.profile = profile
         self.mode = mode
-        self._construction_rng = derive(profile.construction_seed,
-                                        f"router:{net.n}")
+        self._router = BatchedRouter(net.engine, profile, mode)
 
-    # -- public entry ----------------------------------------------------------
     def route(self, messages: Sequence[SuperMessage],
               label: str = "routing") -> RoutingResult:
-        with metrics.timed("routing.route"), \
-                tracing.maybe_span(f"{label}/route", messages=len(messages)):
-            return self._route(messages, label)
-
-    def _route(self, messages: Sequence[SuperMessage],
-               label: str) -> RoutingResult:
-        net = self.net
-        n = net.n
-        length, code = self.profile.select_routing_code(n, net.adversary.alpha)
-        if self.mode == "coverfree":
-            # cover-freeness needs group size >> k/delta, so the relay sets
-            # stay small relative to n; low-rate codes absorb the overlap
-            length = max(8, n // 16)
-            code = self.profile.routing_code_at_rate(
-                length, min(self.profile.code_rate, 1.0 / 8))
-            plan = self._plan_coverfree(messages, max(1, code.k), length)
-        else:
-            plan = plan_waves(1, n, n // length, max(1, code.k),
-                              *_structure(messages))
-        bits = np.zeros((1, len(messages), int(plan.sizes.max(initial=1))),
+        sources, slots, sizes, targets, fanout = _structure(messages)
+        bits = np.zeros((1, len(messages), int(sizes.max(initial=1))),
                         dtype=np.uint8)
         for j, msg in enumerate(messages):
             bits[0, j, :len(msg.bits)] = msg.bits
-        # the serial network is the kernel's trials=1 case
-        result = route_waves(
-            lambda intended, width, wl: net.round(intended[0], width=width,
-                                                  label=wl)[None],
-            n, net.bandwidth, code, length, plan, bits, label)
-
+        # a serial adversary's exception surfaces as itself
+        result = _serial(self._router.route, sources, slots, sizes, targets,
+                         bits, fanout, label)
         received = result.pair_bits()[0]
-        pair_target = plan.targets[0]
         outputs: Dict[int, Dict[MessageKey, np.ndarray]] = {}
         for p, j in enumerate(result.pair_msg.tolist()):
             msg = messages[j]
-            outputs.setdefault(int(pair_target[p]), {})[msg.key] = \
+            outputs.setdefault(int(targets[p]), {})[msg.key] = \
                 received[p, :len(msg.bits)]
-        failures = [(int(pair_target[p]), messages[result.pair_msg[p]].key)
+        failures = [(int(targets[p]), messages[result.pair_msg[p]].key)
                     for p in result.row_pair[result.failed[0]]]
         return RoutingResult(outputs=outputs, rounds=result.rounds,
                              decode_failures=failures,
-                             batches=result.batches, codeword_bits=length,
+                             batches=result.batches,
+                             codeword_bits=result.codeword_bits,
                              dropped_entries=int(result.dropped[0]),
                              erased_entries=int(result.erased[0]))
-
-    # -- cover-free mode ----------------------------------------------------------
-    def _plan_coverfree(self, messages: Sequence[SuperMessage],
-                        capacity: int, length: int) -> WavePlan:
-        """Cover-free mode's one-trial :class:`WavePlan`.
-
-        Chunks, in (source, slot) key order, fill batches as
-        :func:`_capacity_batches` places them.  Each batch, in batch order,
-        draws one (r, δ)-cover-free family w.r.t. its constraint
-        collection H (Lemma 4.4): the positions sharing a source (INind),
-        then those sharing a target (OUTind).  A chunk's relays are its
-        family row."""
-        from repro.coverfree.random_construction import \
-            build_cover_free_family
-        n = self.net.n
-        sources, slots, sizes, targets, fanout = _structure(messages)
-        order = _key_order(n, sources, slots, sizes, targets, fanout)
-        n_chunks = -(-sizes // capacity)
-        chunk_msg, within = _ragged(n_chunks)
-        chunk_start = within * capacity
-        keyed = np.argsort(np.argsort(order)[chunk_msg], kind="stable")
-        batches = _capacity_batches(
-            [messages[m] for m in chunk_msg[keyed].tolist()], COVERFREE_K)
-        batch = np.empty(chunk_msg.size, dtype=np.int64)
-        row = np.empty(chunk_msg.size, dtype=np.int64)
-        relays = np.empty((chunk_msg.size, length), dtype=np.int64)
-        for b, (members, by_source, by_target) in enumerate(batches):
-            constraints = [tuple(group) for group in (*by_source.values(),
-                                                      *by_target.values())
-                           if len(group) > 1]
-            family = build_cover_free_family(
-                ground_size=n, num_sets=len(members), set_size=length,
-                delta=COVERFREE_DELTA, rng=self._construction_rng,
-                constraints=constraints or None)
-            chunks = keyed[members]
-            batch[chunks] = b
-            row[chunks] = np.arange(len(members))
-            relays[chunks] = family.sets
-        return WavePlan(chunk_msg=chunk_msg, chunk_start=chunk_start,
-                        chunk_size=np.minimum(capacity,
-                                              sizes[chunk_msg] - chunk_start),
-                        sizes=sizes, fanout=fanout, sources=sources[None],
-                        targets=targets[None], batch=batch[None],
-                        block=row[None], num_batches=len(batches),
-                        relays=relays[None])
 
 
 def broadcast(router: SuperMessageRouter, source: int, bits,

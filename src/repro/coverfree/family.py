@@ -11,7 +11,7 @@ comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -62,15 +62,27 @@ class CoverFreeFamily:
     def violations(self, constraints: Iterable[Sequence[int]],
                    delta: float) -> list:
         """All (target, tuple) pairs violating the (r, δ)-cover-free property
-        w.r.t. the constraint collection H (Definition 7)."""
+        w.r.t. the constraint collection H (Definition 7), in constraint
+        order, then position order.
+
+        The groups of one size ``g`` are checked together: a ``(groups, g,
+        g, L)`` equality of their sets, with the diagonal masked, marks
+        where another position covers each position's element; a lone
+        position is never covered."""
+        groups = [tuple(group) for group in constraints]
+        by_size: Dict[int, List[int]] = {}
+        for index, group in enumerate(groups):
+            by_size.setdefault(len(group), []).append(index)
         bad = []
-        for group in constraints:
-            group = list(group)
-            for position, target in enumerate(group):
-                others = group[:position] + group[position + 1:]
-                if self.uncovered_fraction(target, others) < 1.0 - delta:
-                    bad.append((target, tuple(group)))
-        return bad
+        for size, indices in by_size.items():
+            ids = np.array([groups[i] for i in indices], dtype=np.int64)
+            rows = self.sets[ids.reshape(len(indices), size)]
+            same = rows[:, :, None, :] == rows[:, None, :, :]
+            same[:, np.arange(size), np.arange(size)] = False
+            uncovered = 1.0 - same.any(axis=2).mean(axis=2)
+            which, position = np.nonzero(uncovered < 1.0 - delta)
+            bad += zip(np.array(indices)[which].tolist(), position.tolist())
+        return [(groups[i][p], groups[i]) for i, p in sorted(bad)]
 
     def is_cover_free(self, constraints: Iterable[Sequence[int]],
                       delta: float) -> bool:

@@ -74,14 +74,13 @@ ADVERSARIES = {
 
 
 def run_single(trial: TrialSpec,
-               protocol_factory: Optional[Callable] = None,
                adversary_factory: Optional[Callable] = None):
     """Execute one trial; return ``(row, report_or_None)``.
 
-    The optional factories let in-process callers (the sweep wrappers)
-    inject arbitrary protocol/adversary objects while reusing the trial
-    bookkeeping; the parallel path always resolves by name so trials stay
-    picklable.
+    ``adversary_factory(trial)``, when given, builds the adversary in
+    place of the trial's named kind, so an in-process caller can run an
+    arbitrary adversary object through the trial bookkeeping; the
+    parallel path always resolves by name so trials stay picklable.
     """
     from repro.core.alltoall import make_protocol, run_protocol
     from repro.core.messages import AllToAllInstance
@@ -96,8 +95,7 @@ def run_single(trial: TrialSpec,
         metrics.reset()
     report = None
     try:
-        protocol = (protocol_factory() if protocol_factory is not None
-                    else make_protocol(trial.protocol))
+        protocol = make_protocol(trial.protocol)
         adversary = (adversary_factory(trial) if adversary_factory is not None
                      else make_adversary(trial.adversary, trial.alpha,
                                          trial.adversary_seed))

@@ -108,27 +108,29 @@ def make_batched_adversary(kind: str, alpha: float, seeds: Sequence[int]):
     and the one place the natively batched kinds are built.  The rushing
     kinds have no batched implementation: one serial instance per trial
     runs in lockstep."""
-    from repro.adversary import (BatchedNonAdaptiveAdversary,
-                                 BatchedNullAdversary, PerTrialAdversaryBatch)
+    from repro.adversary.batched import (BatchedNullAdversary,
+                                         PerTrialAdversaryBatch)
     from repro.experiments.runner import ADVERSARIES, make_adversary
-    from repro.faults.channels import (BatchedByzantineNodeAdversary,
-                                       BatchedGilbertElliottChannel,
-                                       BatchedIIDEdgeChannel)
+    # a cell loads the adversary modules of its own kind only
     if kind == "null" or alpha <= 0:
         return BatchedNullAdversary()
-    if kind == "nonadaptive":
-        return BatchedNonAdaptiveAdversary(alpha, seeds)
-    if kind == "iid-corrupt":
-        return BatchedIIDEdgeChannel(alpha, seeds, mode="corrupt")
-    if kind == "iid-erase":
-        return BatchedIIDEdgeChannel(alpha, seeds, mode="erase")
-    if kind == "gilbert-elliott":
-        return BatchedGilbertElliottChannel(alpha, seeds, mode="corrupt")
-    if kind == "byzantine-nodes":
-        return BatchedByzantineNodeAdversary(alpha, seeds, mode="corrupt")
     if kind in ("adaptive", "sliding-window", "targeted"):
         return PerTrialAdversaryBatch(
             [make_adversary(kind, alpha, seed) for seed in seeds])
+    if kind == "nonadaptive":
+        from repro.adversary.nonadaptive import BatchedNonAdaptiveAdversary
+        return BatchedNonAdaptiveAdversary(alpha, seeds)
+    from repro.faults import channels
+    if kind == "iid-corrupt":
+        return channels.BatchedIIDEdgeChannel(alpha, seeds, mode="corrupt")
+    if kind == "iid-erase":
+        return channels.BatchedIIDEdgeChannel(alpha, seeds, mode="erase")
+    if kind == "gilbert-elliott":
+        return channels.BatchedGilbertElliottChannel(alpha, seeds,
+                                                     mode="corrupt")
+    if kind == "byzantine-nodes":
+        return channels.BatchedByzantineNodeAdversary(alpha, seeds,
+                                                      mode="corrupt")
     raise ValueError(f"unknown adversary kind {kind!r}; known: "
                      f"{sorted(ADVERSARIES)}")
 

@@ -536,6 +536,67 @@ def bench_route_waves(n: int, repeats: int) -> Dict:
                   batched)
 
 
+def bench_coverfree_verify(n: int, message_bits: int, repeats: int) -> Dict:
+    """Lemma 4.4's family check in a cover-free route: node ``u`` sends
+    ``message_bits`` bits to node ``(7u + 1) mod n`` (at n=128 and 256
+    bits, 128 batches of 1-bit chunks).  Replays the planner's draws from
+    the router's construction stream to collect every (family,
+    constraints) pair it verifies, rejected samples included, and checks
+    that the accepted families are the plan's relay sets.  Races the array
+    ``CoverFreeFamily.violations`` against the per-position loop on those
+    pairs; their outputs are asserted equal first."""
+    from repro.core.profiles import SIMULATION
+    from repro.core.routing import COVERFREE_DELTA, plan_coverfree
+    from repro.coverfree.family import CoverFreeFamily
+    from repro.coverfree.random_construction import sample_family
+    from repro.utils.rng import derive
+
+    length = max(8, n // 16)
+    capacity = max(1, SIMULATION.routing_code_at_rate(
+        length, min(SIMULATION.code_rate, 1.0 / 8)).k)
+    sources, targets = np.arange(n), (7 * np.arange(n) + 1) % n
+    stream = f"router:{n}"
+    plan = plan_coverfree(1, n, length, capacity,
+                          derive(SIMULATION.construction_seed, stream),
+                          sources, np.zeros(n), np.full(n, message_bits),
+                          targets)
+    rng = derive(SIMULATION.construction_seed, stream)
+    cases = []
+    for b in range(plan.num_batches):
+        chunks = np.flatnonzero(plan.batch[0] == b)
+        chunks = chunks[np.argsort(plan.block[0, chunks])]
+        # the positions sharing a source, then those sharing a target
+        constraints = []
+        for ids in (sources, targets):
+            groups: Dict[int, List[int]] = {}
+            for position, node in enumerate(
+                    ids[plan.chunk_msg[chunks]].tolist()):
+                groups.setdefault(node, []).append(position)
+            constraints += [tuple(g) for g in groups.values() if len(g) > 1]
+        while True:
+            family = sample_family(n, chunks.size, length, rng)
+            if not constraints:
+                break
+            cases.append((family, constraints))
+            if not family.violations(constraints, COVERFREE_DELTA):
+                break
+        assert np.array_equal(family.sets, plan.relays[0, chunks])
+
+    def run(check) -> List[list]:
+        return [check(family, constraints, COVERFREE_DELTA)
+                for family, constraints in cases]
+
+    assert run(CoverFreeFamily.violations) == \
+        run(reference.cover_free_violations_loop)
+    # a best of several on both sides: with the reference timed once, the
+    # smoke speedup ranged 19-40x on a 2-core host; the array side is cheap
+    ref = _best_of(lambda: run(reference.cover_free_violations_loop),
+                   repeats)
+    batched = _best_of(lambda: run(CoverFreeFamily.violations), 3 * repeats)
+    return _entry(f"coverfree-verify-n{n}", len(cases), "families", ref,
+                  batched)
+
+
 def bench_trial_batch(n: int, trials: int, repeats: int) -> Dict:
     """Trial-batched campaign execution: one fault-free det-sqrt cell of
     ``trials`` trials run as a single tensor program over a
@@ -759,6 +820,9 @@ def _suite_plan(suite: str):
          lambda smoke, r: bench_greedy_selection(16 if smoke else 64, r)),
         ("route-waves-n512",
          lambda smoke, r: bench_route_waves(128 if smoke else 512, r)),
+        ("coverfree-verify-n128",
+         lambda smoke, r: bench_coverfree_verify(128, 64 if smoke else 256,
+                                                 r)),
         ("det-sqrt-end-to-end",
          lambda smoke, r: bench_protocol_end_to_end("det-sqrt", 64, 32)),
         ("trial-batch-n64",

@@ -226,6 +226,20 @@ def search_linear_code_loop(k: int, n: int, target_distance: int,
     return best
 
 
+def cover_free_violations_loop(family, constraints, delta: float) -> list:
+    """The per-position ``CoverFreeFamily.violations``: one
+    ``uncovered_fraction`` call per constraint position.  The array check
+    must return exactly this list."""
+    bad = []
+    for group in constraints:
+        group = list(group)
+        for position, target in enumerate(group):
+            others = group[:position] + group[position + 1:]
+            if family.uncovered_fraction(target, others) < 1.0 - delta:
+                bad.append((target, tuple(group)))
+    return bad
+
+
 def tournament_matching_loop(n: int, round_index: int) -> np.ndarray:
     """Perfect matching number ``round_index`` of the circle method, one
     pair at a time: the loop that

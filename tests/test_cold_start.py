@@ -31,6 +31,9 @@ print(json.dumps([statuses, sorted(set(sys.modules) - before)]))
 #: a batched det-logn cell without faults runs none of these
 NOT_RUN_BY_DET_LOGN = (
     "repro.coverfree",          # cover-free routing mode only
+    "repro.adversary.nonadaptive",  # adversaries of other cells
+    "repro.adversary.strategies",
+    "repro.faults.channels",
     "repro.core.adaptive",      # the Theorem 1.3 compiler
     "repro.sketch",
     "repro.coding.reed_muller",

@@ -18,6 +18,7 @@ from repro.coverfree.random_construction import (
     paper_set_size,
     sample_family,
 )
+from repro.perf.reference import cover_free_violations_loop
 from repro.utils.rng import make_rng
 
 
@@ -49,6 +50,29 @@ class TestFamilyStructure:
         sets = np.array([[0, 5], [0, 5]])
         family = CoverFreeFamily(ground_size=10, group_size=5, sets=sets)
         assert family.uncovered_fraction(0, [1]) == 0.0
+
+
+class TestViolationsOracle:
+    """The array check of every group size returns the per-position loop's
+    list, in its order."""
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        set_size, group_size = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        num_sets = int(rng.integers(1, 12))
+        family = sample_family(set_size * group_size, num_sets, set_size, rng)
+        # group sizes 0-5, lone positions, empty groups and repeated
+        # members included
+        constraints = [tuple(rng.integers(0, num_sets,
+                                          int(rng.integers(0, 6))).tolist())
+                       for _ in range(int(rng.integers(0, 8)))]
+        constraints += [(), (int(rng.integers(0, num_sets)),)]
+        rng.shuffle(constraints)
+        delta = float(rng.uniform(0.01, 0.99))
+        assert family.violations(constraints, delta) == \
+            cover_free_violations_loop(family, constraints, delta)
 
 
 class TestRandomConstruction:

@@ -22,7 +22,7 @@ from repro.core.routing import (
     SuperMessageRouter,
     broadcast,
 )
-from repro.faults.channels import IIDEdgeChannel
+from repro.faults.channels import BatchedIIDEdgeChannel, IIDEdgeChannel
 from repro.utils.rng import make_rng
 
 
@@ -135,6 +135,20 @@ class TestAdversarialRouting:
             got = result.received(msg.targets[0], msg.source, 0)
             assert np.array_equal(got, np.array(msg.bits, dtype=np.uint8))
 
+    def test_adversary_exception_surfaces_as_itself(self):
+        # the serial front end reports what a crashing adversary raised,
+        # not the engine's per-trial wrapper around it
+        class Crash(Exception):
+            pass
+
+        class Crashing(AdaptiveAdversary):
+            def select_edges(self, view):
+                raise Crash("select_edges")
+
+        with pytest.raises(Crash, match="select_edges"):
+            route_instance(64, [SuperMessage.make(0, 0, [1, 0, 1], [5])],
+                           adversary=Crashing(1 / 32, seed=1))
+
     @pytest.mark.parametrize("mode", ["blocks", "coverfree"])
     def test_alpha_too_large_raises(self, mode):
         # both modes check the adversary's budget before any routing work
@@ -148,31 +162,50 @@ def matching_adversary():
     return NonAdaptiveAdversary(1 / 128, RoundRobinMatchingStrategy(), seed=2)
 
 
-#: cover-free routings, (n, bandwidth, adversary, slots per node, bits per
-#: message, targets per message), and the sha256 of their outputs as the
-#: per-bit cover-free executor computed them
-COVERFREE_PINS = {
-    "matching": ((128, 8, matching_adversary, 1, 16, 1),
+#: routings, (mode, n, bandwidth, adversary, slots per node, bits per
+#: message, targets per message), and the sha256 of their outputs; the
+#: cover-free pins are what the per-bit cover-free executor computed
+ROUTING_PINS = {
+    "matching": (("coverfree", 128, 8, matching_adversary, 1, 16, 1),
                  "008eeec4b6c17386303909c735dbfc7d"
                  "74a9fe281939dce1a6c913f5e057d1ed"),
     # OutLoad across several targets: 32 batches in 8 rounds
-    "fan-out-3": ((128, 8, matching_adversary, 1, 16, 3),
+    "fan-out-3": (("coverfree", 128, 8, matching_adversary, 1, 16, 3),
                   "543f2e107a178520b6f5df3b64027778"
                   "c5876b53f5f69879df3266b022b17287"),
     # positions skipped for their loads with nothing dropped
-    "fault-free": ((512, 8, NullAdversary, 1, 64, 1),
+    "fault-free": (("coverfree", 512, 8, NullAdversary, 1, 64, 1),
                    "ce22e118bc275759784f460df3f42e20"
                    "88754df44816a12c0cd74e03e6096ffc"),
     # network drops, some of them declared round-2 erasures
-    "erasures": ((128, 8, lambda: IIDEdgeChannel(1 / 64, mode="erase",
-                                                 seed=3), 1, 16, 1),
+    "erasures": (("coverfree", 128, 8,
+                  lambda: IIDEdgeChannel(1 / 64, mode="erase", seed=3), 1,
+                  16, 1),
                  "695797cdfc402ef978b11bbf41413967"
                  "92cd313082232643ffd927c6e23a63ce"),
     # 24 one-plane rounds, several slots per source; one delivery is
     # wrong and unflagged, the [8, 1, 5] code's 2e + s = d case
-    "one-plane": ((128, 1, matching_adversary, 3, 8, 1),
+    "one-plane": (("coverfree", 128, 1, matching_adversary, 3, 8, 1),
                   "71ce092eaff45b8aa867f7b995a4eea4"
                   "fd713a14e5ffe110f953816e393c746b"),
+    # blocks mode through the serial front end: 12 batches in 4 rounds,
+    # two targets per message
+    "blocks-adaptive": (("blocks", 64, 8,
+                         lambda: AdaptiveAdversary(1 / 32, seed=7), 2, 24,
+                         2),
+                        "94fbfe8d19c6c304536ed10f323184db"
+                        "49fd534e68301801a2c737104e143907"),
+    # 864 codeword bits dropped, 556 of them declared round-2 erasures
+    "blocks-erasures": (("blocks", 64, 8,
+                         lambda: IIDEdgeChannel(1 / 32, mode="erase",
+                                                seed=3), 2, 24, 2),
+                        "4795c5a2117b01ff98b0f7f968e5cb8e"
+                        "bb190833ec62bc71c2f26e267996872b"),
+    "blocks-nonadaptive": (("blocks", 64, 8,
+                            lambda: NonAdaptiveAdversary(1 / 32, seed=10),
+                            2, 24, 2),
+                           "d0dd247a5862a5c080fe76f9f7f29bd0"
+                           "83cdbf7023bafb223f87aa132ae7ac48"),
 }
 
 
@@ -214,21 +247,21 @@ class TestCoverFreeMode:
             for m in msgs)
         assert correct >= int(0.95 * n)
 
-    @pytest.mark.parametrize("case", list(COVERFREE_PINS))
+    @pytest.mark.parametrize("case", list(ROUTING_PINS))
     def test_digest_under_matching_adversary(self, case):
-        # pins the cover-free outputs — relay families, skipped positions
-        # declared erasures, adversarial errors and drops — so that any
-        # cover-free kernel must reproduce them exactly.  Slot s of node u
-        # goes to (7u + 1 + s + 5i) mod n for target i.
-        (n, bandwidth, adversary, slots, width, fan), pin = \
-            COVERFREE_PINS[case]
+        # pins the outputs — relay families, skipped positions declared
+        # erasures, adversarial errors and drops — so that any router must
+        # reproduce them exactly; the blocks-mode cases run at n=64.  Slot
+        # s of node u goes to (7u + 1 + s + 5i) mod n for target i.
+        (mode, n, bandwidth, adversary, slots, width, fan), pin = \
+            ROUTING_PINS[case]
         bits = np.random.default_rng(11).integers(0, 2, (n, slots, width))
         msgs = [SuperMessage.make(u, s, bits[u, s].astype(np.uint8),
                                   [(7 * u + 1 + s + 5 * i) % n
                                    for i in range(fan)])
                 for u in range(n) for s in range(slots)]
         result, net = route_instance(n, msgs, adversary=adversary(),
-                                     bandwidth=bandwidth, mode="coverfree")
+                                     bandwidth=bandwidth, mode=mode)
         if adversary is matching_adversary:
             assert net.entries_corrupted > 0
         digest = hashlib.sha256()
@@ -243,10 +276,46 @@ class TestCoverFreeMode:
                             net.entries_corrupted)).encode())
         assert digest.hexdigest() == pin
 
+    def test_two_trials_are_two_one_trial_routes(self):
+        # one family per batch serves every trial, and each trial keeps its
+        # own channel stream, so a 2-trial route is two fresh one-trial
+        # routes side by side
+        n, width, seeds = 128, 16, [5, 6]
+        sources, targets = np.arange(n), (7 * np.arange(n) + 1) % n
+        bits = np.random.default_rng(4).integers(0, 2, (2, n, width),
+                                                 dtype=np.uint8)
+
+        def route(trial_seeds, rows):
+            net = BatchedClique(n, len(trial_seeds), bandwidth=8,
+                                adversary=BatchedIIDEdgeChannel(
+                                    1 / 64, trial_seeds, mode="erase"))
+            router = BatchedRouter(net, mode="coverfree")
+            return router.route(sources, np.zeros(n), np.full(n, width),
+                                targets, rows), net
+
+        both, net = route(seeds, bits)
+        assert both.dropped.min() > 0 and both.erased.min() > 0
+        for t, seed in enumerate(seeds):
+            one, one_net = route([seed], bits[t:t + 1])
+            assert (one.rounds, one.batches) == (both.rounds, both.batches)
+            for name in ("decoded", "failed", "dropped", "erased"):
+                np.testing.assert_array_equal(getattr(both, name)[t],
+                                              getattr(one, name)[0])
+            assert net.bits_sent[t] == one_net.bits_sent[0]
+            assert net.entries_corrupted[t] == one_net.entries_corrupted[0]
+
+    def test_per_trial_ids_rejected(self):
+        router = BatchedRouter(BatchedClique(128, 2, bandwidth=8),
+                               mode="coverfree")
+        bits = np.zeros((2, 2, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="shared"):
+            router.route([[0, 1], [1, 0]], [0, 0], [4, 4], [5, 6], bits)
+
     def test_invalid_mode(self):
-        net = CongestedClique(8)
-        with pytest.raises(ValueError):
-            SuperMessageRouter(net, mode="wat")
+        with pytest.raises(ValueError, match="unknown routing mode"):
+            SuperMessageRouter(CongestedClique(8), mode="wat")
+        with pytest.raises(ValueError, match="unknown routing mode"):
+            BatchedRouter(BatchedClique(8, 2), mode="wat")
 
 
 class TestBroadcast:
@@ -264,6 +333,8 @@ class TestBroadcast:
         payload = rng.integers(0, 2, 32).astype(np.uint8)
         out = broadcast(router, 0, payload)
         assert all(np.array_equal(out[v], payload) for v in range(64))
+        assert (net.rounds_used, net.bits_sent,
+                net.entries_corrupted) == (2, 8190, 256)
 
 
 class TestNodeIds:
