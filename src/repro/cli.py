@@ -7,7 +7,7 @@ Usage (after ``pip install -e .``):
     python -m repro table1 --n 64
     python -m repro consensus --n 64 --alpha 0.03125
     python -m repro experiment run --campaign table1 --jobs 4
-    python -m repro experiment run --campaign table1 --backend sharded --workers 4
+    python -m repro experiment run --campaign table1 --backend vmap
     python -m repro experiment run --campaign table1 --budget-seconds 600
     python -m repro experiment resume --campaign table1
     python -m repro experiment report --store runs/table1.jsonl
@@ -170,7 +170,7 @@ def _run_experiment(args, resume: bool) -> int:
         return 0
     store_path = args.store or _default_store(spec)
     total = spec.size()
-    backend = args.backend or ("process" if args.jobs > 1 else "serial")
+    backend = args.backend or ("sharded" if args.jobs > 1 else "serial")
     print(f"campaign {spec.name!r}: {total} trials -> {store_path} "
           f"(backend={backend}, jobs={args.jobs}, resume={resume})")
 
@@ -198,9 +198,7 @@ def _run_experiment(args, resume: bool) -> int:
                           resume=resume, backend=args.backend,
                           policy=policy,
                           budget_seconds=args.budget_seconds,
-                          workers=args.workers, shards=args.shards,
-                          lease_ttl=args.lease_ttl,
-                          inner_backend=args.inner_backend,
+                          shards=args.shards, lease_ttl=args.lease_ttl,
                           progress=progress if not args.quiet else None)
     print(result)
     print()
@@ -347,11 +345,11 @@ def cmd_sched_work(args) -> int:
     def progress(shard_id, row):
         print(f"  [{shard_id}] {row['hash']} -> {row['status']}", flush=True)
 
-    stats = work(args.shards, owner=args.owner,
-                 inner_backend=args.inner_backend, policy=policy,
+    stats = work(args.shards, owner=args.owner, policy=policy,
                  lease_ttl=args.ttl,
                  progress=None if args.quiet else progress)
-    print(stats)
+    if not args.quiet:
+        print(stats)
     return 0
 
 
@@ -457,16 +455,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", default=None,
                        help="JSONL artifact store (default runs/<name>.jsonl)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = inline)")
+                       help="local worker processes: above 1 the default "
+                            "backend is the local sharded fleet with this "
+                            "many workers; 1 runs inline unless --backend "
+                            "sharded")
         p.add_argument("--backend",
-                       choices=("serial", "process", "vmap", "sharded"),
+                       choices=("serial", "vmap", "sharded"),
                        default=None,
-                       help="execution backend (default: process when "
+                       help="execution backend (default: sharded when "
                             "--jobs > 1, else serial; vmap batches each "
                             "campaign cell into one tensor program; sharded "
                             "partitions trials into leased shards drained "
-                            "by worker subprocesses — extra hosts can join "
-                            "via 'repro sched work')")
+                            "by --jobs worker subprocesses that batch each "
+                            "cell — extra hosts can join via "
+                            "'repro sched work')")
         p.add_argument("--replicates", type=int, default=None)
         p.add_argument("--seed", dest="seed_override", type=int, default=None)
         p.add_argument("--accuracy-bar", type=float, default=None)
@@ -483,20 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "trials not reached at the deadline are "
                             "recorded as explicit 'skipped' rows (a later "
                             "resume re-runs them)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="sharded backend: local worker subprocesses "
-                            "(default max(2, --jobs))")
         p.add_argument("--shards", type=int, default=None,
                        help="sharded backend: shard count (default "
-                            "4 per worker)")
+                            "4 per --jobs worker)")
         p.add_argument("--lease-ttl", type=float, default=None, metavar="SEC",
                        help="sharded backend: lease heartbeat ttl; a worker "
                             "silent past it is presumed dead and its shard "
                             "is reclaimed")
-        p.add_argument("--inner-backend", choices=("serial", "vmap"),
-                       default="serial",
-                       help="sharded backend: engine each worker runs its "
-                            "shard with")
         p.add_argument("--quiet", action="store_true",
                        help="suppress per-trial progress lines")
         p.add_argument("--dump-spec", action="store_true",
@@ -542,14 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "the sharded backend)")
     swork.add_argument("--owner", default=None,
                        help="lease owner id (default <pid>@<host>)")
-    swork.add_argument("--inner-backend", choices=("serial", "vmap"),
-                       default="serial")
     swork.add_argument("--ttl", type=float, default=30.0, metavar="SEC",
                        help="lease heartbeat ttl")
     swork.add_argument("--timeout", type=float, default=None, metavar="SEC",
                        help="per-trial wall-clock budget")
     swork.add_argument("--retries", type=int, default=0)
-    swork.add_argument("--quiet", action="store_true")
+    swork.add_argument("--quiet", action="store_true",
+                       help="print nothing: no per-trial lines, no "
+                            "closing summary")
     swork.set_defaults(func=cmd_sched_work)
 
     sstatus = ssub.add_parser(

@@ -6,8 +6,9 @@ The engine behind every sweep, benchmark and example:
   (grids of protocol × adversary × n × alpha × width × bandwidth ×
   replicate, with per-trial derived seeds);
 * :mod:`~repro.experiments.runner` — backend-selectable execution
-  (``serial`` / ``process`` / ``vmap``) with chunked dispatch, per-trial
-  failure capture, and order-independent results;
+  (``serial`` / ``vmap`` / ``sharded``; ``jobs > 1`` runs the local
+  sharded fleet) with per-trial failure capture and order-independent
+  results;
 * :mod:`~repro.experiments.vmap` — the trial-batched backend: pending
   trials are grouped into cells and each cell runs as one tensor program
   over a :class:`~repro.cliquesim.batched.BatchedClique`;

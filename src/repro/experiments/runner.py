@@ -2,11 +2,11 @@
 
 ``run_campaign`` expands an :class:`ExperimentSpec` into trials, skips the
 ones the store already holds, and hands the rest to an execution
-*backend* (:mod:`repro.sched.backend`): inline serial, chunked process
-pool, cell-batched vmap, or leased shard dispatch across workers/hosts.
-Because every trial's seeds are derived from its own coordinates (see
-:mod:`repro.experiments.spec`), the result set is identical for any
-backend, any job count and any dispatch order.
+*backend* (:mod:`repro.sched.backend`): inline serial, cell-batched vmap,
+or leased shard dispatch across local worker processes and other hosts
+(what ``jobs > 1`` runs).  Because every trial's seeds are derived from
+its own coordinates (see :mod:`repro.experiments.spec`), the result set
+is identical for any backend, any job count and any dispatch order.
 
 Failure containment: a trial whose configuration violates the analysis'
 inequalities (:class:`~repro.core.profiles.ProfileError`) records an
@@ -79,8 +79,8 @@ def run_single(trial: TrialSpec,
 
     ``adversary_factory(trial)``, when given, builds the adversary in
     place of the trial's named kind, so an in-process caller can run an
-    arbitrary adversary object through the trial bookkeeping; the
-    parallel path always resolves by name so trials stay picklable.
+    arbitrary adversary object through the trial bookkeeping; shard
+    workers always resolve by name, since trials reach them as JSON.
     """
     from repro.core.alltoall import make_protocol, run_protocol
     from repro.core.messages import AllToAllInstance
@@ -128,17 +128,9 @@ def run_single(trial: TrialSpec,
 
 
 def execute_trial(trial_dict: Dict) -> Dict:
-    """Picklable worker unit: trial dict in, result row out."""
+    """One trial dict in, its result row out."""
     row, _ = run_single(TrialSpec.from_dict(trial_dict))
     return row
-
-
-def _execute_chunk(trial_dicts: List[Dict], policy=None) -> List[Dict]:
-    """Worker entry point: run a chunk of trials in one process hop."""
-    if policy is None or not policy.active:
-        return [execute_trial(d) for d in trial_dicts]
-    from repro.faults.resilience import execute_trial_resilient
-    return [execute_trial_resilient(d, policy) for d in trial_dicts]
 
 
 @dataclass
@@ -169,23 +161,16 @@ class CampaignResult:
                 f"{self.errors} errors)")
 
 
-def _chunked(items: List, size: int) -> List[List]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def run_campaign(spec: ExperimentSpec,
                  store: Union[TrialStore, str, None] = None,
                  jobs: int = 1,
                  resume: bool = False,
                  progress: Optional[Callable[[int, int, Dict], None]] = None,
-                 chunks_per_job: int = 4,
                  backend: Optional[str] = None,
                  policy=None,
                  budget_seconds: Optional[float] = None,
-                 workers: Optional[int] = None,
                  shards: Optional[int] = None,
-                 lease_ttl: Optional[float] = None,
-                 inner_backend: str = "serial") -> CampaignResult:
+                 lease_ttl: Optional[float] = None) -> CampaignResult:
     """Execute every trial of ``spec`` not already in ``store``.
 
     ``resume=False`` re-executes all trials (overwriting their store rows);
@@ -198,13 +183,13 @@ def run_campaign(spec: ExperimentSpec,
 
     ``backend`` selects how pending trials execute — see
     :mod:`repro.sched.backend` for the registry: ``"serial"`` (inline),
-    ``"process"`` (chunked pool over ``jobs`` workers), ``"vmap"`` (cells
-    as single tensor programs, bit-identical rows), or ``"sharded"``
-    (content-addressed shards + leased workers; ``workers``/``shards``/
-    ``lease_ttl``/``inner_backend`` apply, and extra hosts can join via
-    ``repro sched work``), or any name added with
-    :func:`repro.sched.register_backend`.  ``None`` keeps the historical
-    behaviour: process when ``jobs > 1``, else serial.
+    ``"vmap"`` (cells as single tensor programs, bit-identical rows), or
+    ``"sharded"`` (content-addressed shards drained by ``jobs`` local
+    worker processes, each running its cells batched; ``shards`` and
+    ``lease_ttl`` apply, extra hosts can join via ``repro sched work``,
+    and a store without a path shards into a temporary directory), or any
+    name added with :func:`repro.sched.register_backend`.  ``None`` means
+    sharded when ``jobs > 1``, else serial.
 
     ``policy`` is an optional :class:`repro.faults.ResiliencePolicy`
     adding per-trial wall-clock timeouts and bounded retries (every
@@ -223,7 +208,7 @@ def run_campaign(spec: ExperimentSpec,
         raise ValueError("budget_seconds must be positive (or None)")
     from repro.sched.backend import CampaignRun, get_backend
     if backend is None:
-        backend = "process" if jobs > 1 else "serial"
+        backend = "sharded" if jobs > 1 else "serial"
     executor = get_backend(backend)  # ValueError for an unknown name
     if not isinstance(store, TrialStore):
         store = TrialStore(store)
@@ -272,11 +257,10 @@ def run_campaign(spec: ExperimentSpec,
 
     run = CampaignRun(
         spec=spec, store=store, pending=pending, record=tracking_record,
-        jobs=jobs, chunks_per_job=chunks_per_job, policy=policy,
+        jobs=jobs, resume=resume, policy=policy,
         deadline=(time.monotonic() + budget_seconds
                   if budget_seconds is not None else None),
-        workers=workers, shards=shards, lease_ttl=lease_ttl,
-        inner_backend=inner_backend)
+        shards=shards, lease_ttl=lease_ttl)
     executor.execute(run)
 
     # a backend that stopped early (deadline, dead worker fleet) leaves

@@ -4,8 +4,8 @@ Turns one-shot campaign scripts into long-lived, shardable, multi-worker
 (and multi-host) dispatch:
 
 * :mod:`~repro.sched.backend` — the :class:`~repro.sched.backend.Backend`
-  protocol + registry unifying the ``serial`` / ``process`` / ``vmap`` /
-  ``sharded`` execution paths behind one interface;
+  protocol + registry unifying the ``serial`` / ``vmap`` / ``sharded``
+  execution paths behind one interface;
 * :mod:`~repro.sched.shards` — content-addressed partitioning of pending
   trials into per-shard JSONL stores next to the campaign store;
 * :mod:`~repro.sched.lease` — the crash-tolerant file lease/heartbeat
@@ -13,9 +13,10 @@ Turns one-shot campaign scripts into long-lived, shardable, multi-worker
   shard is re-run by a survivor);
 * :mod:`~repro.sched.worker` — the claim→run→done worker loop, spawned
   locally by the dispatcher or started on any host via
-  ``repro sched work --shards DIR``;
-* :mod:`~repro.sched.dispatcher` — the ``sharded`` campaign backend:
-  spawn N workers, wait for done-markers, merge shard rows back;
+  ``repro sched work --shards DIR``; it runs each shard's cells batched;
+* :mod:`~repro.sched.dispatcher` — the ``sharded`` campaign backend and
+  the local fleet behind ``jobs > 1``: spawn ``jobs`` workers, merge each
+  shard's rows back as its done-marker appears;
 * :mod:`~repro.sched.merge` — store merging/compaction with
   duplicate-hash precedence (``repro store merge``).
 
@@ -37,5 +38,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
               "merge_stores", "prefer"),
     "shards": ("Shard", "ShardLayout", "partition", "row_digest",
                "shard_dir_for"),
-    "worker": ("INNER_BACKENDS", "WorkerStats", "work"),
+    "worker": ("WorkerStats", "work"),
 })

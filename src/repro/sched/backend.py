@@ -6,13 +6,14 @@ inline on a backend string.  This module lifts each branch into a
 (the sharded dispatcher, a future remote pool) is one registered class,
 not another ``if`` arm in the runner:
 
-* ``serial``  — resilient per-trial loop in this process;
-* ``process`` — chunked :class:`~concurrent.futures.ProcessPoolExecutor`
-  dispatch across ``jobs`` workers;
+* ``serial``  — resilient per-trial loop in this process, the parity
+  reference;
 * ``vmap``    — cells batched into single tensor programs
   (:mod:`repro.experiments.vmap`);
-* ``sharded`` — leased shard dispatch across worker processes/hosts
-  (:mod:`repro.sched.dispatcher`).
+* ``sharded`` — leased shard dispatch across ``jobs`` local worker
+  processes and any workers other hosts join
+  (:mod:`repro.sched.dispatcher`); each worker runs its shards through
+  the ``vmap`` backend.  This is what ``jobs > 1`` means.
 
 Every backend receives a :class:`CampaignRun` — the pending trials, the
 ``record`` sink, the resilience policy, and the optional wall-clock
@@ -39,18 +40,16 @@ SHARDS_PER_WORKER = 4
 class CampaignRun:
     """Everything a backend needs to execute one campaign invocation."""
 
-    spec: ExperimentSpec
+    spec: Optional[ExperimentSpec]          # None inside a shard worker
     store: "TrialStore"                     # noqa: F821 — runtime type
     pending: List[TrialSpec]
     record: Callable[[Dict], None]          # appends row + fires progress
-    jobs: int = 1
-    chunks_per_job: int = 4
+    jobs: int = 1                           # sharded: local worker count
+    resume: bool = False                    # sharded: keep earlier shards
     policy: Optional[object] = None         # faults.ResiliencePolicy
     deadline: Optional[float] = None        # time.monotonic() cutoff
-    workers: Optional[int] = None           # sharded: local worker count
     shards: Optional[int] = None            # sharded: shard count
     lease_ttl: Optional[float] = None       # sharded: heartbeat ttl
-    inner_backend: str = "serial"           # sharded: per-worker engine
     recorded: Set[str] = field(default_factory=set)
 
     def out_of_time(self) -> bool:
@@ -103,7 +102,7 @@ def backend_names() -> tuple:
     """Registered backend names, stable order (serial first — the
     reference semantics — then the accelerated/distributed ones)."""
     _register_sharded()
-    preferred = ("serial", "process", "vmap", "sharded")
+    preferred = ("serial", "vmap", "sharded")
     names = [n for n in preferred if n in _REGISTRY]
     names.extend(sorted(set(_REGISTRY) - set(preferred)))
     return tuple(names)
@@ -135,49 +134,6 @@ class SerialBackend(Backend):
             if run.out_of_time():
                 return
             run.record(execute_trial_resilient(trial.to_dict(), run.policy))
-
-
-@register_backend
-class ProcessBackend(Backend):
-    """Chunked process-pool dispatch (the historical ``jobs > 1`` path).
-
-    On deadline the pool is shut down with pending chunks cancelled;
-    chunks that finished while the shutdown drained are still recorded,
-    so the skip set is exactly the work that never ran.
-    """
-
-    name = "process"
-
-    def execute(self, run: CampaignRun) -> None:
-        from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                        wait)
-        from repro.experiments.runner import _chunked, _execute_chunk
-        if not run.pending:
-            return
-        jobs = max(1, run.jobs)
-        chunk_size = max(
-            1, -(-len(run.pending) // (jobs * run.chunks_per_job)))
-        chunks = _chunked([t.to_dict() for t in run.pending], chunk_size)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_execute_chunk, chunk, run.policy)
-                       for chunk in chunks}
-            while futures:
-                done, futures = wait(futures, timeout=run.seconds_left(),
-                                     return_when=FIRST_COMPLETED)
-                for future in done:
-                    for row in future.result():
-                        run.record(row)
-                if run.out_of_time() and futures:
-                    for future in futures:
-                        future.cancel()
-                    # running chunks cannot be cancelled — drain the ones
-                    # that complete during shutdown so their rows count
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    for future in futures:
-                        if future.done() and not future.cancelled():
-                            for row in future.result():
-                                run.record(row)
-                    return
 
 
 @register_backend

@@ -1,40 +1,49 @@
 """The sharded dispatcher: leased shard dispatch across processes/hosts.
 
-``run_campaign(..., backend="sharded")`` lands here.  The dispatcher
+``run_campaign(..., backend="sharded")`` lands here, and so does any
+``run_campaign(..., jobs=N)`` with ``N > 1`` and no explicit backend.
+The dispatcher
 
 1. partitions the campaign's pending trials into content-addressed shards
-   (:mod:`repro.sched.shards`) next to the campaign store,
-2. spawns N local worker *subprocesses* — each runs the exact CLI worker
-   loop (``repro sched work``), so a local fleet and a multi-host fleet
-   pointed at a shared directory are the same code path,
-3. waits for every shard's done-marker (workers reclaim expired leases
+   (:mod:`repro.sched.shards`) next to the campaign store — or, for an
+   in-memory store, in a private temporary directory removed after the
+   merge,
+2. spawns ``jobs`` local worker *subprocesses* — each runs the exact CLI
+   worker loop (``repro sched work``), which executes its shards through
+   the ``vmap`` backend, so a local fleet and a multi-host fleet pointed
+   at a shared directory are the same code path,
+3. waits for the shards' done-markers (workers reclaim expired leases
    themselves, so a SIGKILLed worker's shard is re-run by a survivor
    without dispatcher intervention), and
-4. merges the shard stores into the main campaign store with
-   duplicate-hash precedence, recording each merged row through the
-   runner's normal ``record`` sink.
+4. as each done-marker appears, merges that shard's rows into the main
+   campaign store with duplicate-hash precedence, recording each merged
+   row through the runner's normal ``record`` sink.
 
-The dispatcher itself holds no lease and runs no trial: killing it loses
-nothing (workers keep draining shards; a later ``repro store merge`` or
-``resume`` picks the rows up).  A time budget terminates workers at the
-deadline; rows already landed in shard stores are still merged, and the
-runner records the rest as ``skipped``.
+A fresh (non-resume) dispatch first removes the store's shard directory,
+so an earlier dispatch's done-markers and rows never stand in for this
+run's.  A resume keeps it: the dispatcher itself holds no lease and runs
+no trial, so killing it loses nothing (workers keep draining shards; a
+later ``repro store merge`` or ``resume`` picks the rows up).  A time
+budget terminates workers at the deadline; rows already landed in shard
+stores are still merged, and the runner records the rest as ``skipped``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 from repro.sched.backend import (Backend, CampaignRun, SHARDS_PER_WORKER,
                                  register_backend)
 from repro.sched.lease import DEFAULT_TTL_SECONDS
 from repro.sched.merge import merge_rows
-from repro.sched.shards import ShardLayout, shard_dir_for
+from repro.sched.shards import Shard, ShardLayout, shard_dir_for
 
 #: how often the dispatcher polls for done-markers / dead workers
 _POLL_SECONDS = 0.2
@@ -53,12 +62,11 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
-def _worker_command(shard_dir: str, owner: str, inner_backend: str,
-                    lease_ttl: float, policy) -> List[str]:
+def _worker_command(shard_dir: str, owner: str, lease_ttl: float,
+                    policy) -> List[str]:
     cmd = [sys.executable, "-m", "repro", "sched", "work",
            "--shards", shard_dir, "--owner", owner,
-           "--inner-backend", inner_backend, "--ttl", str(lease_ttl),
-           "--quiet"]
+           "--ttl", str(lease_ttl), "--quiet"]
     if policy is not None and getattr(policy, "timeout_seconds", None):
         cmd += ["--timeout", str(policy.timeout_seconds)]
     if policy is not None and getattr(policy, "retries", 0):
@@ -67,13 +75,12 @@ def _worker_command(shard_dir: str, owner: str, inner_backend: str,
 
 
 def spawn_worker(shard_dir: str, owner: str,
-                 inner_backend: str = "serial",
                  lease_ttl: float = DEFAULT_TTL_SECONDS,
                  policy=None) -> subprocess.Popen:
     """Start one local worker subprocess on ``shard_dir`` (exposed for
     tests and for scripting ad-hoc fleets)."""
     return subprocess.Popen(
-        _worker_command(shard_dir, owner, inner_backend, lease_ttl, policy),
+        _worker_command(shard_dir, owner, lease_ttl, policy),
         env=_worker_env())
 
 
@@ -92,49 +99,71 @@ def _terminate(procs: List[subprocess.Popen], grace_seconds: float = 5.0
                 proc.wait()
 
 
-def merge_shards_into_run(layout: ShardLayout, run: CampaignRun) -> int:
-    """Fold every shard store's rows into the campaign store via the
-    runner's ``record`` sink (one row per pending trial, precedence on
-    duplicates).  Returns the number of rows recorded."""
+def merge_shards_into_run(layout: ShardLayout, run: CampaignRun,
+                          shards: Sequence[Shard]) -> None:
+    """Record the merged rows of ``shards``' trials through the runner's
+    ``record`` sink, skipping trials already recorded.
+
+    A trial's rows live in its own shard's store or in a store an earlier
+    layout left behind, never in another shard of this layout, so the
+    other shards' stores are not read.  Duplicates fold by
+    :func:`~repro.sched.merge.merge_rows` precedence.
+    """
     from repro.experiments.store import iter_store_rows
+    others = ({layout.store_path(s) for s in layout.shards}
+              - {layout.store_path(s) for s in shards})
     merged = merge_rows(iter_store_rows(path)
-                        for path in layout.shard_store_paths())
-    recorded = 0
-    for trial in run.pending:
-        row = merged.get(trial.content_hash())
-        if row is not None:
-            run.record(row)
-            recorded += 1
-    return recorded
+                        for path in layout.shard_store_paths()
+                        if path not in others)
+    for shard in shards:
+        for digest in shard.hashes:
+            row = merged.get(digest)
+            if row is not None and digest not in run.recorded:
+                run.record(row)
 
 
 @register_backend
 class ShardedBackend(Backend):
-    """Leased shard dispatch across local worker subprocesses (and any
-    extra workers other hosts point at the shard directory)."""
+    """Leased shard dispatch across ``run.jobs`` local worker subprocesses
+    (and any extra workers other hosts point at the shard directory)."""
 
     name = "sharded"
 
     def execute(self, run: CampaignRun) -> None:
-        if run.store.path is None:
-            raise ValueError(
-                "the sharded backend needs a file-backed store "
-                "(shards live next to the store file)")
         if not run.pending:
             return
-        workers = run.workers or max(2, run.jobs)
-        num_shards = run.shards or min(len(run.pending),
-                                       workers * SHARDS_PER_WORKER)
-        lease_ttl = run.lease_ttl or DEFAULT_TTL_SECONDS
+        if run.store.path is None:
+            # an in-memory campaign: its shards live in a private
+            # directory that goes once their rows are merged
+            with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
+                self._dispatch(run, tmp)
+            return
         shard_dir = shard_dir_for(run.store.path)
+        if not run.resume:
+            # a fresh run owes every trial a new row: an earlier
+            # dispatch's done-markers and shard rows must not stand in
+            shutil.rmtree(shard_dir, ignore_errors=True)
+        self._dispatch(run, shard_dir)
+
+    def _dispatch(self, run: CampaignRun, shard_dir: str) -> None:
+        num_shards = run.shards or min(len(run.pending),
+                                       run.jobs * SHARDS_PER_WORKER)
+        lease_ttl = run.lease_ttl or DEFAULT_TTL_SECONDS
         layout = ShardLayout.create(shard_dir, run.spec.name, run.pending,
                                     num_shards)
-        procs = [spawn_worker(shard_dir, owner=f"w{i}",
-                              inner_backend=run.inner_backend,
-                              lease_ttl=lease_ttl, policy=run.policy)
-                 for i in range(workers)]
+        procs = [spawn_worker(shard_dir, owner=f"w{i}", lease_ttl=lease_ttl,
+                              policy=run.policy)
+                 for i in range(run.jobs)]
+        waiting = list(layout.shards)
         try:
-            while not layout.all_done():
+            while waiting:
+                # record each shard's rows as its done-marker appears, so
+                # progress follows the fleet
+                done = [s for s in waiting if layout.is_done(s)]
+                if done:
+                    merge_shards_into_run(layout, run, done)
+                    waiting = [s for s in waiting if s not in done]
+                    continue
                 if run.out_of_time():
                     break
                 if all(proc.poll() is not None for proc in procs):
@@ -149,4 +178,6 @@ class ShardedBackend(Backend):
                 time.sleep(_POLL_SECONDS)
         finally:
             _terminate(procs)
-        merge_shards_into_run(layout, run)
+        # whatever landed in unfinished shards before the deadline or the
+        # fleet's exit
+        merge_shards_into_run(layout, run, waiting)

@@ -10,7 +10,10 @@ served from disk, so re-running a reclaimed shard never repeats finished
 work), and writes the done-marker.  When every shard it can see is done,
 the worker exits; while unfinished shards are merely leased by live
 peers, it naps and re-scans — that wait is what turns a SIGKILLed peer's
-expired lease into a reclaim instead of a lost shard.
+expired lease into a reclaim instead of a lost shard.  A shard's trials
+run through the ``vmap`` backend, which batches each cell and sends a
+cell it cannot batch to the serial loop, so the rows equal the
+``serial`` backend's.
 
 A background heartbeat thread beats each held lease every ``ttl / 3``
 seconds, so a wedged-but-alive worker keeps its claim while a dead one
@@ -30,11 +33,9 @@ from typing import Callable, Dict, List, Optional
 from repro.experiments.spec import TrialSpec
 from repro.experiments.store import TrialStore
 from repro.sched import lease as lease_proto
+from repro.sched.backend import CampaignRun, VmapBackend
 from repro.sched.lease import DEFAULT_TTL_SECONDS
 from repro.sched.shards import Shard, ShardLayout
-
-#: inner execution modes a worker can run a shard's trials with
-INNER_BACKENDS = ("serial", "vmap")
 
 
 @dataclass
@@ -91,41 +92,8 @@ def _pending_trials(shard: Shard, store: TrialStore) -> List[TrialSpec]:
     return pending
 
 
-def _run_trials(trials: List[TrialSpec], store: TrialStore,
-                inner_backend: str, policy,
-                on_row: Optional[Callable[[Dict], None]] = None) -> int:
-    """Execute ``trials`` into ``store`` with the chosen inner backend.
-
-    ``vmap`` groups the shard's trials into cells and runs each as one
-    tensor program (bit-identical rows by the vmap backend's parity
-    contract); ``serial`` is the resilient per-trial loop.
-    """
-    ran = 0
-
-    def record(row: Dict) -> None:
-        nonlocal ran
-        store.append(row)
-        ran += 1
-        if on_row is not None:
-            on_row(row)
-
-    if inner_backend == "vmap":
-        from repro.experiments.vmap import (batch_byte_budget, group_cells,
-                                            run_cell_batched)
-        batch_byte_budget()  # a malformed override fails before any cell
-        for cell_trials in group_cells(trials).values():
-            for row in run_cell_batched(cell_trials, policy=policy):
-                record(row)
-    else:
-        from repro.faults.resilience import execute_trial_resilient
-        for trial in trials:
-            record(execute_trial_resilient(trial.to_dict(), policy))
-    return ran
-
-
 def work(shard_dir: str,
          owner: Optional[str] = None,
-         inner_backend: str = "serial",
          policy=None,
          lease_ttl: float = DEFAULT_TTL_SECONDS,
          poll_seconds: Optional[float] = None,
@@ -134,13 +102,10 @@ def work(shard_dir: str,
     """Run the worker loop until every shard in ``shard_dir`` is done.
 
     ``progress(shard_id, row)`` fires per completed trial row.  ``stop``
-    (an Event) makes the loop exit at the next safe point — between
-    trials of the current shard, or while napping — so an embedding
+    (an Event) makes the loop exit at the next safe point — after a claim
+    but before its trials run, or while napping — so an embedding
     process can wind a worker down without killing it.
     """
-    if inner_backend not in INNER_BACKENDS:
-        raise ValueError(f"unknown inner backend {inner_backend!r}; "
-                         f"known: {INNER_BACKENDS}")
     owner = owner or f"{os.getpid()}@{os.uname().nodename}"
     nap = poll_seconds if poll_seconds is not None \
         else max(0.1, lease_ttl / 4.0)
@@ -174,12 +139,15 @@ def work(shard_dir: str,
                     lease_proto.release(lease_path, owner)
                     break
 
-                def on_row(row: Dict, _sid=claimed.shard_id) -> None:
+                def record(row: Dict, _sid=claimed.shard_id) -> None:
+                    store.append(row)
+                    stats.trials_run += 1
                     if progress is not None:
                         progress(_sid, row)
 
-                stats.trials_run += _run_trials(
-                    pending, store, inner_backend, policy, on_row)
+                VmapBackend().execute(CampaignRun(
+                    spec=None, store=store, pending=pending, record=record,
+                    policy=policy))
         layout.mark_done(claimed, owner)
         lease_proto.release(lease_path, owner)
         stats.shards_run += 1

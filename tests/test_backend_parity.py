@@ -1,4 +1,4 @@
-"""The vmap backend must write bit-identical store rows to serial/process.
+"""The vmap backend and the local fleet must write serial's store rows.
 
 This is the acceptance contract of the trial-batched execution engine: for
 any campaign, ``backend="vmap"`` produces exactly the rows the serial
@@ -31,7 +31,7 @@ def run_backends(spec, backends=("serial", "vmap")):
     digests = {}
     for backend in backends:
         result = run_campaign(spec, store=TrialStore(None), backend=backend,
-                              jobs=2 if backend == "process" else 1)
+                              jobs=2 if backend == "sharded" else 1)
         digests[backend] = (digest(result), result)
     return digests
 
@@ -42,9 +42,9 @@ class TestBackendParity:
                          protocols=("det-sqrt", "det-logn"),
                          adversaries=("null",), ns=(16,), alphas=(0.0,),
                          widths=(4,), bandwidths=(8,), replicates=3)
-        digests = run_backends(spec, backends=("serial", "vmap", "process"))
+        digests = run_backends(spec, backends=("serial", "vmap", "sharded"))
         assert digests["serial"][0] == digests["vmap"][0]
-        assert digests["serial"][0] == digests["process"][0]
+        assert digests["serial"][0] == digests["sharded"][0]
         rows = digests["vmap"][1].rows()
         assert all(r["status"] == STATUS_OK for r in rows)
 

@@ -11,13 +11,15 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import TrialStore, free_grid, run_campaign
-from repro.experiments.runner import STATUS_SKIPPED
+from repro.experiments.runner import STATUS_SKIPPED, execute_trial
 from repro.experiments.spec import TrialSpec
 from repro.sched import (CampaignRun, LeaseInfo, ShardLayout, acquire,
                          backend_names, get_backend, heartbeat, merge_rows,
@@ -195,8 +197,8 @@ class TestMergePrecedence:
 
 
 class TestBackendRegistry:
-    def test_all_four_backends_registered(self):
-        assert backend_names() == ("serial", "process", "vmap", "sharded")
+    def test_all_three_backends_registered(self):
+        assert backend_names() == ("serial", "vmap", "sharded")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -227,9 +229,14 @@ class TestBackendRegistry:
         assert [r["status"] for r in result.rows()] == ["ok"]
         assert digests(result) == digests(serial)
 
-    def test_sharded_requires_file_store(self):
-        with pytest.raises(ValueError, match="file-backed"):
-            run_campaign(small_spec(), backend="sharded")
+    def test_sharded_shards_an_in_memory_store_in_a_temp_dir(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec = small_spec(name="sched-in-memory")
+        sharded = run_campaign(spec, jobs=2, lease_ttl=5.0)
+        serial = run_campaign(spec, store=TrialStore(None), backend="serial")
+        assert digests(sharded) == digests(serial)
+        assert os.listdir(tmp_path) == []  # the shard directory is gone
 
 
 class TestWorkerLoop:
@@ -249,30 +256,38 @@ class TestWorkerLoop:
         shard = layout.shards[0]
         # a dead predecessor landed one row before dying
         first = TrialSpec.from_dict(shard.trials[0])
-        from repro.experiments.runner import execute_trial
         with TrialStore(layout.store_path(shard)) as store:
             store.append(execute_trial(first.to_dict()))
         stats = work(directory, owner="successor", lease_ttl=5.0)
         assert stats.trials_cached == 1
         assert stats.trials_run == len(spec.trials()) - 1
 
-    def test_vmap_inner_backend_matches_serial_rows(self, tmp_path):
-        spec = free_grid(name="sched-vmap", protocols=("det-sqrt",),
-                         adversaries=("null",), ns=(16,), alphas=(0.0,),
-                         bandwidths=(16,), replicates=4)
-        dir_a = str(tmp_path / "a.jsonl.shards")
-        dir_b = str(tmp_path / "b.jsonl.shards")
-        la = ShardLayout.create(dir_a, spec.name, spec.trials(), 2)
-        lb = ShardLayout.create(dir_b, spec.name, spec.trials(), 2)
-        work(dir_a, owner="w", inner_backend="serial", lease_ttl=5.0)
-        work(dir_b, owner="w", inner_backend="vmap", lease_ttl=5.0)
+    def test_worker_rows_match_serial_rows(self, tmp_path):
+        from repro.experiments.store import iter_store_rows
+        spec = free_grid(name="sched-worker", protocols=("det-sqrt",),
+                         adversaries=("null", "adaptive"), ns=(16,),
+                         alphas=(0.0, 1 / 16), bandwidths=(16,),
+                         replicates=4)
+        directory = str(tmp_path / "w.jsonl.shards")
+        layout = ShardLayout.create(directory, spec.name, spec.trials(), 2)
+        work(directory, owner="w", lease_ttl=5.0)
+        worker_digests = sorted(row_digest(r)
+                                for p in layout.shard_store_paths()
+                                for r in iter_store_rows(p))
+        serial = run_campaign(spec, store=TrialStore(None), backend="serial")
+        assert worker_digests == digests(serial)
 
-        def all_digests(layout):
-            from repro.experiments.store import iter_store_rows
-            return sorted(row_digest(r)
-                          for p in layout.shard_store_paths()
-                          for r in iter_store_rows(p))
-        assert all_digests(la) == all_digests(lb)
+    def test_quiet_worker_prints_nothing(self, tmp_path, capsys):
+        spec = small_spec()
+        directory = str(tmp_path / "q.jsonl.shards")
+        layout = ShardLayout.create(directory, spec.name, spec.trials(), 2)
+        for shard in layout.shards:
+            layout.mark_done(shard, "earlier")
+        assert main(["sched", "work", "--shards", directory,
+                     "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        main(["sched", "work", "--shards", directory])
+        assert "worker" in capsys.readouterr().out
 
     def test_stop_event_winds_worker_down(self, tmp_path):
         spec = small_spec()
@@ -354,7 +369,7 @@ class TestShardedBackend:
     def test_sharded_matches_serial_digests(self, tmp_path):
         spec = small_spec(name="sched-e2e")
         sharded = run_campaign(spec, store=str(tmp_path / "s.jsonl"),
-                               backend="sharded", workers=2, lease_ttl=5.0)
+                               backend="sharded", jobs=2, lease_ttl=5.0)
         serial = run_campaign(spec, store=TrialStore(None), backend="serial")
         assert digests(sharded) == digests(serial)
         assert sharded.errors == 0 and sharded.skipped == 0
@@ -362,12 +377,64 @@ class TestShardedBackend:
     def test_sharded_resume_serves_cached_rows(self, tmp_path):
         spec = small_spec(name="sched-resume")
         store_path = str(tmp_path / "s.jsonl")
-        run_campaign(spec, store=store_path, backend="sharded", workers=2,
+        run_campaign(spec, store=store_path, backend="sharded", jobs=2,
                      lease_ttl=5.0)
         again = run_campaign(spec, store=store_path, backend="sharded",
-                             resume=True, workers=2, lease_ttl=5.0)
+                             resume=True, jobs=2, lease_ttl=5.0)
         assert again.cached == len(spec.trials())
         assert again.executed == 0
+
+    def test_fresh_rerun_executes_every_trial_again(self, tmp_path):
+        spec = small_spec(name="sched-rerun")
+        store_path = str(tmp_path / "s.jsonl")
+        first = run_campaign(spec, store=store_path, backend="sharded",
+                             jobs=2, lease_ttl=5.0)
+        latest = max(r["recorded_unix"] for r in first.rows())
+        second = run_campaign(spec, store=store_path, backend="sharded",
+                              jobs=2, lease_ttl=5.0)
+        assert second.executed == len(spec.trials())
+        # a row merged from the first dispatch's shards would carry its stamp
+        assert all(r["recorded_unix"] > latest for r in second.rows())
+
+    def test_resume_merges_a_shard_finished_before_the_dispatch(
+            self, tmp_path):
+        spec = small_spec(name="sched-resume-shard")
+        store_path = str(tmp_path / "s.jsonl")
+        layout = ShardLayout.create(shard_dir_for(store_path), spec.name,
+                                    spec.trials(), 3)
+        early = layout.shards[0]
+        with TrialStore(layout.store_path(early)) as store:
+            for trial in early.trials:
+                store.append(execute_trial(trial))
+        layout.mark_done(early, "earlier")
+        early_rows = {r["hash"]: r for r in TrialStore(
+            layout.store_path(early)).rows()}
+
+        result = run_campaign(spec, store=store_path, backend="sharded",
+                              resume=True, jobs=2, shards=3, lease_ttl=5.0)
+        for digest, row in early_rows.items():
+            assert result.store.get_by_hash(digest) == row
+        with open(layout.store_path(early)) as fh:
+            assert len(fh.readlines()) == len(early)  # not run again
+        serial = run_campaign(spec, store=TrialStore(None), backend="serial")
+        assert digests(result) == digests(serial)
+
+    def test_progress_fires_once_per_trial(self, tmp_path):
+        spec = small_spec(name="sched-progress")
+        store_path = str(tmp_path / "s.jsonl")
+        seen = []
+        result = run_campaign(spec, store=store_path, jobs=2, lease_ttl=5.0,
+                              progress=lambda done, total, row: seen.append(
+                                  (done, total, row["hash"])))
+        assert len(ShardLayout.load(shard_dir_for(store_path)).shards) >= 2
+        trials = spec.trials()
+        assert [done for done, _, _ in seen] == \
+            list(range(1, len(trials) + 1))
+        assert {total for _, total, _ in seen} == {len(trials)}
+        assert sorted(h for _, _, h in seen) == \
+            sorted(t.content_hash() for t in trials)
+        serial = run_campaign(spec, store=TrialStore(None), backend="serial")
+        assert digests(result) == digests(serial)
 
 
 class TestBudgetSeconds:
@@ -405,10 +472,9 @@ class TestBudgetSeconds:
         assert "skipped" in str(skipping)
         assert "skipped" not in str(clean)
 
-    def test_budget_applies_to_process_backend(self):
-        spec = small_spec(name="sched-budget-proc")
-        result = run_campaign(spec, backend="process", jobs=2,
-                              budget_seconds=1e-9)
+    def test_budget_applies_to_local_fleet(self):
+        spec = small_spec(name="sched-budget-fleet")
+        result = run_campaign(spec, jobs=2, budget_seconds=1e-9)
         assert result.skipped + result.executed == len(spec.trials())
         assert result.skipped > 0
 
