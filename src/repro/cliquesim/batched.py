@@ -30,6 +30,17 @@ protocols are data-independent in their round *structure*.  Counters
 Running a batched cell is bit-identical to running each of its trials
 alone at ``trials=1``, which is how the serial
 :class:`~repro.cliquesim.network.CongestedClique` runs every round.
+
+On the fault-free clique a round delivers exactly what was sent, so when
+no consumer needs the round matrices (:meth:`BatchedClique.delivers_as_sent`:
+no adversary and no full history) a transport need not build them.
+:meth:`BatchedClique.book_fault_free` is the one booking path for such
+rounds: from their widths, labels and per-trial sent-entry counts it
+advances the counters and writes the same history entries, trace round
+events and metric counters as :meth:`BatchedClique.round`.
+``round_many``'s fault-free stacks, the fault-free ``exchange_words`` and
+the wave kernel's pass-through
+(:func:`~repro.core.routing.route_waves`) all book through it.
 """
 
 from __future__ import annotations
@@ -144,9 +155,9 @@ class BatchedClique:
                          label: str, sent_entries: np.ndarray) -> None:
         """Per-round accounting for the whole batch: one reduction over the
         ``(trials, n, n)`` stack per counter instead of one pass per trial.
-        ``edges`` is None on the fault-free clique; ``sent_entries`` is the
-        per-trial :meth:`_off_diagonal` count of ``intended >= 0``, which
-        ``round_many`` takes for a whole stack of rounds at once."""
+        ``edges`` is None on the fault-free clique, and so are the
+        matrices of a round booked without staging; ``sent_entries`` is
+        the per-trial :meth:`_off_diagonal` count of ``intended >= 0``."""
         if edges is None:
             corrupted = np.zeros(self.trials, dtype=np.int64)
         else:
@@ -266,17 +277,46 @@ class BatchedClique:
                 if width < max_width:
                     self._check_payload(intended_stack[i], width)
             self._check_payload(intended_stack, max_width)
-            sent_entries = self._off_diagonal(intended_stack >= 0)
-            if self._fast_booking():
-                self.rounds_used += count
-                self.bits_sent += (np.asarray(widths, dtype=np.int64)[:, None]
-                                   * sent_entries).sum(axis=0)
-            else:
-                for i, width in enumerate(widths):
-                    self._book_round_many(intended_stack[i],
-                                          intended_stack[i], None, width,
-                                          labels[i], sent_entries[i])
+            self.book_fault_free(widths, labels,
+                                 self._off_diagonal(intended_stack >= 0),
+                                 intended_stack)
             return intended_stack.copy()
+
+    def delivers_as_sent(self) -> bool:
+        """True when every round delivers exactly what was sent and no
+        consumer needs its matrices: the fault-free clique without full
+        history.  Transports may then book their rounds without staging
+        them."""
+        return self.fault_free() and not self.record_full_history
+
+    def book_fault_free(self, widths: Sequence[int], labels: Sequence[str],
+                        sent_entries: np.ndarray,
+                        stack: Optional[np.ndarray] = None) -> None:
+        """Book ``len(widths)`` consecutive fault-free rounds that deliver
+        what was sent: round ``i`` is ``widths[i]`` bits wide, labelled
+        ``labels[i]``, and carries ``sent_entries`` off-diagonal entries
+        per trial — a ``(trials,)`` count shared by every round or a
+        ``(rounds, trials)`` one.  History, trace round events and metric
+        counters come out as :meth:`round` books them; with full history
+        the ``(rounds, trials, n, n)`` ``stack`` is each round's intended
+        and delivered matrix."""
+        if self._ragged_done:
+            raise RuntimeError(
+                "a ragged exchange must be the final transport: per-trial "
+                "round indices have already diverged")
+        for width in widths:
+            self._check_width(width)
+        sent_entries = np.broadcast_to(sent_entries,
+                                       (len(widths), self.trials))
+        if self._fast_booking():
+            self.rounds_used += len(widths)
+            self.bits_sent += (np.asarray(widths, dtype=np.int64)[:, None]
+                               * sent_entries).sum(axis=0)
+            return
+        for i, (width, label) in enumerate(zip(widths, labels)):
+            matrices = None if stack is None else stack[i]
+            self._book_round_many(matrices, matrices, None, width, label,
+                                  sent_entries[i])
 
     # -- helpers -------------------------------------------------------------
     def exchange(self, intended: np.ndarray, width: int,
@@ -330,7 +370,7 @@ class BatchedClique:
         elif len(labels) != len(spans):
             raise ValueError(f"expected {len(spans)} labels")
         with metrics.timed("net.exchange_words"):
-            if self.fault_free() and not self.record_full_history:
+            if self.delivers_as_sent():
                 out, dropped = self._fault_free_chunks(words, present,
                                                        width, spans, labels)
             else:
@@ -349,18 +389,11 @@ class BatchedClique:
     def _fault_free_chunks(self, words: np.ndarray, present: np.ndarray,
                            width: int, spans, labels: Sequence[str],
                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """The fault-free exchange: book the chunk rounds as
-        :meth:`round_many` books a staged stack (each carries the present
-        entries, none is corrupted) and deliver the payload cut to
+        """The fault-free exchange: book the chunk rounds (each carries the
+        present entries, none is corrupted) and deliver the payload cut to
         ``width`` bits."""
-        sent_entries = self._off_diagonal(present)
-        if self._fast_booking():
-            self.rounds_used += len(spans)
-            self.bits_sent += width * sent_entries
-        else:
-            for (_, take), label in zip(spans, labels):
-                self._book_round_many(None, None, None, take, label,
-                                      sent_entries)
+        self.book_fault_free([take for _, take in spans], labels,
+                             self._off_diagonal(present))
         out = np.zeros_like(words)
         whole, rest = divmod(width, WORD_BITS)
         out[..., :whole] = words[..., :whole]

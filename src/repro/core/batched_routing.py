@@ -9,6 +9,9 @@ the routing code, plans in its relay-set mode
 wave kernel, :func:`~repro.core.routing.route_waves`.  Every protocol's
 ``run_many`` routes through it, and
 :class:`~repro.core.routing.SuperMessageRouter` runs one trial on it.
+When the engine delivers as sent (fault-free, no full history) the router
+hands the kernel the engine's booking hook, so no wave stages a round: each
+round is booked and the codeword rows pass through.
 Blocks-mode placements are exactly what a one-trial run of each trial
 computes; when per-trial schedules take different batch counts the planner
 raises :class:`~repro.core.routing.CellUnbatchable` and the caller falls
@@ -81,7 +84,9 @@ class BatchedRouter:
                                   max(1, code.k), sources, slots, sizes,
                                   targets, fanout)
             return route_waves(net.round, net.n, net.bandwidth, code, length,
-                               plan, bits_stack, label)
+                               plan, bits_stack, label,
+                               book=net.book_fault_free
+                               if net.delivers_as_sent() else None)
 
 
 def broadcast_many(router: BatchedRouter, source: int,

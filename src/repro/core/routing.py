@@ -278,6 +278,38 @@ def _take(delivered: np.ndarray, cells: np.ndarray, planes: np.ndarray,
     return bits, lost
 
 
+def _sent_entries(cells: np.ndarray, trials: int, n: int,
+                  length: int) -> np.ndarray:
+    """Per-trial count of the off-diagonal words :func:`_stage` would fill
+    from rows at ``cells``: ``length`` per distinct (trial, node, block)
+    cell, less one for each cell whose node lies in its own block."""
+    blocks = n // length
+    span = blocks * length
+    occupied = np.zeros((trials, n, blocks), dtype=bool)
+    occupied.reshape(-1)[cells] = True
+    own = np.arange(span)
+    return (length * np.add.reduce(occupied.reshape(trials, -1), axis=1)
+            - np.add.reduce(occupied[:, own, own // length], axis=1))
+
+
+def _send_rows(send_round, book, cells: np.ndarray, planes: np.ndarray,
+               rows: np.ndarray, trials: int, n: int, width: int, label: str,
+               target_major: bool = False):
+    """Move ``rows`` through one round at :func:`_stage`'s cells and
+    planes, and return what arrived with the lost mask (:func:`_take`).
+    With ``book`` — an engine that delivers as sent — the round is booked
+    from its sent-entry counts, and the rows come back as they are, none
+    lost; otherwise it is staged and sent through ``send_round``."""
+    if book is not None:
+        book((width,), (label,),
+             _sent_entries(cells, trials, n, rows.shape[1]))
+        return rows, np.zeros(rows.shape, dtype=bool)
+    delivered = send_round(_stage(cells, planes, rows, trials, n, width,
+                                  target_major), width, label)
+    return _take(delivered, cells, planes, rows.shape[1], width,
+                 target_major)
+
+
 def _per_trial(trial_of_row: np.ndarray, mask: np.ndarray,
                trials: int) -> np.ndarray:
     """Per-trial count of the set entries of ``mask``'s rows."""
@@ -567,24 +599,25 @@ def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
     return plan
 
 
-def _relay_hop(send_round, cells: np.ndarray, planes: np.ndarray,
+def _relay_hop(send_round, book, cells: np.ndarray, planes: np.ndarray,
                bits: np.ndarray, sent, trials: int, n: int, width: int,
                label: str, target_major: bool = False):
     """One round of relay-set positions.  Bit ``bits[r, j]`` moves as a
     one-bit row to cell ``cells[r, j] = (trial * n + node) * n + relay``
     on plane ``planes[r]`` — :func:`_stage`'s cell at ``length=1`` — if
     ``sent`` holds there (``True``: everywhere) and no other position
-    takes that (cell, plane) slot.  Returns the bits read back, 0 where
-    none moved or the word was lost, the lost mask and the moved mask."""
+    takes that (cell, plane) slot; :func:`_send_rows` moves them, booked
+    or staged.  Returns the bits read back, 0 where none moved or the
+    word was lost, the lost mask and the moved mask."""
     keys = cells * width + planes[:, None]
     # in sorted order a slot's first key is followed by its own copy
     # exactly when another position shares the slot
     ordered = np.append(np.sort(keys, axis=None), -1)
     go = sent & (ordered[np.searchsorted(ordered[:-1], keys) + 1] != keys)
     cells, planes = cells[go], np.broadcast_to(planes[:, None], go.shape)[go]
-    delivered = send_round(_stage(cells, planes, bits[go][:, None], trials,
-                                  n, width, target_major), width, label)
-    got, lost = _take(delivered, cells, planes, 1, width, target_major)
+    got, lost = _send_rows(send_round, book, cells, planes,
+                           bits[go][:, None], trials, n, width, label,
+                           target_major)
     received = np.zeros(go.shape, dtype=np.uint8)
     lost_at = np.zeros(go.shape, dtype=bool)
     received[go], lost_at[go] = got[:, 0], lost[:, 0]
@@ -592,8 +625,8 @@ def _relay_hop(send_round, cells: np.ndarray, planes: np.ndarray,
 
 
 def route_waves(send_round, n: int, bandwidth: int, code, length: int,
-                plan: WavePlan, bits: np.ndarray,
-                label: str) -> BatchedRoutingResult:
+                plan: WavePlan, bits: np.ndarray, label: str,
+                book=None) -> BatchedRoutingResult:
     """Run ``plan``'s waves; the one wave implementation, for contiguous
     blocks and for relay sets alike.
 
@@ -604,12 +637,19 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
     two rounds — source to relays, relays to target — around one batched
     encode and one batched decode of every trial's rows.
 
+    ``book`` is the engine's
+    :meth:`~repro.cliquesim.batched.BatchedClique.book_fault_free`, passed
+    only when the engine delivers as sent (fault-free, no full history).
+    Each round is then booked from its sent-entry counts and the rows pass
+    through unchanged: nothing is staged, sent or read back.  With the
+    default ``None`` every round is staged through ``send_round``.
+
     With contiguous blocks a codeword moves as one row: round 1 writes it
     at (trial, source, block) of a source-major view of the round, round 2
     writes each (chunk, target) copy at (trial, target, block) of a
     target-major view, and both rounds read whole rows back
-    (:func:`_stage`, :func:`_take`).  Nodes past ``(n // length) * length``
-    relay nothing.
+    (:func:`_send_rows`).  Nodes past ``(n // length) * length`` relay
+    nothing.
 
     With ``plan.relays`` each codeword position moves as its own one-bit
     row at (trial, node, relay), and Section 4.2's loads decide which
@@ -662,20 +702,17 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
             # round 1: source -> relay block, a row per (trial, source,
             # block)
             cells = (tr * n + plan.sources[tr, msgs]) * blocks + relay
-            delivered = send_round(
-                _stage(cells, planes, codewords, trials, n, width), width,
-                f"{wl}/r1")
-            del codewords
-            relayed, lost = _take(delivered, cells, planes, length, width)
-            del delivered
+            relayed, lost = _send_rows(send_round, book, cells, planes,
+                                       codewords, trials, n, width,
+                                       f"{wl}/r1")
         else:
             # round 1: source -> relays, a bit per (trial, source, relay)
             # where InLoad is 1
             cells = (tr * n + plan.sources[tr, msgs])[:, None] * n + relay
-            relayed, lost, sent = _relay_hop(send_round, cells, planes,
+            relayed, lost, sent = _relay_hop(send_round, book, cells, planes,
                                              codewords, True, trials, n,
                                              width, f"{wl}/r1")
-            del codewords
+        del codewords
         if lost.any():
             dropped += _per_trial(tr, lost, trials)
         del lost
@@ -698,23 +735,19 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
             # round 2: relay block -> target, a row per (trial, target,
             # block)
             cells = (tr * n + tgts) * blocks + relay
-            delivered = send_round(
-                _stage(cells, planes, relayed, trials, n, width,
-                       target_major=True), width, f"{wl}/r2")
-            del relayed
-            received, erase = _take(delivered, cells, planes, length, width,
-                                    target_major=True)
-            del delivered
+            received, erase = _send_rows(send_round, book, cells, planes,
+                                         relayed, trials, n, width,
+                                         f"{wl}/r2", target_major=True)
             erasures = erase
         else:
             # round 2: relay -> target, a bit per (trial, target, relay)
             # where the position went out and OutLoad is 1
             cells = (tr * n + tgts)[:, None] * n + relay
             received, erase, forward = _relay_hop(
-                send_round, cells, planes, relayed, sent, trials, n, width,
-                f"{wl}/r2", target_major=True)
-            del relayed
+                send_round, book, cells, planes, relayed, sent, trials, n,
+                width, f"{wl}/r2", target_major=True)
             erasures = erase | ~forward
+        del relayed
         if erase.any():
             lost = _per_trial(tr, erase, trials)
             dropped += lost

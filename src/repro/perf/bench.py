@@ -497,20 +497,16 @@ def bench_greedy_selection(planes: int, repeats: int) -> Dict:
     return _entry("greedy-selection-n64", planes, "planes", ref, batched)
 
 
-def bench_route_waves(n: int, repeats: int) -> Dict:
-    """Blocks-mode routing at det-logn's first butterfly step: every node
-    sends n/2 bits to its partner across the top bit, in 2 lockstep
-    trials.  Races the row kernel ``route_waves`` against the per-bit
-    oracle, both moving their rounds through a fault-free
-    :class:`~repro.cliquesim.batched.BatchedClique`; the results are
-    asserted equal first."""
-    from repro.cliquesim.batched import BatchedClique
+def _butterfly_waves(n: int):
+    """det-logn's first butterfly step as a blocks-mode routing: every
+    node sends n/2 bits to its partner across the top bit, in 2 lockstep
+    trials.  At n=512 this is free-logn-n512's wave shape: 2 planes of 16
+    relay blocks of 32 nodes.  Returns ``(trials, size, length, code,
+    plan, bits)``."""
     from repro.cliquesim.topology import flip
     from repro.core.profiles import SIMULATION
-    from repro.core.routing import plan_waves, route_waves
+    from repro.core.routing import plan_waves
 
-    # at n=512 this is free-logn-n512's wave shape: 2 trials, 2 planes of
-    # 16 relay blocks of 32 nodes
     trials = 2
     top = n.bit_length() - 2
     partner = [flip(u, 0, 1 - ((u >> top) & 1), n) for u in range(n)]
@@ -519,6 +515,20 @@ def bench_route_waves(n: int, repeats: int) -> Dict:
     plan = plan_waves(trials, n, n // length, max(1, code.k), np.arange(n),
                       np.zeros(n), np.full(n, size), partner)
     bits = make_rng(204).integers(0, 2, (trials, n, size), dtype=np.uint8)
+    return trials, size, length, code, plan, bits
+
+
+def bench_route_waves(n: int, repeats: int) -> Dict:
+    """Blocks-mode routing at :func:`_butterfly_waves`' shape.  Races the
+    row kernel ``route_waves`` against the per-bit oracle, both staging
+    every round and moving it through a fault-free
+    :class:`~repro.cliquesim.batched.BatchedClique` (no booking hook is
+    passed, so this times staging); the results are asserted equal
+    first."""
+    from repro.cliquesim.batched import BatchedClique
+    from repro.core.routing import route_waves
+
+    trials, size, length, code, plan, bits = _butterfly_waves(n)
 
     def run(kernel):
         net = BatchedClique(n, trials=trials, bandwidth=32)
@@ -534,6 +544,38 @@ def bench_route_waves(n: int, repeats: int) -> Dict:
     batched = _best_of(lambda: run(route_waves), repeats)
     return _entry("route-waves-n512", trials * n * size, "payload-bits", ref,
                   batched)
+
+
+def bench_route_waves_free(n: int, repeats: int) -> Dict:
+    """The row kernel at :func:`_butterfly_waves`' shape on a fault-free
+    :class:`~repro.cliquesim.batched.BatchedClique`: staging every round
+    (the reference) against passing the rows through while the engine's
+    ``book_fault_free`` books each round, as ``BatchedRouter.route`` does
+    on an engine that delivers as sent.  Rows, flags, drop counts and the
+    engine's round and bit counters are asserted equal first."""
+    from repro.cliquesim.batched import BatchedClique
+    from repro.core.routing import route_waves
+
+    trials, size, length, code, plan, bits = _butterfly_waves(n)
+
+    def run(pass_through: bool):
+        net = BatchedClique(n, trials=trials, bandwidth=32)
+        result = route_waves(net.round, n, net.bandwidth, code, length, plan,
+                             bits, "bench",
+                             book=net.book_fault_free if pass_through
+                             else None)
+        return result, net
+
+    (rows, booked), (staged, sent) = run(True), run(False)
+    for name in ("decoded", "failed", "dropped", "erased"):
+        assert np.array_equal(getattr(rows, name), getattr(staged, name))
+    assert booked.rounds_used == sent.rounds_used == rows.rounds
+    assert np.array_equal(booked.bits_sent, sent.bits_sent)
+    assert np.array_equal(rows.message_bits(), bits)
+    ref = _best_of(lambda: run(False), max(1, repeats - 1))
+    batched = _best_of(lambda: run(True), repeats)
+    return _entry("route-waves-free-n512", trials * n * size, "payload-bits",
+                  ref, batched)
 
 
 def bench_coverfree_verify(n: int, message_bits: int, repeats: int) -> Dict:
@@ -820,6 +862,8 @@ def _suite_plan(suite: str):
          lambda smoke, r: bench_greedy_selection(16 if smoke else 64, r)),
         ("route-waves-n512",
          lambda smoke, r: bench_route_waves(128 if smoke else 512, r)),
+        ("route-waves-free-n512",
+         lambda smoke, r: bench_route_waves_free(128 if smoke else 512, r)),
         ("coverfree-verify-n128",
          lambda smoke, r: bench_coverfree_verify(128, 64 if smoke else 256,
                                                  r)),

@@ -151,9 +151,11 @@ class ShardedBackend(Backend):
         lease_ttl = run.lease_ttl or DEFAULT_TTL_SECONDS
         layout = ShardLayout.create(shard_dir, run.spec.name, run.pending,
                                     num_shards)
+        # a worker past the shard count would only start up to find
+        # nothing to claim
         procs = [spawn_worker(shard_dir, owner=f"w{i}", lease_ttl=lease_ttl,
                               policy=run.policy)
-                 for i in range(run.jobs)]
+                 for i in range(min(run.jobs, len(layout.shards)))]
         waiting = list(layout.shards)
         try:
             while waiting:

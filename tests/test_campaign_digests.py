@@ -314,3 +314,35 @@ def test_nonadaptive_adversary_paths_match_pin(protocol, case, pin):
     if case != "no-edges":
         assert corrupted > 0
     assert digest == pin
+
+
+#: fault-free det-logn on a ``CongestedClique`` that records full history,
+#: which keeps staging every wave round where the fault-free clique without
+#: full history only books them: n=64, width 2, bandwidth 8, instance seed
+#: 7, run seed 1.  The pin hashes ``(rounds, bits_sent, correct_entries,
+#: entries_corrupted_in_transit)``, then every round's intended and
+#: delivered matrices, then the belief matrix.
+FULL_HISTORY_PIN = \
+    "5e0c69aa4466143cd40e355ab3c76befcb7f8a77468d022b01e8418e1473d65f"
+
+
+def test_fault_free_full_history_run_matches_pin():
+    import numpy as np
+
+    from repro.cliquesim import CongestedClique
+    from repro.core.alltoall import make_protocol
+    from repro.core.messages import AllToAllInstance, verify_beliefs
+
+    instance = AllToAllInstance.random(64, width=2, seed=7)
+    net = CongestedClique(64, bandwidth=8, record_full_history=True)
+    beliefs = np.asarray(make_protocol("det-logn").run(instance, net, seed=1),
+                         dtype=np.int64)
+    outcome = (net.rounds_used, net.bits_sent,
+               verify_beliefs(instance, beliefs), net.entries_corrupted)
+    assert outcome == (12, 193536, 4096, 0)
+    digest = hashlib.sha256(repr(outcome).encode("utf-8"))
+    for record in net.history:
+        digest.update(np.ascontiguousarray(record.intended).tobytes())
+        digest.update(np.ascontiguousarray(record.delivered).tobytes())
+    digest.update(beliefs.tobytes())
+    assert digest.hexdigest() == FULL_HISTORY_PIN

@@ -22,6 +22,7 @@ from repro.perf.bench import (
     bench_rm_line_decode,
     bench_rs_batch_bm,
     bench_route_waves,
+    bench_route_waves_free,
     bench_rs_symbol_decode,
     store_rows,
 )
@@ -73,6 +74,14 @@ class TestBenchEntries:
         assert entry["unit"] == "payload-bits"
         assert entry["speedup"] > 0
 
+    def test_route_waves_free_entry(self):
+        # the benchmark asserts the pass-through == the staged kernel, in
+        # rows and in the engine's counters, before timing
+        entry = bench_route_waves_free(64, 1)
+        assert entry["items"] == 2 * 64 * 32
+        assert entry["unit"] == "payload-bits"
+        assert entry["speedup"] > 0
+
     def test_justesen_encode_entry(self):
         # the benchmark asserts the table encode == the Reed–Solomon-then-
         # inner composition before timing
@@ -105,6 +114,7 @@ class TestNetworkSuite:
         names = set(results["benchmarks"])
         assert "exchange-bits-n64" in names
         assert "det-sqrt-end-to-end" in names
+        assert "route-waves-free-n512" in names
         # smoke runs land in a .smoke.json sidecar and must never clobber
         # the committed full-mode baseline
         path = write_results(results, tmp_path)

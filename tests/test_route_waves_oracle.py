@@ -9,9 +9,12 @@ sets, the kernel's relay-set branch moves each codeword position as its
 own one-bit row.  On the same plan and the same deliveries all three must
 stage the same rounds and return the same rows, failure flags and drop and
 erasure counts — with tail nodes, fan-out, waves whose planes share cells,
-the widest round, per-trial node ids and a lossy transport.  A hand-built
-plan then checks what only relay sets can do: positions whose loads
-exceed 1 stay off the network and are declared erasures.
+the widest round, per-trial node ids and a lossy transport.  On a
+fault-free transport both kernel legs also run on the engine, staged and
+with its booking hook (nothing staged), and must book, record and trace
+the same rounds.  A hand-built plan then checks what only relay sets can
+do: positions whose loads exceed 1 stay off the network and are declared
+erasures.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ from repro.core import batched_routing
 from repro.core.batched_routing import BatchedRouter, broadcast_many
 from repro.core.profiles import SIMULATION
 from repro.core.routing import WavePlan, plan_waves, route_waves
+from repro.obs import metrics, tracing
 from repro.perf.reference import route_waves_per_bit
 
 
@@ -77,7 +81,60 @@ def assert_kernels_agree(n, bandwidth, code, length, plan, bits,
                                           err_msg=name)
         assert (result.rounds, result.batches, result.codeword_bits) == \
             (per_bit.rounds, per_bit.batches, per_bit.codeword_bits)
+    if corrupt == drop == 0:
+        for kernel_plan, result in zip((plan, relay_sets), results[1:]):
+            assert_pass_through_agrees(n, bandwidth, code, length,
+                                       kernel_plan, bits, result)
     return rows
+
+
+def engine_run(n, bandwidth, code, length, plan, bits, pass_through,
+               keep_history, observed):
+    """``route_waves`` on a fault-free engine, staged or through its
+    booking hook, and everything the engine booked, recorded and
+    traced."""
+    net = BatchedClique(n, plan.batch.shape[0], bandwidth=bandwidth,
+                        keep_history=keep_history)
+    with metrics.use(observed) as registry, tracing.trace() as tracer:
+        if not observed:
+            tracing.uninstall()
+        result = route_waves(net.round, n, bandwidth, code, length, plan,
+                             bits, "oracle",
+                             book=net.book_fault_free if pass_through
+                             else None)
+    rounds = [[(r.index, r.width, r.bits, r.label, r.corrupted_entries)
+               for r in history] for history in net.histories]
+    events = [{k: v for k, v in event.items() if k != "t"}
+              for event in tracer.events[1:]]
+    return result, (net.rounds_used, net.bits_sent, net.entries_corrupted,
+                    rounds, events, registry.snapshot()["counters"])
+
+
+def assert_pass_through_agrees(n, bandwidth, code, length, plan, bits,
+                               expected):
+    for keep_history in (False, True):
+        for observed in (False, True):
+            args = (n, bandwidth, code, length, plan, bits)
+            staged, booked_s = engine_run(*args, False, keep_history,
+                                          observed)
+            passed, booked_p = engine_run(*args, True, keep_history,
+                                          observed)
+            for name in ("decoded", "failed", "dropped", "erased"):
+                np.testing.assert_array_equal(getattr(passed, name),
+                                              getattr(expected, name),
+                                              err_msg=name)
+                np.testing.assert_array_equal(getattr(staged, name),
+                                              getattr(expected, name),
+                                              err_msg=name)
+            assert passed.rounds == staged.rounds == expected.rounds
+            assert booked_s[0] == staged.rounds
+            for a, b in zip(booked_p, booked_s):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) \
+                    else a == b
+            if keep_history:
+                assert all(len(h) == staged.rounds for h in booked_s[3])
+            if observed:
+                assert len(booked_s[4]) == staged.rounds
 
 
 def random_bits(rng, trials, sizes):
@@ -139,6 +196,8 @@ def test_fan_out():
 
 
 def test_broadcast_many_matches_oracle(monkeypatch):
+    # the router hands the fault-free engine's booking hook to the row
+    # kernel, which then stages nothing; the oracle stages every round
     n, trials = 36, 3
     rng = np.random.default_rng(4)
     payload = rng.integers(0, 2, (trials, 50), dtype=np.uint8)
@@ -149,7 +208,8 @@ def test_broadcast_many_matches_oracle(monkeypatch):
         return broadcast_many(BatchedRouter(net), 3, payload)
 
     got = broadcast(route_waves)
-    np.testing.assert_array_equal(got, broadcast(route_waves_per_bit))
+    np.testing.assert_array_equal(got, broadcast(
+        lambda *args, book=None: route_waves_per_bit(*args)))
     np.testing.assert_array_equal(got, np.broadcast_to(payload[:, None],
                                                        got.shape))
 

@@ -419,6 +419,27 @@ class TestShardedBackend:
         serial = run_campaign(spec, store=TrialStore(None), backend="serial")
         assert digests(result) == digests(serial)
 
+    def test_fleet_starts_no_more_workers_than_shards(self, tmp_path,
+                                                      monkeypatch):
+        from repro.sched import dispatcher
+        spawned = []
+        spawn = dispatcher.spawn_worker
+
+        def counting(*args, **kwargs):
+            spawned.append(kwargs["owner"])
+            return spawn(*args, **kwargs)
+
+        monkeypatch.setattr(dispatcher, "spawn_worker", counting)
+        spec = free_grid(name="sched-one", protocols=("det-sqrt",),
+                         adversaries=("null",), ns=(16,), alphas=(0.0,),
+                         bandwidths=(16,))
+        assert len(spec.trials()) == 1
+        result = run_campaign(spec, store=str(tmp_path / "s.jsonl"),
+                              backend="sharded", jobs=4, lease_ttl=5.0)
+        assert spawned == ["w0"]
+        serial = run_campaign(spec, store=TrialStore(None), backend="serial")
+        assert digests(result) == digests(serial)
+
     def test_progress_fires_once_per_trial(self, tmp_path):
         spec = small_spec(name="sched-progress")
         store_path = str(tmp_path / "s.jsonl")
