@@ -32,7 +32,6 @@ import time
 import numpy as np
 
 from repro.cliquesim.network import CongestedClique
-from repro.cliquesim.trace import format_breakdown
 from repro.core import AllToAllInstance, make_protocol, verify_beliefs
 from repro.core.alltoall import PROTOCOLS
 from repro.core.applications import resilient_consensus
@@ -48,14 +47,14 @@ def _run_once(protocol_name: str, n: int, alpha: float, adversary_kind: str,
     instance = AllToAllInstance.random(n, width=1, seed=seed)
     protocol = make_protocol(protocol_name)
     adversary = make_adversary(adversary_kind, alpha, seed + 1)
-    net = CongestedClique(n, bandwidth=bandwidth, adversary=adversary)
-    if trace_path:
+    net = CongestedClique(n, bandwidth=bandwidth, adversary=adversary,
+                          keep_history=False)
+    if trace_path or show_phases:
         with tracing.trace("run", protocol=protocol_name, n=n, alpha=alpha,
                            adversary=adversary_kind, bandwidth=bandwidth,
                            seed=seed) as tracer:
             with tracer.span("run"):
                 beliefs = protocol.run(instance, net, seed=seed + 2)
-        tracer.write_jsonl(trace_path)
     else:
         beliefs = protocol.run(instance, net, seed=seed + 2)
     correct = verify_beliefs(instance, beliefs)
@@ -70,10 +69,10 @@ def _run_once(protocol_name: str, n: int, alpha: float, adversary_kind: str,
     print(f"accuracy={correct}/{n * n} = {correct / (n * n):.4%}")
     if show_phases:
         print("\nper-phase breakdown:")
-        print(format_breakdown(net))
+        print(tracing.render_summary(tracing.summarize(tracer.events)))
     if trace_path:
-        print(f"trace -> {trace_path} "
-              f"({len(tracing.load_jsonl(trace_path))} events)")
+        tracer.write_jsonl(trace_path)
+        print(f"trace -> {trace_path} ({len(tracer)} events)")
     return correct == n * n
 
 
@@ -258,12 +257,6 @@ def cmd_trace_show(args) -> int:
     print(f"trace {args.path}: {len(rows)} events, {meta}")
     print()
     print(tracing.render_summary(summary))
-    if summary.spans:
-        print("\nspans:")
-        for span in summary.spans:
-            duration = (span["t1"] - span["t0"]) * 1e3
-            print(f"  {'  ' * span.get('depth', 0)}{span['name']:<28} "
-                  f"{duration:>10.2f} ms")
     return 0
 
 
@@ -284,8 +277,8 @@ def cmd_bench(args) -> int:
                             run_suite, store_rows, write_results)
     if getattr(args, "action", "run") == "trend":
         return cmd_bench_trend(args)
-    from repro.obs import metrics
-    if metrics.enabled():
+    from repro.obs import tracing
+    if tracing.metrics_enabled():
         print("warning: REPRO_OBS_METRICS is on — benchmark timings "
               "include instrumentation overhead", flush=True)
     suites = sorted(SUITE_FILES) if args.suite == "all" else [args.suite]

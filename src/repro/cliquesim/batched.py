@@ -36,8 +36,8 @@ no consumer needs the round matrices (:meth:`BatchedClique.delivers_as_sent`:
 no adversary and no full history) a transport need not build them.
 :meth:`BatchedClique.book_fault_free` is the one booking path for such
 rounds: from their widths, labels and per-trial sent-entry counts it
-advances the counters and writes the same history entries, trace round
-events and metric counters as :meth:`BatchedClique.round`.
+advances the counters and writes the same history entries and trace round
+events as :meth:`BatchedClique.round`.
 ``round_many``'s fault-free stacks, the fault-free ``exchange_words`` and
 the wave kernel's pass-through
 (:func:`~repro.core.routing.route_waves`) all book through it.
@@ -56,7 +56,7 @@ from repro.adversary.batched import (
     BatchRoundView,
 )
 from repro.adversary.budget import validate_fault_sets
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from repro.utils.bits import WORD_BITS, pack_bits, unpack_bits, words_per_width
 
 #: per-round payloads live in int64 matrices with -1 as "no message", so a
@@ -129,10 +129,9 @@ class BatchedClique:
 
     def _fast_booking(self) -> bool:
         """True when per-round accounting can collapse to plain counter
-        arithmetic (no history, tracer, or metrics consumers); the counter
-        values stay bit-identical either way."""
-        return (not self.keep_history and tracing.active() is None
-                and not metrics.enabled())
+        arithmetic (no history or tracer consumers); the counter values
+        stay bit-identical either way."""
+        return not self.keep_history and tracing.active() is None
 
     def _off_diagonal(self, mask: np.ndarray) -> np.ndarray:
         """Off-diagonal True entries of every ``(n, n)`` matrix of a bool
@@ -178,9 +177,6 @@ class BatchedClique:
         self.rounds_used += 1
         self.bits_sent += bits
         self.entries_corrupted += corrupted
-        if metrics.enabled():
-            metrics.count("net.rounds")
-            metrics.count("net.bits", int(bits.sum()))
         tracer = tracing.active()
         if tracer is not None:
             tracer.round_event(index=self.rounds_used - 1, label=label,
@@ -265,7 +261,7 @@ class BatchedClique:
             raise ValueError("one label per round required")
         if count == 0:
             return intended_stack.copy()
-        with metrics.timed("net.round_many"):
+        with tracing.span("net.round_many"):
             if not self.fault_free():
                 return np.stack([
                     self.round(intended_stack[i], widths[i], labels[i])
@@ -296,10 +292,10 @@ class BatchedClique:
         what was sent: round ``i`` is ``widths[i]`` bits wide, labelled
         ``labels[i]``, and carries ``sent_entries`` off-diagonal entries
         per trial — a ``(trials,)`` count shared by every round or a
-        ``(rounds, trials)`` one.  History, trace round events and metric
-        counters come out as :meth:`round` books them; with full history
-        the ``(rounds, trials, n, n)`` ``stack`` is each round's intended
-        and delivered matrix."""
+        ``(rounds, trials)`` one.  History and trace round events come out
+        as :meth:`round` books them; with full history the
+        ``(rounds, trials, n, n)`` ``stack`` is each round's intended and
+        delivered matrix."""
         if self._ragged_done:
             raise RuntimeError(
                 "a ragged exchange must be the final transport: per-trial "
@@ -369,7 +365,7 @@ class BatchedClique:
             labels = [f"{label}[bits{start}]" for start, _ in spans]
         elif len(labels) != len(spans):
             raise ValueError(f"expected {len(spans)} labels")
-        with metrics.timed("net.exchange_words"):
+        with tracing.span("net.exchange_words"):
             if self.delivers_as_sent():
                 out, dropped = self._fault_free_chunks(words, present,
                                                        width, spans, labels)
@@ -377,13 +373,10 @@ class BatchedClique:
                 out, dropped = self._chunk_rounds(words, present, spans,
                                                   labels)
         tracer = tracing.active()
-        if tracer is not None or metrics.enabled():
-            n_dropped = int(np.count_nonzero(dropped))
-            metrics.count("net.dropped_entries", n_dropped)
-            if tracer is not None:
-                tracer.transport_event(
-                    label=label or (labels[0] if labels else ""),
-                    width=width, chunks=len(spans), dropped=n_dropped)
+        if tracer is not None:
+            tracer.transport_event(
+                label=label or (labels[0] if labels else ""), width=width,
+                chunks=len(spans), dropped=int(np.count_nonzero(dropped)))
         return out, dropped
 
     def _fault_free_chunks(self, words: np.ndarray, present: np.ndarray,
@@ -512,16 +505,12 @@ class BatchedClique:
                             delivered=None, fault_edges=None,
                             corrupted_entries=int(corrupted[t]),
                             bits=int(bits[t]), label=label_p))
-            if not self._fast_booking():
-                metrics.count("net.rounds")
-                metrics.count("net.bits", int(bits.sum()))
-                tracer = tracing.active()
-                if tracer is not None:
-                    tracer.round_event(index=self.rounds_used + part,
-                                       label=label_p,
-                                       width=int(takes.max()),
-                                       bits=int(bits.sum()),
-                                       corrupted=int(corrupted.sum()))
+            tracer = tracing.active()
+            if tracer is not None:
+                tracer.round_event(index=self.rounds_used + part,
+                                   label=label_p, width=int(takes.max()),
+                                   bits=int(bits.sum()),
+                                   corrupted=int(corrupted.sum()))
             self.rounds_ragged += active
             self.bits_sent += bits
             self.entries_corrupted += corrupted

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.coding.interfaces import BinaryCode, DecodingFailure
 from repro.fields.gf2m import GF2m
-from repro.obs import metrics
+from repro.obs import tracing
 from repro.utils.bits import BitArray, as_bits
 
 
@@ -302,19 +302,19 @@ class ReedSolomonCodec:
                 raise ValueError(
                     f"erasure mask shape {masks.shape} != {words.shape}")
             if masks.any():
-                with metrics.timed("rs.correct_many_erasures"):
+                with tracing.span("rs.correct_many_erasures"):
                     return self._correct_many_erasures(words, masks)
-        with metrics.timed("rs.correct_many"):
+        with tracing.span("rs.correct_many"):
             return self._correct_many(words)
 
     def _correct_many(self, words: np.ndarray):
         count = words.shape[0]
-        metrics.count("rs.words", count)
+        tracing.count("rs.words", count)
         corrected = words.copy()
         failed = np.zeros(count, dtype=bool)
         syndromes = self.syndromes_many(words)
         dirty = np.flatnonzero(syndromes.any(axis=1))
-        metrics.count("rs.dirty_rows", int(dirty.size))
+        tracing.count("rs.dirty_rows", int(dirty.size))
         if dirty.size == 0:
             return corrected, failed
         field = self.field
@@ -322,7 +322,7 @@ class ReedSolomonCodec:
         synd = syndromes[dirty]
 
         # error locators: all dirty rows walk Berlekamp–Massey in lockstep
-        with metrics.timed("rs.batch_bm"):
+        with tracing.span("rs.batch_bm"):
             full_sigmas, num_errors = self._berlekamp_massey_many(synd)
         ok = (num_errors <= self.t) \
             & ~full_sigmas[:, self.t + 1:].any(axis=1)
@@ -356,7 +356,7 @@ class ReedSolomonCodec:
         good = dirty[ok]
         corrected[good] = patched[ok]
         failed[dirty[~ok]] = True
-        metrics.count("rs.failed_rows", int(failed.sum()))
+        tracing.count("rs.failed_rows", int(failed.sum()))
         return corrected, failed
 
     def decode_many_flagged(self, words: np.ndarray,
@@ -509,7 +509,7 @@ class ReedSolomonCodec:
         locator buffer since deg(psi) can reach ``n - k``.
         """
         count = words.shape[0]
-        metrics.count("rs.words", count)
+        tracing.count("rs.words", count)
         corrected = words.copy()
         failed = np.zeros(count, dtype=bool)
         n_synd = self.n - self.k
@@ -518,16 +518,16 @@ class ReedSolomonCodec:
         failed |= over
         syndromes = self.syndromes_many(words)
         dirty = np.flatnonzero(syndromes.any(axis=1) & ~over)
-        metrics.count("rs.dirty_rows", int(dirty.size))
+        tracing.count("rs.dirty_rows", int(dirty.size))
         if dirty.size == 0:
-            metrics.count("rs.failed_rows", int(failed.sum()))
+            tracing.count("rs.failed_rows", int(failed.sum()))
             return corrected, failed
         field = self.field
         synd = syndromes[dirty]
         fs = fs_all[dirty]
         gammas = self._erasure_locators_many(masks[dirty])
 
-        with metrics.timed("rs.batch_bm_erasures"):
+        with tracing.span("rs.batch_bm_erasures"):
             psis, lengths = self._berlekamp_massey_erasures_many(
                 synd, gammas, fs)
         width = n_synd + 1
@@ -563,7 +563,7 @@ class ReedSolomonCodec:
         good = dirty[ok]
         corrected[good] = patched[ok]
         failed[dirty[~ok]] = True
-        metrics.count("rs.failed_rows", int(failed.sum()))
+        tracing.count("rs.failed_rows", int(failed.sum()))
         return corrected, failed
 
     def _berlekamp_massey(self, syndromes):

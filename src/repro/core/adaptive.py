@@ -59,7 +59,7 @@ from repro.core.protocol import (
     unpack_rows,
 )
 from repro.fields.gfp import is_prime
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from repro.sketch.ksparse import (KSparseSketch, SketchPlaneStack,
                                   SketchRecoveryError, SketchSpec,
                                   planes_supported)
@@ -324,8 +324,7 @@ class AdaptiveAllToAll(AllToAllProtocol):
         # messages it received through the resilient routing.
         # ids[t, j, i, c, s] hashes source u = P_j[s]'s received value for
         # target v = segments[i][c]; row order (t, j, i, c) with v = i*C + c
-        with tracing.maybe_span("adaptive/sketch-build"), \
-                metrics.timed("adaptive.sketch_build"):
+        with tracing.span("adaptive.sketch_build"):
             u_idx = members_mat[:, :, None, None, :]          # (T, J, 1, 1, S)
             v_ids = (np.arange(part_size)[:, None] * seg_size
                      + np.arange(seg_size)[None, :])          # (I, C) = v
@@ -587,8 +586,7 @@ class AdaptiveAllToAll(AllToAllProtocol):
         beliefs = tilde.copy()
         recovered = np.zeros(trials, dtype=np.int64)
         failed_sketches = np.count_nonzero(~sketch_ok, axis=(1, 2))
-        with tracing.maybe_span("adaptive/sketch-subtract"), \
-                metrics.timed("adaptive.sketch_subtract"):
+        with tracing.span("adaptive.sketch_subtract"):
             # every decodable sketch subtracts its group's received copies
             # (exactly one id per group member); only the peel itself stays
             # per-sketch

@@ -26,7 +26,7 @@ from repro.cliquesim.batched import BatchedClique
 from repro.core.profiles import ProtocolProfile, SIMULATION
 from repro.core.routing import (BatchedRoutingResult, plan_coverfree,
                                 plan_waves, route_waves)
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from repro.utils.rng import derive
 
 
@@ -55,10 +55,9 @@ class BatchedRouter:
         ``(trials, P)`` ones; see :func:`~repro.core.routing.plan_waves`."""
         net = self.net
         sizes = np.asarray(sizes, dtype=np.int64)
-        with metrics.timed("routing.route"), \
-                tracing.maybe_span(f"{label}/route",
-                                   messages=sizes.size * net.trials,
-                                   trials=net.trials):
+        with tracing.span("routing.route", label=label,
+                          messages=sizes.size * net.trials,
+                          trials=net.trials):
             bits_stack = np.ascontiguousarray(bits_stack, dtype=np.uint8)
             if bits_stack.ndim != 3 \
                     or bits_stack.shape[:2] != (net.trials, sizes.size) \

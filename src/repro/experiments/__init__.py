@@ -38,9 +38,8 @@ missing trials.  Cells bigger than
 :data:`repro.experiments.vmap.MAX_BATCH_TRIALS` are chunked.  A cell runs
 batched only when its protocol has a batched ``run_many`` (``nonadaptive``,
 ``det-logn``, ``det-sqrt``, ``adaptive`` — see
-:data:`repro.core.vmapped.BATCHED_PROTOCOLS`), one trial fits the byte
-budget, and per-trial ``metrics`` snapshots are off (a singleton cell is a
-batch of one); otherwise — and
+:data:`repro.core.vmapped.BATCHED_PROTOCOLS`) and one trial fits the byte
+budget (a singleton cell is a batch of one); otherwise — and
 whenever per-trial routing schedules diverge or the batched run raises —
 the cell's trials re-execute serially, so store rows are bit-identical to
 the serial backend in every case.
@@ -49,11 +48,14 @@ Observability row schema: every trial row carries ``wall_seconds``
 (trial execution time) and ``recorded_unix`` (wall-clock completion
 stamp — what ``repro experiment watch`` derives its throughput/ETA from);
 with ``REPRO_OBS_METRICS=1`` each row also embeds a ``metrics`` snapshot
-(counters/timers/histograms from :mod:`repro.obs.metrics`, scoped to that
-trial).  ``repro bench --store`` rows (``kind == "bench"``) feed
-``repro bench trend``.  Structured protocol traces use a separate JSONL
-schema — see :mod:`repro.obs.tracing` (``meta``/``round``/``transport``/
-``span`` events, schema version in the ``meta`` line).
+(:meth:`repro.obs.tracing.Tracer.snapshot`: counters and span timers)
+scoped to its unit of execution — the batched cell's one
+``run_protocol_many`` call, or the serial trial — plus ``trials``, the
+unit's trial count; cells stay batched.  ``repro bench --store`` rows
+(``kind == "bench"``) feed ``repro bench trend``.  Structured protocol
+traces use a separate JSONL schema — see :mod:`repro.obs.tracing`
+(``meta``/``round``/``transport``/``span``/``count`` events, schema
+version in the ``meta`` line).
 """
 
 from repro.experiments.aggregate import (

@@ -85,25 +85,24 @@ def run_single(trial: TrialSpec,
     from repro.core.alltoall import make_protocol, run_protocol
     from repro.core.messages import AllToAllInstance
     from repro.core.profiles import ProfileError
-    from repro.obs import metrics
+    from repro.obs import tracing
 
     base = {"hash": trial.content_hash(), "trial": trial.to_dict()}
     start = time.perf_counter()
-    if metrics.enabled():
-        # one snapshot per trial: the registry is per-process, so each
-        # worker scopes it to the trial it is about to run
-        metrics.reset()
     report = None
     try:
-        protocol = make_protocol(trial.protocol)
-        adversary = (adversary_factory(trial) if adversary_factory is not None
-                     else make_adversary(trial.adversary, trial.alpha,
-                                         trial.adversary_seed))
-        instance = AllToAllInstance.random(trial.n, width=trial.width,
-                                           seed=trial.instance_seed)
-        report = run_protocol(protocol, instance, adversary,
-                              bandwidth=trial.bandwidth,
-                              seed=trial.protocol_seed)
+        # with REPRO_OBS_METRICS on, the trial is its own unit of execution
+        with tracing.unit_trace("trial") as tracer:
+            protocol = make_protocol(trial.protocol)
+            adversary = (adversary_factory(trial)
+                         if adversary_factory is not None
+                         else make_adversary(trial.adversary, trial.alpha,
+                                             trial.adversary_seed))
+            instance = AllToAllInstance.random(trial.n, width=trial.width,
+                                               seed=trial.instance_seed)
+            report = run_protocol(protocol, instance, adversary,
+                                  bandwidth=trial.bandwidth,
+                                  seed=trial.protocol_seed)
     except ProfileError as exc:
         row = dict(base, status=STATUS_UNSUPPORTED, reason=str(exc))
     except Exception as exc:  # noqa: BLE001 — containment is the contract
@@ -122,8 +121,8 @@ def run_single(trial: TrialSpec,
         )
     row["wall_seconds"] = round(time.perf_counter() - start, 6)
     row["recorded_unix"] = round(time.time(), 6)
-    if metrics.enabled():
-        row["metrics"] = metrics.snapshot()
+    if tracer is not None:
+        row["metrics"] = dict(tracer.snapshot(), trials=1)
     return row, report
 
 

@@ -21,8 +21,6 @@ batching is impossible or unprofitable:
 * per-trial routing schedules diverge
   (:class:`~repro.core.routing.CellUnbatchable` — e.g.
   nonadaptive's shift-dependent return step at unlucky seeds);
-* per-trial metrics snapshots were requested (``REPRO_OBS_METRICS=1``) —
-  a batched run cannot scope counters to one trial;
 * a single trial's payload planes exceed the byte budget
   (:func:`max_batch_trials` returns 0);
 * anything at all goes wrong mid-batch (including ``ProfileError``
@@ -44,6 +42,10 @@ The fallback is the parity guarantee: the batched path only ever records
 rows for runs that completed batched, and those are bit-identical to
 serial by construction (same seed derivations, same schedules, lockstep
 rounds through the batched engine).
+
+Metrics-on runs (``REPRO_OBS_METRICS=1``) stay batched: a tracer is
+installed around the cell's one ``run_protocol_many`` call, and every row
+of the cell carries that unit's snapshot.
 """
 
 from __future__ import annotations
@@ -171,13 +173,9 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     trial order with the exact serial row schema.  A crash of one wrapped
     per-trial adversary (:class:`~repro.adversary.batched.PerTrialFailure`)
     downgrades only that trial to serial execution; any other batching
-    obstacle downgrades the whole chunk."""
-    from repro.obs import metrics
-
-    # a batched run cannot scope metrics to one trial, so a metrics run
-    # executes its trials one at a time
-    if metrics.enabled():
-        return _rows_serial(trials, policy)
+    obstacle downgrades the whole chunk.  With ``REPRO_OBS_METRICS`` on,
+    the one ``run_protocol_many`` call is the unit of execution: every row
+    carries its snapshot, with ``trials`` the chunk's trial count."""
     from repro.adversary import PerTrialFailure
     from repro.core.messages import AllToAllInstance
     from repro.core.vmapped import (BATCHED_PROTOCOLS, make_batched_protocol,
@@ -185,6 +183,7 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     from repro.experiments.runner import STATUS_OK
     from repro.faults.resilience import (_chaos_hits, chaos_timeout_fraction,
                                          trial_alarm)
+    from repro.obs import tracing
 
     head = trials[0]
     if head.protocol not in BATCHED_PROTOCOLS:
@@ -229,10 +228,11 @@ def run_cell_batched(trials: Sequence[TrialSpec],
             instances = [AllToAllInstance.random(t.n, width=t.width,
                                                  seed=t.instance_seed)
                          for t in trials]
-            reports = run_protocol_many(
-                protocol, instances, adversary,
-                bandwidth=head.bandwidth,
-                seeds=[t.protocol_seed for t in trials])
+            with tracing.unit_trace("cell") as tracer:
+                reports = run_protocol_many(
+                    protocol, instances, adversary,
+                    bandwidth=head.bandwidth,
+                    seeds=[t.protocol_seed for t in trials])
     except PerTrialFailure as failure:
         return _rows_per_trial_failure(trials, failure, policy)
     except Exception:  # noqa: BLE001 — fall back, never guess at parity
@@ -240,6 +240,8 @@ def run_cell_batched(trials: Sequence[TrialSpec],
     # amortised wall time: the cell ran once for all of its trials
     wall = round((time.perf_counter() - start) / len(trials), 6)
     stamp = round(time.time(), 6)
+    snapshot = ({} if tracer is None
+                else {"metrics": dict(tracer.snapshot(), trials=len(trials))})
     rows = []
     for trial, report in zip(trials, reports):
         rows.append({
@@ -254,5 +256,6 @@ def run_cell_batched(trials: Sequence[TrialSpec],
             "entries_corrupted": report.entries_corrupted_in_transit,
             "wall_seconds": wall,
             "recorded_unix": stamp,
+            **snapshot,
         })
     return rows

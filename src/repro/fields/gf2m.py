@@ -14,7 +14,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.obs import metrics
+from repro.obs import tracing
 
 #: default contraction-block target for :meth:`GF2m.matmul`, in elements of
 #: the 3-d log-sum intermediate.  The best value is cache-geometry dependent;
@@ -158,8 +158,8 @@ class GF2m:
         b = np.asarray(b, dtype=np.int64)
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-        with metrics.timed("gf2m.matmul"):
-            metrics.count("gf2m.matmul_ops",
+        with tracing.span("gf2m.matmul"):
+            tracing.count("gf2m.matmul_ops",
                           a.shape[0] * a.shape[1] * b.shape[1])
             out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
             contraction = a.shape[1]

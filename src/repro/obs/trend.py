@@ -17,8 +17,6 @@ machine — the report marks the metric per series.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -70,22 +68,10 @@ class BenchTrend:
 
 
 def load_bench_rows(path: str) -> List[Dict]:
-    """The ``kind == "bench"`` rows of a store (tolerant JSONL reader)."""
-    rows: List[Dict] = []
-    if not os.path.exists(path):
-        return rows
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(row, dict) and row.get("kind") == "bench":
-                rows.append(row)
-    return rows
+    """The ``kind == "bench"`` rows of a store, read with the tolerant
+    store reader (:func:`repro.obs.watch.read_rows`)."""
+    from repro.obs.watch import read_rows
+    return [row for row in read_rows(path) if row.get("kind") == "bench"]
 
 
 def bench_trends(rows: List[Dict]) -> List[BenchTrend]:

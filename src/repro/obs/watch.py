@@ -32,7 +32,10 @@ from typing import Dict, List, Optional
 def read_rows(path: str) -> List[Dict]:
     """All rows of a JSONL store, in file order; duplicate hashes are kept
     (the last write wins for totals via the hash-keyed pass in
-    :func:`snapshot`), torn lines are skipped.
+    :func:`snapshot`), torn lines are skipped, and a missing file reads as
+    no rows.  It is the one tolerant JSONL reader of :mod:`repro.obs`:
+    traces (:func:`repro.obs.tracing.load_jsonl`) and bench history
+    (:func:`repro.obs.trend.load_bench_rows`) read through it.
 
     The read is binary so an in-flight (or crash-torn) final line —
     which may end mid-multibyte-character — can never crash the watcher:

@@ -905,7 +905,7 @@ def run_suite(suite: str, smoke: bool = False,
         entry = bench_headline_n1024()
         entry["full_only"] = True
         record("headline-scaling-n1024", entry)
-    from repro.obs import metrics
+    from repro.obs import tracing
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite,
@@ -915,7 +915,7 @@ def run_suite(suite: str, smoke: bool = False,
         # timings taken with instrumentation recording are not comparable
         # to the committed (metrics-off) baselines, so the flag is part of
         # the result provenance
-        "metrics_enabled": metrics.enabled(),
+        "metrics_enabled": tracing.metrics_enabled(),
         "benchmarks": benchmarks,
     }
 

@@ -10,8 +10,10 @@ import json
 
 import pytest
 
-from repro.experiments import TrialStore, free_grid, run_campaign
+from repro.experiments import (ExperimentSpec, GridSpec, TrialSpec,
+                               TrialStore, free_grid, run_campaign)
 from repro.experiments.runner import STATUS_OK, STATUS_UNSUPPORTED
+from repro.obs import tracing
 
 #: fields that legitimately differ between executions of the same trial
 WALL_CLOCK_FIELDS = ("wall_seconds", "recorded_unix")
@@ -138,6 +140,48 @@ class TestBackendParity:
                          replicates=1)
         with pytest.raises(ValueError, match="unknown backend"):
             run_campaign(spec, store=TrialStore(None), backend="gpu")
+
+
+class TestMetricsOnStaysBatched:
+    def test_cells_batch_and_snapshots_reconcile(self, monkeypatch,
+                                                 require_batched):
+        # with the switch on, each cell's one run_protocol_many call is the
+        # unit its rows' snapshot covers; det-logn meets the rushing
+        # adversary, and the adaptive cell's per-trial flip widths make its
+        # query exchange ragged, so its trials' round counts differ
+        spec = ExperimentSpec("metrics-on", grids=(
+            GridSpec(("det-logn",), ("adaptive",), (32,), (1 / 32,)),
+            GridSpec(("adaptive",), ("byzantine-nodes",), (16,), (1 / 16,),
+                     widths=(4,), bandwidths=(8,))), replicates=3)
+        monkeypatch.delenv(tracing.METRICS_ENV, raising=False)
+        plain = run_campaign(spec, store=TrialStore(None),
+                             backend="vmap").rows()
+        monkeypatch.setenv(tracing.METRICS_ENV, "1")
+        observed = run_campaign(spec, store=TrialStore(None),
+                                backend="vmap").rows()
+
+        def outcome(row):
+            return {k: v for k, v in row.items()
+                    if k not in WALL_CLOCK_FIELDS + ("metrics",)}
+
+        assert [outcome(r) for r in observed] == [outcome(r) for r in plain]
+        assert all(r["status"] == STATUS_OK for r in observed)
+        assert not any("metrics" in r for r in plain)
+        units = {}
+        for row in observed:
+            units.setdefault(TrialSpec.from_dict(row["trial"]).cell,
+                             []).append(row)
+        assert len(units) == 2
+        for rows in units.values():
+            snapshot = rows[0]["metrics"]
+            assert all(r["metrics"] == snapshot for r in rows)
+            assert snapshot["trials"] == len(rows) == 3
+            counters = snapshot["counters"]
+            assert counters["net.bits"] == sum(r["bits_sent"] for r in rows)
+            assert counters["net.rounds"] == max(r["rounds"] for r in rows)
+            assert "routing.route" in snapshot["timers"]
+        assert len({r["rounds"] for r in observed
+                    if r["trial"]["protocol"] == "adaptive"}) > 1
 
 
 class TestHeaderDedup:

@@ -93,6 +93,11 @@ class TestObservabilityCommands:
         missing.write_text("")
         assert main(["trace", "show", str(missing)]) == 1
 
+    def test_trace_show_missing_path(self, tmp_path, capsys):
+        missing = str(tmp_path / "never-written.jsonl")
+        assert main(["trace", "show", missing]) == 1
+        assert f"no trace events in {missing}" in capsys.readouterr().out
+
     def test_experiment_watch_once(self, tmp_path, capsys):
         store = str(tmp_path / "tiny.jsonl")
         spec_file = tmp_path / "tiny.json"

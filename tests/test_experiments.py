@@ -132,17 +132,18 @@ class TestRunner:
             assert row["wall_seconds"] >= 0
             assert row["recorded_unix"] > 0
 
-    def test_rows_embed_metrics_when_enabled(self):
-        from repro.obs import metrics
-        with metrics.use():
-            row, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16,
-                                          1 / 16, bandwidth=16))
+    def test_rows_embed_metrics_when_enabled(self, monkeypatch):
+        from repro.obs import tracing
+        monkeypatch.setenv(tracing.METRICS_ENV, "1")
+        row, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16,
+                                      1 / 16, bandwidth=16))
         assert row["metrics"]["counters"]["net.rounds"] == row["rounds"]
         assert row["metrics"]["counters"]["net.bits"] == row["bits_sent"]
+        assert row["metrics"]["trials"] == 1
         # and without the flag, no snapshot is embedded
-        with metrics.use(on=False):
-            row, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16,
-                                          1 / 16, bandwidth=16))
+        monkeypatch.setenv(tracing.METRICS_ENV, "0")
+        row, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16,
+                                      1 / 16, bandwidth=16))
         assert "metrics" not in row
 
     def test_inline_campaign_and_resume(self, tmp_path):

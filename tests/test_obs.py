@@ -9,7 +9,7 @@ import pytest
 from repro.adversary.adaptive import AdaptiveAdversary
 from repro.cliquesim.network import CongestedClique
 from repro.core import AllToAllInstance, make_protocol
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from repro.obs.trend import (
     bench_trends,
     load_bench_rows,
@@ -20,69 +20,60 @@ from repro.obs.watch import read_rows, render, snapshot, watch
 
 
 class TestMetrics:
+    """Counts and span timers fold into ``Tracer.snapshot()``."""
+
     def test_disabled_is_noop(self):
-        with metrics.use(on=False) as reg:
-            metrics.count("x")
-            metrics.observe("y", 3.0)
-            with metrics.timed("z"):
-                pass
-            assert not reg
-            assert metrics.snapshot() == {
-                "counters": {}, "timers": {}, "histograms": {}}
+        tracer = tracing.Tracer()  # built, never installed
+        assert tracing.active() is None
+        tracing.count("x")
+        with tracing.span("z"):
+            pass
+        assert tracer.events[1:] == []
+        assert tracer.snapshot() == {
+            "counters": {"net.rounds": 0, "net.bits": 0,
+                         "net.dropped_entries": 0},
+            "timers": {}}
 
     def test_disabled_timer_is_shared_noop(self):
-        with metrics.use(on=False):
-            a = metrics.timed("a")
-            b = metrics.timed("b")
-            assert a is b
+        a = tracing.span("a")
+        b = tracing.span("b")
+        assert a is b
 
     def test_counters_accumulate(self):
-        with metrics.use():
-            metrics.count("hits")
-            metrics.count("hits", 4)
-            assert metrics.snapshot()["counters"] == {"hits": 5}
+        with tracing.trace() as tracer:
+            tracing.count("hits")
+            tracing.count("hits", 4)
+        assert tracer.snapshot()["counters"]["hits"] == 5
 
     def test_timer_records_count_and_seconds(self):
-        with metrics.use():
+        with tracing.trace() as tracer:
             for _ in range(3):
-                with metrics.timed("loop"):
+                with tracing.span("loop"):
                     pass
-            snap = metrics.snapshot()["timers"]["loop"]
-            assert snap["count"] == 3
-            assert snap["seconds"] >= 0
+        snap = tracer.snapshot()["timers"]["loop"]
+        assert snap["count"] == 3
+        assert snap["seconds"] >= 0
 
-    def test_histogram_stats_and_log2_buckets(self):
-        with metrics.use():
-            for value in (1.0, 2.0, 5.0, 0.0):
-                metrics.observe("sizes", value)
-            h = metrics.snapshot()["histograms"]["sizes"]
-            assert h["count"] == 4
-            assert h["min"] == 0.0 and h["max"] == 5.0
-            # 1.0 -> bucket 0, 2.0 -> 1, 5.0 -> 2, 0.0 -> -1
-            assert h["log2_buckets"] == {"-1": 1, "0": 1, "1": 1, "2": 1}
+    def test_nested_trace_restores_outer_tracer(self):
+        with tracing.trace() as outer:
+            with tracing.trace() as inner:
+                assert tracing.active() is inner
+                tracing.count("inner")
+            assert tracing.active() is outer
+            tracing.count("outer")
+        assert tracing.active() is None
+        assert inner.snapshot()["counters"]["inner"] == 1
+        assert "outer" not in inner.snapshot()["counters"]
+        assert "inner" not in outer.snapshot()["counters"]
 
-    def test_use_restores_outer_state(self):
-        outer_enabled = metrics.enabled()
-        with metrics.use():
-            metrics.count("inner")
-        assert metrics.enabled() == outer_enabled
-        if not outer_enabled:
-            assert "inner" not in metrics.snapshot()["counters"]
-
-    def test_snapshot_reset_after(self):
-        with metrics.use():
-            metrics.count("once")
-            first = metrics.snapshot(reset_after=True)
-            assert first["counters"] == {"once": 1}
-            assert metrics.snapshot()["counters"] == {}
-
-    def test_mid_span_disable_discards_timer(self):
-        with metrics.use():
-            timer = metrics.timed("gone")
-            with timer:
-                metrics.disable()
-            metrics.enable()
-            assert "gone" not in metrics.snapshot()["timers"]
+    def test_unit_trace_follows_the_switch(self, monkeypatch):
+        monkeypatch.delenv(tracing.METRICS_ENV, raising=False)
+        with tracing.unit_trace("cell") as tracer:
+            assert tracer is None and tracing.active() is None
+        monkeypatch.setenv(tracing.METRICS_ENV, "1")
+        with tracing.unit_trace("cell") as tracer:
+            assert tracing.active() is tracer is not None
+        assert tracing.active() is None
 
 
 class TestTracer:
@@ -116,8 +107,8 @@ class TestTracer:
             tracing.uninstall()
         assert tracing.active() is None
 
-    def test_maybe_span_noop_without_tracer(self):
-        with tracing.maybe_span("nothing"):
+    def test_span_noop_without_tracer(self):
+        with tracing.span("nothing"):
             pass  # must not raise and must record nowhere
 
     def test_trace_context_installs_and_uninstalls(self):
@@ -144,6 +135,9 @@ class TestTracer:
             {"kind": "round", "t": 1.0, "label": "a/r1", "phase": "a",
              "width": 1, "bits": 5, "corrupted": 0},
             {"kind": "span", "name": "s", "t0": 0.0, "t1": 1.0, "depth": 0},
+            {"kind": "span", "name": "s", "t0": 0.25, "t1": 0.5, "depth": 1},
+            {"kind": "count", "t": 0.5, "name": "c", "value": 3},
+            {"kind": "count", "t": 0.6, "name": "c", "value": 4},
         ]
         summary = tracing.summarize(rows)
         assert summary.rounds == 2
@@ -155,7 +149,9 @@ class TestTracer:
         assert summary.phases["a"].wall_seconds == pytest.approx(0.75)
         assert summary.phases["b"].wall_seconds == pytest.approx(0.25)
         assert summary.wall_seconds == pytest.approx(1.0)
-        assert len(summary.spans) == 1
+        assert summary.phases["a"].mean_width == 1.0
+        assert summary.timers == {"s": [2, pytest.approx(1.25)]}
+        assert summary.counters == {"c": 7}
         assert "TOTAL" in tracing.render_summary(summary)
 
 
@@ -181,9 +177,9 @@ class TestTracedRuns:
         assert summary.rounds == net.rounds_used
         assert summary.bits == net.bits_sent
         assert summary.corrupted == net.entries_corrupted
-        names = {s["name"] for s in summary.spans}
-        assert "adaptive/sketch-build" in names
-        assert "adaptive/sketch-subtract" in names
+        assert "adaptive.sketch_build" in summary.timers
+        assert "adaptive.sketch_subtract" in summary.timers
+        assert "routing.route" in summary.timers
 
     def test_dropped_entries_reconcile_with_diagnostics(self):
         instance = AllToAllInstance.random(16, width=1, seed=7)
@@ -201,13 +197,13 @@ class TestTracedRuns:
             diag["dropped_answer_entries"]
 
     def test_metrics_counters_match_engine(self):
-        with metrics.use():
+        with tracing.trace() as tracer:
             instance = AllToAllInstance.random(16, width=1, seed=11)
             net = CongestedClique(16, bandwidth=32,
                                   adversary=AdaptiveAdversary(1 / 16,
                                                               seed=12))
             make_protocol("det-sqrt").run(instance, net, seed=13)
-            counters = metrics.snapshot()["counters"]
+        counters = tracer.snapshot()["counters"]
         assert counters["net.rounds"] == net.rounds_used
         assert counters["net.bits"] == net.bits_sent
 
@@ -279,6 +275,27 @@ class TestWatch:
             fh.write(json.dumps(_trial_row(0)) + "\n")
             fh.write('{"hash": "torn", "stat')  # interrupted append
         assert len(read_rows(path)) == 1
+
+
+class TestTornTail:
+    """Every JSONL reader of ``repro.obs`` is the store reader: a final
+    line torn inside a multibyte character is not a row yet."""
+
+    @pytest.mark.parametrize("reader", [
+        read_rows, tracing.load_jsonl, load_bench_rows],
+        ids=["read_rows", "load_jsonl", "load_bench_rows"])
+    def test_torn_multibyte_tail_is_dropped(self, tmp_path, reader):
+        path = str(tmp_path / "torn.jsonl")
+        whole, torn = (json.dumps(_bench_row("é", stamp, speedup=2.0),
+                                  ensure_ascii=False).encode("utf-8")
+                       for stamp in (1.0, 2.0))
+        cut = torn.index("é".encode("utf-8")) + 1  # between é's two bytes
+        with open(path, "wb") as fh:
+            fh.write(whole + b"\n" + torn[:cut])
+        assert [row["recorded_unix"] for row in reader(path)] == [1.0]
+
+    def test_missing_file_reads_as_no_rows(self, tmp_path):
+        assert tracing.load_jsonl(str(tmp_path / "none.jsonl")) == []
 
 
 def _bench_row(name, stamp, speedup=None, items=None):

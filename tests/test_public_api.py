@@ -26,7 +26,7 @@ PUBLIC_MODULES = [
     "repro.experiments.aggregate",
     "repro.experiments.registry",
     "repro.experiments.report",
-    "repro.cliquesim.trace",
+    "repro.obs.tracing",
     "repro.core.applications",
     "repro.core.bandwidth_reduction",
     "repro.core.reduction",

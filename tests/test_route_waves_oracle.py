@@ -28,7 +28,7 @@ from repro.core import batched_routing
 from repro.core.batched_routing import BatchedRouter, broadcast_many
 from repro.core.profiles import SIMULATION
 from repro.core.routing import WavePlan, plan_waves, route_waves
-from repro.obs import metrics, tracing
+from repro.obs import tracing
 from repro.perf.reference import route_waves_per_bit
 
 
@@ -95,7 +95,7 @@ def engine_run(n, bandwidth, code, length, plan, bits, pass_through,
     traced."""
     net = BatchedClique(n, plan.batch.shape[0], bandwidth=bandwidth,
                         keep_history=keep_history)
-    with metrics.use(observed) as registry, tracing.trace() as tracer:
+    with tracing.trace() as tracer:
         if not observed:
             tracing.uninstall()
         result = route_waves(net.round, n, bandwidth, code, length, plan,
@@ -104,10 +104,11 @@ def engine_run(n, bandwidth, code, length, plan, bits, pass_through,
                              else None)
     rounds = [[(r.index, r.width, r.bits, r.label, r.corrupted_entries)
                for r in history] for history in net.histories]
+    # spans time the code paths, which differ by design
     events = [{k: v for k, v in event.items() if k != "t"}
-              for event in tracer.events[1:]]
+              for event in tracer.events[1:] if event["kind"] != "span"]
     return result, (net.rounds_used, net.bits_sent, net.entries_corrupted,
-                    rounds, events, registry.snapshot()["counters"])
+                    rounds, events, tracer.snapshot()["counters"])
 
 
 def assert_pass_through_agrees(n, bandwidth, code, length, plan, bits,

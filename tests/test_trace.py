@@ -1,17 +1,14 @@
-"""Unit tests for execution telemetry."""
+"""Per-phase telemetry: :func:`repro.obs.tracing.summarize` over a traced
+run reconciles with the engine's counters."""
 
-import numpy as np
+import pytest
 
 from repro.adversary import AdaptiveAdversary
 from repro.cliquesim.network import CongestedClique
-from repro.cliquesim.trace import (
-    corruption_rate,
-    format_breakdown,
-    phase_breakdown,
-    phase_of,
-)
 from repro.core import AllToAllInstance
 from repro.core.det_sqrt import DetSqrtAllToAll
+from repro.obs import tracing
+from repro.obs.tracing import phase_of
 
 
 class TestPhaseOf:
@@ -26,47 +23,43 @@ class TestPhaseOf:
 
 
 class TestBreakdown:
-    def _run(self):
+    @pytest.fixture(scope="class")
+    def traced(self):
         instance = AllToAllInstance.random(16, width=1, seed=1)
         net = CongestedClique(16, bandwidth=16,
                               adversary=AdaptiveAdversary(1 / 16, seed=2))
-        DetSqrtAllToAll().run(instance, net)
-        return net
+        with tracing.trace() as tracer:
+            DetSqrtAllToAll().run(instance, net)
+        return net, tracing.summarize(tracer.events)
 
-    def test_phases_cover_all_rounds(self):
-        net = self._run()
-        phases = phase_breakdown(net.history)
-        assert sum(p.rounds for p in phases.values()) == net.rounds_used
+    def test_phases_cover_all_rounds(self, traced):
+        net, summary = traced
+        assert sum(p.rounds for p in summary.phases.values()) == \
+            net.rounds_used
 
-    def test_corruption_totals_match(self):
-        net = self._run()
-        phases = phase_breakdown(net.history)
-        assert sum(p.corrupted_entries for p in phases.values()) == \
+    def test_corruption_totals_match(self, traced):
+        net, summary = traced
+        assert net.entries_corrupted > 0
+        assert sum(p.corrupted for p in summary.phases.values()) == \
             net.entries_corrupted
 
-    def test_bit_totals_match(self):
-        net = self._run()
-        phases = phase_breakdown(net.history)
-        assert sum(p.total_bits for p in phases.values()) == net.bits_sent
+    def test_bit_totals_match(self, traced):
+        net, summary = traced
+        assert sum(p.bits for p in summary.phases.values()) == net.bits_sent
         n = net.n
         assert all(0 <= outcome.bits <= outcome.width * n * (n - 1)
                    for outcome in net.history)
 
-    def test_format_contains_total(self):
-        net = self._run()
-        text = format_breakdown(net)
-        assert "TOTAL" in text
+    def test_format_contains_total(self, traced):
+        net, summary = traced
+        text = tracing.render_summary(summary)
+        assert "TOTAL" in text and "mean width" in text
         assert str(net.rounds_used) in text
 
-    def test_corruption_rate_bounds(self):
-        net = self._run()
-        rate = corruption_rate(net.history, net.n)
-        assert 0 < rate < 1
-
-    def test_corruption_rate_empty(self):
-        assert corruption_rate([], 8) == 0.0
-
-    def test_mean_width(self):
-        net = self._run()
-        for stats in phase_breakdown(net.history).values():
+    def test_mean_width(self, traced):
+        net, summary = traced
+        widths = [outcome.width for outcome in net.history]
+        assert summary.phases["det-sqrt"].mean_width == \
+            pytest.approx(sum(widths) / len(widths))
+        for stats in summary.phases.values():
             assert stats.mean_width > 0
