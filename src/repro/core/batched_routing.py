@@ -11,7 +11,9 @@ wave kernel, :func:`~repro.core.routing.route_waves`.  Every protocol's
 :class:`~repro.core.routing.SuperMessageRouter` runs one trial on it.
 When the engine delivers as sent (fault-free, no full history) the router
 hands the kernel the engine's booking hook, so no wave stages a round: each
-round is booked and the codeword rows pass through.
+round is booked and the rows pass through.  A booked blocks-mode wave runs
+no codec either: each chunk's payload piece rides in its codeword's place
+and is the decoded row.
 Blocks-mode placements are exactly what a one-trial run of each trial
 computes; when per-trial schedules take different batch counts the planner
 raises :class:`~repro.core.routing.CellUnbatchable` and the caller falls
@@ -32,7 +34,9 @@ from repro.utils.rng import derive
 
 class BatchedRouter:
     """Routes one instance per trial, lockstep over the batch; cover-free
-    families come from one construction stream across ``route`` calls."""
+    families come from one construction stream across ``route`` calls.
+    On an engine that delivers as sent, every wave is booked, and a
+    booked blocks-mode wave runs no encode and no decode."""
 
     def __init__(self, net: BatchedClique,
                  profile: ProtocolProfile = SIMULATION,

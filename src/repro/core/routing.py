@@ -185,21 +185,22 @@ class BatchedRoutingResult:
     def pair_bits(self) -> np.ndarray:
         """``(trials, P, Lmax)`` received bits of every (message, target)
         pair, chunks concatenated in index order."""
-        out = np.zeros((self.decoded.shape[0], self.pair_msg.size,
-                        int(self.sizes.max(initial=0))), dtype=np.uint8)
-        # rows sharing (start, size) scatter as one slice write; a stable
-        # sort groups them (np.unique would import numpy.ma on first use)
-        order = np.lexsort((self.row_size, self.row_start))
-        starts, sizes = self.row_start[order], self.row_size[order]
-        first = np.ones(order.size + 1, dtype=bool)
-        first[1:-1] = (starts[1:] != starts[:-1]) | (sizes[1:] != sizes[:-1])
-        bounds = np.flatnonzero(first).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            start, size = int(starts[lo]), int(sizes[lo])
-            sub = order[lo:hi]
-            out[:, self.row_pair[sub], start:start + size] = \
-                self.decoded[:, sub, :size]
-        return out
+        trials, _, capacity = self.decoded.shape
+        size = int(self.sizes.max(initial=0))
+        slots = -(-size // capacity)
+        pairs = self.pair_msg.size
+        # chunks start at multiples of the row width, so row e is piece
+        # row_start[e] // capacity of its pair: one scatter places every
+        # row, and the bits past a short row's size are cleared after
+        at = (np.arange(trials)[:, None] * (pairs * slots)
+              + self.row_pair * slots + self.row_start // capacity)
+        out = np.zeros((trials * pairs * slots, capacity), dtype=np.uint8)
+        out[at.ravel()] = self.decoded.reshape(-1, capacity)
+        short = self.row_size < capacity
+        if short.any():
+            out[at[:, short].ravel()] *= np.arange(capacity) \
+                < np.tile(self.row_size[short], trials)[:, None]
+        return out.reshape(trials, pairs, slots * capacity)[:, :, :size]
 
     def message_bits(self) -> np.ndarray:
         """``(trials, M, Lmax)`` received bits of a single-target routing:
@@ -293,16 +294,17 @@ def _sent_entries(cells: np.ndarray, trials: int, n: int,
 
 
 def _send_rows(send_round, book, cells: np.ndarray, planes: np.ndarray,
-               rows: np.ndarray, trials: int, n: int, width: int, label: str,
-               target_major: bool = False):
+               rows: np.ndarray, length: int, trials: int, n: int,
+               width: int, label: str, target_major: bool = False):
     """Move ``rows`` through one round at :func:`_stage`'s cells and
-    planes, and return what arrived with the lost mask (:func:`_take`).
-    With ``book`` — an engine that delivers as sent — the round is booked
-    from its sent-entry counts, and the rows come back as they are, none
-    lost; otherwise it is staged and sent through ``send_round``."""
+    planes, each cell ``length`` relays wide, and return what arrived with
+    the lost mask (:func:`_take`).  With ``book`` — an engine that
+    delivers as sent — the round is booked from its sent-entry counts, and
+    the rows come back as they are, none lost; they need not be
+    ``length`` bits wide then.  Otherwise the rows are staged and sent
+    through ``send_round``."""
     if book is not None:
-        book((width,), (label,),
-             _sent_entries(cells, trials, n, rows.shape[1]))
+        book((width,), (label,), _sent_entries(cells, trials, n, length))
         return rows, np.zeros(rows.shape, dtype=bool)
     delivered = send_round(_stage(cells, planes, rows, trials, n, width,
                                   target_major), width, label)
@@ -325,18 +327,6 @@ def _ragged(counts: np.ndarray):
                                                     counts)
 
 
-def _low_bits(mask: int, count: int) -> int:
-    """The lowest ``count`` set bits of ``mask``."""
-    if count >= mask.bit_count():
-        return mask
-    low = 0
-    for _ in range(count):
-        bit = mask & -mask
-        low |= bit
-        mask ^= bit
-    return low
-
-
 def _grouped_greedy(srcs: np.ndarray, tgts: np.ndarray, counts: np.ndarray,
                     num_blocks: int, fanout: np.ndarray):
     """The blocks-mode scheduler: a greedy (batch, block) placement in
@@ -345,132 +335,57 @@ def _grouped_greedy(srcs: np.ndarray, tgts: np.ndarray, counts: np.ndarray,
 
     Message ``m`` is a run of ``counts[m]`` chunks from ``srcs[m]`` to its
     ``fanout[m]`` targets, the next ``fanout[m]`` entries of ``tgts``.
-    Each run takes the lowest free blocks of each feasible batch, which is
-    placement-for-placement what the chunk-at-a-time greedy
-    (``repro.perf.reference``) does: a run's chunks share their conflicts,
-    so that greedy takes exactly the lowest remaining free bits.  Returns
-    per-chunk batch and block arrays in message order, and the batch
-    count."""
-    full = (1 << num_blocks) - 1
+    Each node keeps one Python int per role, source and target, whose bit
+    ``batch * num_blocks + block`` marks that block of that batch taken.
+    A run takes the lowest ``counts[m]`` clear bits of the OR of its
+    source's and its targets' ints.  That is placement-for-placement what
+    the chunk-at-a-time greedy (``repro.perf.reference``) does: each chunk
+    takes the lowest (batch, block) free for its source and every target,
+    and a run's chunks share those conflicts.  Returns per-chunk batch and
+    block arrays in message order, and the batch count."""
     srcs_l = srcs.tolist()
     tgts_l = tgts.tolist()
     nodes = max(srcs_l + tgts_l, default=-1) + 1
-    # per-node occupancy columns as plain Python int lists (bit b of entry
-    # i: block b of batch i is taken) — scalar probes and updates on them
-    # are several times cheaper than numpy item access.  A run first pads
-    # its columns to the batch count.
-    src_cols: List[List[int]] = [[] for _ in range(nodes)]
-    tgt_cols: List[List[int]] = [[] for _ in range(nodes)]
-    first_open = [0] * nodes
-    num_batches = 0
-    run_batch: List[int] = []
-    run_mask: List[int] = []
-    run_take: List[int] = []
-
-    def place(cols, batch, mask, take):
-        run_batch.append(batch)
-        run_mask.append(mask)
-        run_take.append(take)
-        for col in cols:
-            col[batch] |= mask
-
-    prev_key = None
-    prev_batch = -1
-    prev_free = 0
+    src_used = [0] * nodes
+    tgt_used = [0] * nodes
+    masks = []
     ptr = 0
-    for src, remaining, fan in zip(srcs_l, counts.tolist(), fanout.tolist()):
+    for src, count, fan in zip(srcs_l, counts.tolist(), fanout.tolist()):
         targets = tgts_l[ptr:ptr + fan]
         ptr += fan
-        key = (src, targets)
-        # a multi-target run probes the OR of its columns and writes each
-        # placement back to every one of them
-        cols = [src_cols[src]] + [tgt_cols[t] for t in targets]
-        for col in cols:
-            if len(col) < num_batches:
-                col.extend([0] * (num_batches - len(col)))
-        scol = cols[0]
-        # a run only ever conflicts with its *own* placements, so the open
-        # suffix seen at run start stays valid for the whole run: the
-        # chunk-at-a-time greedy's later scans (always from prev_batch + 1)
-        # see exactly these masks
-        if key == prev_key:
-            scan_from = prev_batch + 1
-            if prev_free:
-                take = min(remaining, prev_free.bit_count())
-                mask = _low_bits(prev_free, take)
-                place(cols, prev_batch, mask, take)
-                prev_free &= ~mask
-                remaining -= take
-        else:
-            fo = first_open[src]
-            while fo < num_batches and scol[fo] == full:
-                fo += 1
-            first_open[src] = fo
-            scan_from = fo
-        if remaining and scan_from < num_batches \
-                and remaining <= 4 * num_blocks:
-            # short run: a scalar scan with early exit (the first open
-            # batch is almost always within a step or two).  If the scan
-            # runs dry every batch past scan_from is closed for this key,
-            # so falling through to the append path is correct.
-            for batch in range(scan_from, num_batches):
-                used = 0
-                for col in cols:
-                    used |= col[batch]
-                free = full & ~used
-                if not free:
-                    continue
-                take = min(remaining, free.bit_count())
-                mask = _low_bits(free, take)
-                place(cols, batch, mask, take)
-                prev_batch = batch
-                prev_free = free & ~mask
-                remaining -= take
-                if not remaining:
-                    break
-        elif remaining and scan_from < num_batches:
-            # long run: every batch up to the one where the free blocks
-            # reach ``remaining`` is consumed whole, and that last batch
-            # gives its lowest bits
-            free = full & ~np.bitwise_or.reduce(
-                np.array([col[scan_from:] for col in cols], dtype=np.int64))
-            opened = np.flatnonzero(free)
-            if opened.size:
-                last = min(int(np.searchsorted(
-                    np.cumsum(np.bitwise_count(free[opened])), remaining)),
-                    opened.size - 1)
-                for batch, free_b in zip(
-                        (scan_from + opened[:last + 1]).tolist(),
-                        free[opened[:last + 1]].tolist()):
-                    take = min(remaining, free_b.bit_count())
-                    mask = _low_bits(free_b, take)
-                    place(cols, batch, mask, take)
-                    prev_batch = batch
-                    prev_free = free_b & ~mask
-                    remaining -= take
-        if remaining:
-            # nothing open at or past the scan head: the chunk-at-a-time
-            # greedy appends one batch per chunk of blocks, each taking the
-            # lowest remaining bits — place the whole tail at once
-            n_full, leftover = divmod(remaining, num_blocks)
-            masks = [full] * n_full + ([(1 << leftover) - 1] if leftover
-                                       else [])
-            run_batch.extend(range(num_batches, num_batches + len(masks)))
-            run_mask.extend(masks)
-            run_take.extend([num_blocks] * n_full
-                            + ([leftover] if leftover else []))
-            for col in cols:
-                col.extend(masks)
-            num_batches += len(masks)
-            prev_batch = num_batches - 1
-            prev_free = full & ~masks[-1]
-        prev_key = key
-    takes = np.array(run_take, dtype=np.int64)
-    batch_out = np.repeat(np.array(run_batch, dtype=np.int64), takes)
-    bit_rows = (np.array(run_mask, dtype=np.int64)[:, None]
-                >> np.arange(num_blocks)[None, :]) & 1
-    block_out = np.nonzero(bit_rows)[1]  # row-major: ascending per run
-    return batch_out, block_out, num_batches
+        used = src_used[src]
+        for t in targets:
+            used |= tgt_used[t]
+        # take the clear gaps of ``used`` from the bottom until ``count``
+        # bits are taken: ``low`` is the lowest clear bit, and its gap
+        # runs up to the lowest set bit of ``above``, or without end
+        taken = used
+        while count:
+            low = ~taken & (taken + 1)
+            above = taken & -low
+            gap = (above & -above).bit_length() - low.bit_length() \
+                if above else count
+            take = min(gap, count)
+            taken |= low * ((1 << take) - 1)
+            count -= take
+        mask = taken ^ used
+        src_used[src] |= mask
+        for t in targets:
+            tgt_used[t] |= mask
+        masks.append(mask)
+    # each run's mask is read over its own span, from its lowest bit up:
+    # its set bits, ascending, are its chunks' placements in order
+    lows = [max((mask & -mask).bit_length() - 1, 0) for mask in masks]
+    spans = [mask >> low for mask, low in zip(masks, lows)]
+    nbytes = [(span.bit_length() + 7) // 8 for span in spans]
+    bits = np.unpackbits(np.frombuffer(b"".join(
+        span.to_bytes(size, "little") for span, size in zip(spans, nbytes)),
+        dtype=np.uint8), bitorder="little")
+    first = 8 * (np.cumsum(nbytes, dtype=np.int64) - nbytes) \
+        - np.array(lows, dtype=np.int64)
+    batch, block = np.divmod(np.flatnonzero(bits) - np.repeat(first, counts),
+                             num_blocks)
+    return batch, block, int(batch.max()) + 1 if batch.size else 0
 
 
 def _key_order(n: int, sources: np.ndarray, slots: np.ndarray,
@@ -562,11 +477,11 @@ def plan_waves(trials: int, n: int, num_blocks: int, capacity: int,
     M)`` / ``(trials, P)`` ones are scheduled trial by trial, in each
     trial's (source, slot) key order.  Raises :class:`CellUnbatchable`
     when per-trial batch counts differ, since the trials then take
-    different round counts, and :class:`ProfileError` unless there are 1
-    to 62 relay blocks."""
-    if not 1 <= num_blocks <= 62:  # block masks must fit an int64
+    different round counts, and :class:`ProfileError` without a relay
+    block."""
+    if num_blocks < 1:
         raise ProfileError(f"{num_blocks} relay blocks of n={n} nodes; the "
-                           f"scheduler takes 1 to 62")
+                           f"scheduler needs at least 1")
     plan, slots, shared = _unplaced(trials, capacity, sources, slots, sizes,
                                     targets, fanout)
     sizes, fanout, chunks = plan.sizes, plan.fanout, plan.chunk_msg.size
@@ -616,7 +531,7 @@ def _relay_hop(send_round, book, cells: np.ndarray, planes: np.ndarray,
     go = sent & (ordered[np.searchsorted(ordered[:-1], keys) + 1] != keys)
     cells, planes = cells[go], np.broadcast_to(planes[:, None], go.shape)[go]
     got, lost = _send_rows(send_round, book, cells, planes,
-                           bits[go][:, None], trials, n, width, label,
+                           bits[go][:, None], 1, trials, n, width, label,
                            target_major)
     received = np.zeros(go.shape, dtype=np.uint8)
     lost_at = np.zeros(go.shape, dtype=bool)
@@ -640,9 +555,13 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
     ``book`` is the engine's
     :meth:`~repro.cliquesim.batched.BatchedClique.book_fault_free`, passed
     only when the engine delivers as sent (fault-free, no full history).
-    Each round is then booked from its sent-entry counts and the rows pass
-    through unchanged: nothing is staged, sent or read back.  With the
-    default ``None`` every round is staged through ``send_round``.
+    Each round is then booked from its sent-entry counts, ``length`` words
+    per occupied relay block, and the rows pass through unchanged: nothing
+    is staged, sent or read back.  A booked blocks-mode wave runs no codec
+    either: every codeword would decode to its chunk's payload piece, so
+    the piece rides in its place and is taken as the decoded row, never
+    flagged.  With the default ``None`` every round is staged through
+    ``send_round``.
 
     With contiguous blocks a codeword moves as one row: round 1 writes it
     at (trial, source, block) of a source-major view of the round, round 2
@@ -659,18 +578,26 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
     batch uses its (relay, target) pair (OutLoad 1, counted over every
     position).  The families and the loads are public, so a position not
     forwarded reaches an erasure-aware code as a declared erasure.  In
-    both modes ``dropped`` and ``erased`` count network drops only."""
+    both modes ``dropped`` and ``erased`` count network drops only, and a
+    booked relay-set wave keeps its codec for the positions its loads hold
+    back."""
     trials = plan.batch.shape[0]
     blocks = n // length
     relays = plan.relays
+    # a booked blocks-mode wave moves payload pieces and decodes nothing
+    coded = book is None or relays is not None
     capacity = max(1, code.k)
     arange_cap = np.arange(capacity)
-    # every message's payload as rows of capacity-bit pieces
+    # every message's payload as rows of capacity-bit pieces: piece p of
+    # trial t's message m is row (t * M + m) * per_message + p
+    num_messages = bits.shape[1]
     per_message = -(-bits.shape[2] // capacity)
-    pieces = np.zeros((trials, bits.shape[1], per_message * capacity),
-                      dtype=np.uint8)
-    pieces[:, :, :bits.shape[2]] = bits
-    pieces = pieces.reshape(trials, bits.shape[1], per_message, capacity)
+    pieces = bits
+    if bits.shape[2] != per_message * capacity:
+        pieces = np.zeros((trials, num_messages, per_message * capacity),
+                          dtype=np.uint8)
+        pieces[:, :, :bits.shape[2]] = bits
+    pieces = pieces.reshape(-1, capacity)
     erasure_aware = getattr(code, "supports_erasures", False)
     # ragged fan-out: chunk c expands into fanout rows starting at row_ptr
     chunk_fan = plan.fanout[plan.chunk_msg]
@@ -691,28 +618,31 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
         # each chunk's relay block, or its (R, L) relay ids
         relay = plan.block[tr, ch] if relays is None else relays[tr, ch]
 
-        # one batched encode of every trial's chunks in the wave
-        payload = np.where(arange_cap < plan.chunk_size[ch][:, None],
-                           pieces[tr, msgs, plan.chunk_start[ch] // capacity],
-                           0)
-        codewords = np.asarray(code.encode_many(payload), dtype=np.uint8)
-        del payload
+        # every trial's payload pieces in the wave, each zero past its
+        # chunk's size, and one batched encode
+        words = pieces[(tr * num_messages + msgs) * per_message
+                       + plan.chunk_start[ch] // capacity]
+        short = np.flatnonzero(plan.chunk_size[ch] < capacity)
+        if short.size:
+            words[short] *= arange_cap < plan.chunk_size[ch[short]][:, None]
+        if coded:
+            words = np.asarray(code.encode_many(words), dtype=np.uint8)
 
         if relays is None:
             # round 1: source -> relay block, a row per (trial, source,
             # block)
             cells = (tr * n + plan.sources[tr, msgs]) * blocks + relay
             relayed, lost = _send_rows(send_round, book, cells, planes,
-                                       codewords, trials, n, width,
+                                       words, length, trials, n, width,
                                        f"{wl}/r1")
         else:
             # round 1: source -> relays, a bit per (trial, source, relay)
             # where InLoad is 1
             cells = (tr * n + plan.sources[tr, msgs])[:, None] * n + relay
             relayed, lost, sent = _relay_hop(send_round, book, cells, planes,
-                                             codewords, True, trials, n,
-                                             width, f"{wl}/r1")
-        del codewords
+                                             words, True, trials, n, width,
+                                             f"{wl}/r1")
+        del words
         if lost.any():
             dropped += _per_trial(tr, lost, trials)
         del lost
@@ -736,7 +666,7 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
             # block)
             cells = (tr * n + tgts) * blocks + relay
             received, erase = _send_rows(send_round, book, cells, planes,
-                                         relayed, trials, n, width,
+                                         relayed, length, trials, n, width,
                                          f"{wl}/r2", target_major=True)
             erasures = erase
         else:
@@ -753,16 +683,20 @@ def route_waves(send_round, n: int, bandwidth: int, code, length: int,
             dropped += lost
             if erasure_aware:
                 erased += lost
-        # round-2 drops, and relay-set positions not forwarded, are
-        # receiver-known erasures: erasure-aware codes get them for the
-        # doubled pure-drop radius (gated so waves with none take the plain
-        # decode path)
-        declared = {"erasures": erasures} \
-            if erasure_aware and erasures.any() else {}
-        decoded, failed = code.decode_many_flagged(received, **declared)
-        del received, erase, erasures, declared
-        decoded_all[tr, rows] = decoded[:, :capacity]
-        failed_all[tr, rows] = np.asarray(failed, dtype=bool)
+        if coded:
+            # round-2 drops, and relay-set positions not forwarded, are
+            # receiver-known erasures: erasure-aware codes get them for the
+            # doubled pure-drop radius (gated so waves with none take the
+            # plain decode path)
+            declared = {"erasures": erasures} \
+                if erasure_aware and erasures.any() else {}
+            received, failed = code.decode_many_flagged(received, **declared)
+            del declared
+            failed_all[tr, rows] = np.asarray(failed, dtype=bool)
+        del erase, erasures
+        decoded_all.reshape(-1, capacity)[tr * num_rows + rows] = \
+            received[:, :capacity]
+        del received
 
     row_chunk, within = _ragged(chunk_fan)
     return BatchedRoutingResult(

@@ -122,9 +122,9 @@ class TestBackendParity:
                        if r["trial"]["adversary"] == kind), kind
 
     def test_n128_cells_batch_bit_identically(self, require_batched):
-        # 16 relay blocks: det-logn's long message runs take the
-        # scheduler's vectorised branch, and nonadaptive's shift broadcast
-        # its multi-target runs
+        # 16 relay blocks: det-logn's long message runs span several
+        # batches of the scheduler's bitsets, and nonadaptive's shift
+        # broadcast its multi-target runs
         spec = free_grid(name="parity-n128",
                          protocols=("nonadaptive", "det-logn"),
                          adversaries=("null",), ns=(128,), alphas=(0.0,),

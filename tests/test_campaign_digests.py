@@ -194,6 +194,29 @@ def test_wide_sketch_cell_matches_pin(backend, request):
     assert rows_digest(spec, backend) == WIDE_SKETCH_PIN
 
 
+#: det-logn at width 12, so each message's bits span two bytes of the
+#: route's rows: n=32, alpha=1/32, bandwidth 16, 3 replicates on vmap,
+#: (adversary, pin), computed while the butterfly still routed values
+#: packed from int64 beliefs
+WIDE_DET_LOGN_PINS = [
+    ("adaptive",
+     "f0f4b6985f336a44c48e08a577769742278416357c1c200a23947875db9fb0c5"),
+    ("iid-corrupt",
+     "f24edcf07fb181d8954233ac3de7283e40bf3d58428f07ff8cef5d4b4b836b00"),
+    ("nonadaptive",
+     "3ea65beeb856437dd9eac0db4e0a2339d87c2589a1ef3306b0bb709e6325b0a0"),
+]
+
+
+@pytest.mark.parametrize("adversary,pin", WIDE_DET_LOGN_PINS,
+                         ids=[a for a, _ in WIDE_DET_LOGN_PINS])
+def test_wide_det_logn_cells_match_pin(adversary, pin, require_batched):
+    spec = free_grid(name="wide-det-logn-pin", protocols=("det-logn",),
+                     adversaries=(adversary,), ns=(32,), alphas=(1 / 32,),
+                     widths=(12,), bandwidths=(16,), replicates=3)
+    assert rows_digest(spec, "vmap") == pin
+
+
 #: each protocol's run records (``report.extra`` and det-logn's ``trace``)
 #: over four adversaries at n=16, width 4, bandwidth 8, computed while each
 #: protocol still had a serial body: (protocol, pin)

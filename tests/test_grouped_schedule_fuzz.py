@@ -4,8 +4,8 @@ Every chunk must land in exactly the (batch, block) the chunk-at-a-time
 greedy in `repro.perf.reference` gives it — that is what makes a route's
 placements independent of which front end, serial or batched, built its
 plan.  This fuzz pins the contract over random single-target workloads
-with long runs, including the run-cache and first_open edge cases;
-`tests/test_schedule_oracle.py` covers multi-target runs.
+with long runs, including repeated keys and sources whose first batches
+fill up; `tests/test_schedule_oracle.py` covers multi-target runs.
 """
 
 import numpy as np
@@ -37,8 +37,8 @@ def test_grouped_greedy_matches_serial_scheduler(seed):
 
 
 def test_repeated_key_runs_share_batches():
-    # consecutive messages of one (source, target) key exercise the
-    # run-cache (prev_free) path
+    # consecutive messages of one (source, target) key take the clear
+    # bits their predecessors left in a partly filled batch
     assert_matches_oracle(np.array([0, 0, 0, 1, 0]), np.array([2, 2, 2, 2, 2]),
                           np.array([5, 3, 7, 2, 4]), 4)
 

@@ -181,7 +181,26 @@ class TestRegressionGate:
 
 
 class TestBenchCLI:
-    def test_bench_network_smoke_and_check(self, tmp_path, capsys):
+    @pytest.fixture
+    def steady_network_suite(self, monkeypatch):
+        """Stub every network-suite entry with one that reports a fixed 4x
+        speedup, so that two runs seconds apart agree exactly and the
+        gate's verdict depends on no machine load.  ``TestNetworkSuite``
+        runs the real entries, and CI's perf-smoke job is the wall-clock
+        gate."""
+        from repro.perf import bench
+
+        names = [name for name, _ in bench._suite_plan("network")]
+
+        def plan(suite):
+            return [(name, lambda smoke, repeats:
+                     bench._entry("stub", 4, "items", 0.004, 0.001))
+                    for name in names]
+
+        monkeypatch.setattr(bench, "_suite_plan", plan)
+
+    def test_bench_network_smoke_and_check(self, tmp_path, capsys,
+                                           steady_network_suite):
         args = ["bench", "--suite", "network", "--smoke",
                 "--out-dir", str(tmp_path), "--quiet"]
         assert main(args) == 0
@@ -198,3 +217,10 @@ class TestBenchCLI:
         assert main(args + ["--check"]) == 0
         out = capsys.readouterr().out
         assert "no regression" in out
+        # a baseline whose smoke floor is above twice the fresh speedup
+        # fails the gate
+        entry = baseline["benchmarks"]["route-waves-free-n512"]
+        entry["smoke_speedup"] = 2 * entry["speedup"] + 0.5
+        write_results(baseline, tmp_path)
+        assert main(args + ["--check"]) == 1
+        assert "route-waves-free-n512" in capsys.readouterr().out

@@ -4,8 +4,9 @@ exactly as the set-based chunk-at-a-time oracle in `repro.perf.reference`.
 `_grouped_greedy` schedules every blocks-mode route, serial and batched,
 broadcasts included, so the fuzz covers multi-target runs (target sets of
 every size up to all nodes), consecutive messages that share one (source,
-targets) key, runs longer than 4 * num_blocks (the vectorised branch) and
-up to 17 blocks, the most `select_routing_code` yields (n=143, L=8).
+targets) key, runs longer than 4 * num_blocks (several batches' worth of
+clear bits) and up to 17 blocks, the most `select_routing_code` yields
+(n=143, L=8).
 """
 
 import numpy as np
