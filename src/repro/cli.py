@@ -29,11 +29,8 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
-from repro.cliquesim.network import CongestedClique
-from repro.core import AllToAllInstance, make_protocol, verify_beliefs
-from repro.core.alltoall import PROTOCOLS
+from repro.core import AllToAllInstance
+from repro.core.alltoall import PROTOCOLS, make_protocol, run_protocol
 from repro.core.applications import resilient_consensus
 from repro.core.profiles import ProfileError
 from repro.experiments.runner import make_adversary
@@ -47,33 +44,32 @@ def _run_once(protocol_name: str, n: int, alpha: float, adversary_kind: str,
     instance = AllToAllInstance.random(n, width=1, seed=seed)
     protocol = make_protocol(protocol_name)
     adversary = make_adversary(adversary_kind, alpha, seed + 1)
-    net = CongestedClique(n, bandwidth=bandwidth, adversary=adversary,
-                          keep_history=False)
     if trace_path or show_phases:
         with tracing.trace("run", protocol=protocol_name, n=n, alpha=alpha,
                            adversary=adversary_kind, bandwidth=bandwidth,
                            seed=seed) as tracer:
             with tracer.span("run"):
-                beliefs = protocol.run(instance, net, seed=seed + 2)
+                report = run_protocol(protocol, instance, adversary,
+                                      bandwidth=bandwidth, seed=seed + 2)
     else:
-        beliefs = protocol.run(instance, net, seed=seed + 2)
-    correct = verify_beliefs(instance, beliefs)
-    diag = getattr(protocol, "diagnostics", None) or {}
-    dropped = sum(v for k, v in diag.items()
+        report = run_protocol(protocol, instance, adversary,
+                              bandwidth=bandwidth, seed=seed + 2)
+    dropped = sum(v for k, v in report.extra.items()
                   if "dropped" in k and isinstance(v, int))
     print(f"protocol={protocol_name} n={n} alpha={alpha:.5f} "
           f"adversary={adversary_kind if alpha > 0 else 'none'}")
-    print(f"rounds={net.rounds_used} bits={net.bits_sent} "
-          f"corrupted_in_transit={net.entries_corrupted} "
+    print(f"rounds={report.rounds} bits={report.bits_sent} "
+          f"corrupted_in_transit={report.entries_corrupted_in_transit} "
           f"dropped_in_transit={dropped}")
-    print(f"accuracy={correct}/{n * n} = {correct / (n * n):.4%}")
+    print(f"accuracy={report.correct_entries}/{n * n} = "
+          f"{report.accuracy:.4%}")
     if show_phases:
         print("\nper-phase breakdown:")
         print(tracing.render_summary(tracing.summarize(tracer.events)))
     if trace_path:
         tracer.write_jsonl(trace_path)
         print(f"trace -> {trace_path} ({len(tracer)} events)")
-    return correct == n * n
+    return report.perfect
 
 
 def cmd_run(args) -> int:
@@ -88,14 +84,12 @@ def cmd_sweep(args) -> int:
     for alpha in args.alphas:
         instance = AllToAllInstance.random(args.n, width=1, seed=args.seed)
         try:
-            protocol = make_protocol(args.protocol)
-            adversary = make_adversary(args.adversary, alpha, args.seed + 1)
-            net = CongestedClique(args.n, bandwidth=args.bandwidth,
-                                  adversary=adversary)
-            beliefs = protocol.run(instance, net, seed=args.seed + 2)
-            correct = verify_beliefs(instance, beliefs)
-            print(f"{alpha:>10.5f} {net.rounds_used:>7} "
-                  f"{correct / (args.n ** 2):>10.4%}")
+            report = run_protocol(
+                make_protocol(args.protocol), instance,
+                make_adversary(args.adversary, alpha, args.seed + 1),
+                bandwidth=args.bandwidth, seed=args.seed + 2)
+            print(f"{alpha:>10.5f} {report.rounds:>7} "
+                  f"{report.accuracy:>10.4%}")
         except ProfileError as exc:
             print(f"{alpha:>10.5f} {'—':>7} unsupported: {exc}")
     return 0
@@ -114,14 +108,12 @@ def cmd_table1(args) -> int:
         adversary_kind, alpha = settings[name]
         instance = AllToAllInstance.random(args.n, width=1, seed=args.seed)
         try:
-            protocol = make_protocol(name)
-            adversary = make_adversary(adversary_kind, alpha, args.seed + 1)
-            net = CongestedClique(args.n, bandwidth=args.bandwidth,
-                                  adversary=adversary)
-            beliefs = protocol.run(instance, net, seed=args.seed + 2)
-            correct = verify_beliefs(instance, beliefs)
-            print(f"{name:>12} {alpha:>9.5f} {net.rounds_used:>7} "
-                  f"{correct / (args.n ** 2):>10.4%}")
+            report = run_protocol(
+                make_protocol(name), instance,
+                make_adversary(adversary_kind, alpha, args.seed + 1),
+                bandwidth=args.bandwidth, seed=args.seed + 2)
+            print(f"{name:>12} {alpha:>9.5f} {report.rounds:>7} "
+                  f"{report.accuracy:>10.4%}")
         except ProfileError as exc:
             print(f"{name:>12} {alpha:>9.5f} unsupported: {exc}")
             status = 1

@@ -2,38 +2,22 @@
 
 ``run_protocol`` wires together an instance, a network with an adversary,
 and a protocol, and returns a :class:`ProtocolReport` — the unit of
-measurement every benchmark builds on.
+measurement every benchmark builds on.  The registry itself,
+:data:`PROTOCOLS` and :func:`make_protocol`, lives in
+:mod:`repro.core.vmapped` and is re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.adversary.base import Adversary, NullAdversary
 from repro.cliquesim.network import CongestedClique
-from repro.core.adaptive import AdaptiveAllToAll
-from repro.core.det_logn import DetLogAllToAll
-from repro.core.det_sqrt import DetSqrtAllToAll
 from repro.core.messages import AllToAllInstance, ProtocolReport, verify_beliefs
-from repro.core.nonadaptive import NonAdaptiveAllToAll
 from repro.core.protocol import AllToAllProtocol
+from repro.core.vmapped import PROTOCOLS, make_protocol
 
-PROTOCOLS: Dict[str, Callable[[], AllToAllProtocol]] = {
-    "nonadaptive": NonAdaptiveAllToAll,
-    "adaptive": AdaptiveAllToAll,
-    "det-logn": DetLogAllToAll,
-    "det-sqrt": DetSqrtAllToAll,
-}
-
-
-def make_protocol(name: str) -> AllToAllProtocol:
-    try:
-        return PROTOCOLS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}") from None
+__all__ = ["PROTOCOLS", "make_protocol", "run_protocol", "success_rate"]
 
 
 def run_protocol(protocol: AllToAllProtocol,

@@ -16,8 +16,8 @@ no codec either: each chunk's payload piece rides in its codeword's place
 and is the decoded row.
 Blocks-mode placements are exactly what a one-trial run of each trial
 computes; when per-trial schedules take different batch counts the planner
-raises :class:`~repro.core.routing.CellUnbatchable` and the caller falls
-back to per-trial serial execution.
+raises :class:`~repro.core.routing.CellUnbatchable` and the trial executor
+runs the trials as cells of one.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Trial-batched (vmap) execution of the AllToAllComm protocols.
+"""The protocol registry and trial-batched execution of AllToAllComm.
 
 Each protocol class runs ``trials`` instances at once through its
 :meth:`~repro.core.protocol.AllToAllProtocol.run_many` over a
@@ -18,7 +18,8 @@ the same body at ``trials=1``.  The bodies share a leading batch axis:
   and bit lengths are still shared, so the body passes per-trial node ids
   and each trial is scheduled on its own; if batch counts diverge the
   planner raises :class:`~repro.core.routing.CellUnbatchable` and the
-  caller runs the trials one at a time;
+  trial executor (:func:`repro.experiments.vmap.run_cell_batched`) runs
+  the trials as cells of one;
 * every routing step passes index arrays to
   :meth:`~repro.core.batched_routing.BatchedRouter.route`, whose plan runs
   through the one wave kernel :func:`~repro.core.routing.route_waves`;
@@ -28,8 +29,10 @@ the same body at ``trials=1``.  The bodies share a leading batch axis:
   after which per-trial round counts come from
   :attr:`~repro.cliquesim.batched.BatchedClique.rounds_by_trial`.
 
-This module resolves protocol names lazily, so a campaign cell imports
-only its own protocol's stack.
+This module holds the one protocol registry, :data:`PROTOCOLS` with
+:func:`make_protocol`, and resolves its names lazily, so a campaign cell
+imports only its own protocol's stack; :mod:`repro.core.alltoall`
+re-exports both.
 """
 
 from __future__ import annotations
@@ -45,23 +48,23 @@ from repro.coding.linear import best_effort_linear_code  # noqa: F401
 from repro.core.messages import AllToAllInstance, ProtocolReport, verify_beliefs
 from repro.core.protocol import AllToAllProtocol
 
-#: every protocol with a batched ``run_many``, by name: (module, class),
-#: imported on first use
-BATCHED_PROTOCOLS: Dict[str, Tuple[str, str]] = {
+#: every AllToAllComm protocol by name, in Table 1 order (``repro table1``
+#: prints its rows in this order): (module, class), imported on first use
+PROTOCOLS: Dict[str, Tuple[str, str]] = {
     "nonadaptive": ("repro.core.nonadaptive", "NonAdaptiveAllToAll"),
+    "adaptive": ("repro.core.adaptive", "AdaptiveAllToAll"),
     "det-logn": ("repro.core.det_logn", "DetLogAllToAll"),
     "det-sqrt": ("repro.core.det_sqrt", "DetSqrtAllToAll"),
-    "adaptive": ("repro.core.adaptive", "AdaptiveAllToAll"),
 }
 
 
-def make_batched_protocol(name: str) -> AllToAllProtocol:
+def make_protocol(name: str) -> AllToAllProtocol:
+    """A fresh instance of the protocol registered as ``name``."""
     try:
-        module, cls = BATCHED_PROTOCOLS[name]
+        module, cls = PROTOCOLS[name]
     except KeyError:
         raise ValueError(
-            f"no batched protocol {name!r}; "
-            f"known: {sorted(BATCHED_PROTOCOLS)}") from None
+            f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}") from None
     return getattr(importlib.import_module(module), cls)()
 
 

@@ -9,9 +9,11 @@ The engine behind every sweep, benchmark and example:
   (``serial`` / ``vmap`` / ``sharded``; ``jobs > 1`` runs the local
   sharded fleet) with per-trial failure capture and order-independent
   results;
-* :mod:`~repro.experiments.vmap` — the trial-batched backend: pending
-  trials are grouped into cells and each cell runs as one tensor program
-  over a :class:`~repro.cliquesim.batched.BatchedClique`;
+* :mod:`~repro.experiments.vmap` — the one trial executor,
+  :func:`~repro.experiments.vmap.run_cell_batched`: every backend writes
+  its rows through it, and each cell runs as one tensor program over a
+  :class:`~repro.cliquesim.batched.BatchedClique` (serial runs cells of
+  one);
 * :mod:`~repro.experiments.store` — a content-addressed JSONL artifact
   store giving transparent caching and resume;
 * :mod:`~repro.experiments.aggregate` — replicate statistics and
@@ -35,23 +37,20 @@ same batched cell iff they agree on every :attr:`TrialSpec.cell` field —
 only in ``replicate`` (and hence in derived seeds).  Grouping happens
 *after* resume filtering, so a partially-cached cell batches only its
 missing trials.  Cells bigger than
-:data:`repro.experiments.vmap.MAX_BATCH_TRIALS` are chunked.  A cell runs
-batched only when its protocol has a batched ``run_many`` (``nonadaptive``,
-``det-logn``, ``det-sqrt``, ``adaptive`` — see
-:data:`repro.core.vmapped.BATCHED_PROTOCOLS`) and one trial fits the byte
-budget (a singleton cell is a batch of one); otherwise — and
-whenever per-trial routing schedules diverge or the batched run raises —
-the cell's trials re-execute serially, so store rows are bit-identical to
-the serial backend in every case.
+:data:`repro.experiments.vmap.MAX_BATCH_TRIALS`, or than the byte budget
+allows, are chunked, down to cells of one.  A ``ProfileError`` writes
+every trial's ``unsupported`` row from the one batched run; a batch that
+raises anything else runs its trials as cells of one, so store rows are
+bit-identical to the serial backend in every case.
 
 Observability row schema: every trial row carries ``wall_seconds``
 (trial execution time) and ``recorded_unix`` (wall-clock completion
 stamp — what ``repro experiment watch`` derives its throughput/ETA from);
 with ``REPRO_OBS_METRICS=1`` each row also embeds a ``metrics`` snapshot
 (:meth:`repro.obs.tracing.Tracer.snapshot`: counters and span timers)
-scoped to its unit of execution — the batched cell's one
-``run_protocol_many`` call, or the serial trial — plus ``trials``, the
-unit's trial count; cells stay batched.  ``repro bench --store`` rows
+scoped to the lockstep run that wrote it (a cell of one for the serial
+backend), whatever the row's status, plus ``trials``, the run's trial
+count; cells stay batched.  ``repro bench --store`` rows
 (``kind == "bench"``) feed ``repro bench trend``.  Structured protocol
 traces use a separate JSONL schema — see :mod:`repro.obs.tracing`
 (``meta``/``round``/``transport``/``span``/``count`` events, schema

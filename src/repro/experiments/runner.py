@@ -4,9 +4,12 @@
 ones the store already holds, and hands the rest to an execution
 *backend* (:mod:`repro.sched.backend`): inline serial, cell-batched vmap,
 or leased shard dispatch across local worker processes and other hosts
-(what ``jobs > 1`` runs).  Because every trial's seeds are derived from
-its own coordinates (see :mod:`repro.experiments.spec`), the result set
-is identical for any backend, any job count and any dispatch order.
+(what ``jobs > 1`` runs).  Every backend writes its rows through the one
+trial executor, :func:`~repro.experiments.vmap.run_cell_batched`; serial
+runs each trial as a cell of one.  Because every trial's seeds are
+derived from its own coordinates (see :mod:`repro.experiments.spec`), the
+result set is identical for any backend, any job count and any dispatch
+order.
 
 Failure containment: a trial whose configuration violates the analysis'
 inequalities (:class:`~repro.core.profiles.ProfileError`) records an
@@ -20,7 +23,6 @@ re-runs only the transient ones (errors and skips).
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -73,63 +75,16 @@ ADVERSARIES = {
 }
 
 
-def run_single(trial: TrialSpec,
-               adversary_factory: Optional[Callable] = None):
-    """Execute one trial; return ``(row, report_or_None)``.
-
-    ``adversary_factory(trial)``, when given, builds the adversary in
-    place of the trial's named kind, so an in-process caller can run an
-    arbitrary adversary object through the trial bookkeeping; shard
-    workers always resolve by name, since trials reach them as JSON.
-    """
-    from repro.core.alltoall import make_protocol, run_protocol
-    from repro.core.messages import AllToAllInstance
-    from repro.core.profiles import ProfileError
-    from repro.obs import tracing
-
-    base = {"hash": trial.content_hash(), "trial": trial.to_dict()}
-    start = time.perf_counter()
-    report = None
-    try:
-        # with REPRO_OBS_METRICS on, the trial is its own unit of execution
-        with tracing.unit_trace("trial") as tracer:
-            protocol = make_protocol(trial.protocol)
-            adversary = (adversary_factory(trial)
-                         if adversary_factory is not None
-                         else make_adversary(trial.adversary, trial.alpha,
-                                             trial.adversary_seed))
-            instance = AllToAllInstance.random(trial.n, width=trial.width,
-                                               seed=trial.instance_seed)
-            report = run_protocol(protocol, instance, adversary,
-                                  bandwidth=trial.bandwidth,
-                                  seed=trial.protocol_seed)
-    except ProfileError as exc:
-        row = dict(base, status=STATUS_UNSUPPORTED, reason=str(exc))
-    except Exception as exc:  # noqa: BLE001 — containment is the contract
-        row = dict(base, status=STATUS_ERROR, reason=repr(exc),
-                   traceback=traceback.format_exc())
-    else:
-        row = dict(
-            base,
-            status=STATUS_OK,
-            rounds=report.rounds,
-            bits_sent=report.bits_sent,
-            accuracy=report.accuracy,
-            correct_entries=report.correct_entries,
-            total_entries=report.total_entries,
-            entries_corrupted=report.entries_corrupted_in_transit,
-        )
-    row["wall_seconds"] = round(time.perf_counter() - start, 6)
-    row["recorded_unix"] = round(time.time(), 6)
-    if tracer is not None:
-        row["metrics"] = dict(tracer.snapshot(), trials=1)
-    return row, report
+def run_single(trial: TrialSpec) -> Dict:
+    """Execute one trial as a cell of one
+    (:func:`~repro.experiments.vmap.run_cell_batched`); return its row."""
+    from repro.experiments.vmap import run_cell_batched
+    return run_cell_batched([trial])[0]
 
 
 def execute_trial(trial_dict: Dict) -> Dict:
     """One trial dict in, its result row out."""
-    row, _ = run_single(TrialSpec.from_dict(trial_dict))
-    return row
+    return run_single(TrialSpec.from_dict(trial_dict))
 
 
 @dataclass

@@ -1,57 +1,47 @@
-"""The ``vmap`` campaign backend: run whole cells as one tensor program.
+"""The trial executor: every campaign row comes from :func:`run_cell_batched`.
 
-``run_campaign(..., backend="vmap")`` groups a campaign's pending trials
-into *cells* — trials sharing ``(protocol, adversary, n, alpha, width,
-bandwidth)``, i.e. everything except the replicate axis — and executes each
-cell as a single :class:`~repro.cliquesim.batched.BatchedClique` run of
-its protocol's ``run_many`` (resolved through :mod:`repro.core.vmapped`).
-Results are split back into exactly the per-trial store rows the serial
-backend writes: same hashes, same derived seeds, bit-identical outcome
-fields.  The serial backend runs the same ``run_many`` one trial at a
-time, so the two backends differ only in how many trials share a batch.
+A *cell* is a group of trials sharing ``(protocol, adversary, n, alpha,
+width, bandwidth)`` — everything except the replicate axis.  A cell runs
+as one lockstep :class:`~repro.cliquesim.batched.BatchedClique` run of its
+protocol's ``run_many`` (resolved through
+:data:`~repro.core.vmapped.PROTOCOLS`), chunked by
+:data:`MAX_BATCH_TRIALS` and the byte budget, and its results split back
+into per-trial store rows.  Every backend writes rows through it:
+``vmap`` runs whole cells, ``serial`` runs each trial as a cell of one,
+and each shard worker runs the cells of its shard.  A trial's seeds
+derive from its own coordinates, so its row does not depend on the batch
+it ran in.
 
-A singleton cell is a batch of one like every other cell.  Cells fall
-back to per-trial serial execution (the plain
-:func:`~repro.experiments.runner.execute_trial`) whenever lockstep
-batching is impossible or unprofitable:
+* A :class:`~repro.core.profiles.ProfileError` is an outcome: every raise
+  site reads only cell quantities, so the one run writes every trial's
+  ``unsupported`` row.
+* A chunk goes down to one trial: a trial over the byte budget is a cell
+  of one.
+* A *cell of one* turns any exception into its ``error`` row (the
+  adversary's own exception for a crashed per-trial adversary), runs
+  under a per-trial alarm, and retries with backoff under a
+  :class:`~repro.faults.ResiliencePolicy`; a row that took more than one
+  attempt says how many.  Chaos-marked trials (``REPRO_CHAOS_TIMEOUT``)
+  run as cells of one, so the injected first-attempt timeout and its
+  retries happen.
+* When a multi-trial batch raises anything else (say
+  :class:`~repro.core.routing.CellUnbatchable`, when per-trial routing
+  schedules diverge), :func:`_rows_alone` runs its trials as cells of one.
+* When one *wrapped per-trial adversary* crashes inside a
+  :class:`~repro.adversary.PerTrialAdversaryBatch`
+  (:class:`~repro.adversary.PerTrialFailure`), only that trial runs alone,
+  its row records the ``fallback`` reason, and the rest re-batch.
 
-* the protocol has no batched ``run_many`` (the baselines; nonadaptive,
-  det-sqrt, det-logn and the adaptive compiler are all in
-  :data:`~repro.core.vmapped.BATCHED_PROTOCOLS`);
-* per-trial routing schedules diverge
-  (:class:`~repro.core.routing.CellUnbatchable` — e.g.
-  nonadaptive's shift-dependent return step at unlucky seeds);
-* a single trial's payload planes exceed the byte budget
-  (:func:`max_batch_trials` returns 0);
-* anything at all goes wrong mid-batch (including ``ProfileError``
-  configurations) — serial re-execution then reproduces the exact serial
-  ``unsupported``/``error`` rows.
-
-One exception is finer-grained: when a *wrapped per-trial adversary*
-crashes inside a :class:`~repro.adversary.PerTrialAdversaryBatch`
-(:class:`~repro.adversary.PerTrialFailure`), only the crashing trial
-degrades to serial execution — its row records the fallback reason —
-and the remaining trials re-batch from scratch (their streams derive
-from their own seeds, so dropping a slot changes nothing for them).
-A :class:`~repro.faults.ResiliencePolicy` threads through every
-fallback path, and chaos-marked trials (``REPRO_CHAOS_TIMEOUT``) are
-peeled out of the batch so the injection and its retries actually
-happen.
-
-The fallback is the parity guarantee: the batched path only ever records
-rows for runs that completed batched, and those are bit-identical to
-serial by construction (same seed derivations, same schedules, lockstep
-rounds through the batched engine).
-
-Metrics-on runs (``REPRO_OBS_METRICS=1``) stay batched: a tracer is
-installed around the cell's one ``run_protocol_many`` call, and every row
-of the cell carries that unit's snapshot.
+With ``REPRO_OBS_METRICS=1`` a tracer is installed around each run, and
+every row carries the snapshot of the run that wrote it, whatever its
+status.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import traceback
 from collections import OrderedDict
 from typing import Dict, List, Sequence
 
@@ -99,10 +89,10 @@ def trial_plane_bytes(trial: TrialSpec) -> int:
 
 def max_batch_trials(trial: TrialSpec) -> int:
     """Largest batch of ``trial``-shaped trials that fits both the count
-    cap and the byte budget.  0 means a single trial exceeds the budget —
-    the caller must fall back to serial per-trial execution."""
-    return int(min(MAX_BATCH_TRIALS,
-                   batch_byte_budget() // max(1, trial_plane_bytes(trial))))
+    cap and the byte budget, and at least 1: a trial whose planes alone
+    exceed the budget runs as a cell of one."""
+    return max(1, min(MAX_BATCH_TRIALS,
+                      batch_byte_budget() // max(1, trial_plane_bytes(trial))))
 
 
 def make_batched_adversary(kind: str, alpha: float, seeds: Sequence[int]):
@@ -146,116 +136,148 @@ def group_cells(trials: Sequence[TrialSpec]) -> "OrderedDict":
     return cells
 
 
-def _rows_serial(trials: Sequence[TrialSpec], policy=None) -> List[Dict]:
-    from repro.faults.resilience import execute_trial_resilient
-    return [execute_trial_resilient(t.to_dict(), policy) for t in trials]
-
-
-def _rows_per_trial_failure(trials: Sequence[TrialSpec], failure,
-                            policy=None) -> List[Dict]:
-    """Degrade exactly the failing trial to serial and keep batching the
-    rest — the batched analogue of the serial runner's per-trial failure
-    containment.  The serial-fallback row records why it fell back."""
-    idx = failure.trial_index
-    row = _rows_serial(trials[idx:idx + 1], policy)[0]
-    row["fallback"] = f"per-trial batch failure: {failure.cause!r}"
-    rest = list(trials[:idx]) + list(trials[idx + 1:])
-    # fresh batched run over the survivors: per-trial streams are derived
-    # from each trial's own seeds, so dropping one slot changes nothing
-    # for the others
-    rest_rows = run_cell_batched(rest, policy=policy) if rest else []
-    return rest_rows[:idx] + [row] + rest_rows[idx:]
-
-
 def run_cell_batched(trials: Sequence[TrialSpec],
                      policy=None) -> List[Dict]:
-    """Execute one cell's trials as one batched run; rows come back in
-    trial order with the exact serial row schema.  A crash of one wrapped
-    per-trial adversary (:class:`~repro.adversary.batched.PerTrialFailure`)
-    downgrades only that trial to serial execution; any other batching
-    obstacle downgrades the whole chunk.  With ``REPRO_OBS_METRICS`` on,
-    the one ``run_protocol_many`` call is the unit of execution: every row
-    carries its snapshot, with ``trials`` the chunk's trial count."""
+    """Execute one cell's trials and return their rows in trial order.
+    Chaos-marked trials and chunks of one run as cells of one; the rest
+    run in lockstep chunks of at most :func:`max_batch_trials` trials.
+    ``policy`` is an optional :class:`~repro.faults.ResiliencePolicy`:
+    a chunk gets the summed per-trial timeout, a cell of one its own
+    timeout and the retries."""
+    from repro.faults.resilience import _chaos_hits, chaos_timeout_fraction
+
+    fraction = chaos_timeout_fraction()
+    rows: Dict[str, Dict] = {}
+    batch = []
+    for trial in trials:
+        if len(trials) > 1 and not _chaos_hits(trial.content_hash(),
+                                               fraction):
+            batch.append(trial)
+        else:
+            rows[trial.content_hash()] = _run_alone(trial, policy)
+    limit = max_batch_trials(trials[0])
+    for start in range(0, len(batch), limit):
+        for row in _run_chunk(batch[start:start + limit], policy):
+            rows[row["hash"]] = row
+    return [rows[trial.content_hash()] for trial in trials]
+
+
+def _run_chunk(trials: Sequence[TrialSpec], policy=None) -> List[Dict]:
+    """One lockstep run of a chunk, with its failures contained."""
+    from repro.adversary import PerTrialFailure
+
+    if len(trials) == 1:
+        return [_run_alone(trials[0], policy)]
+    timeout = (policy.timeout_seconds * len(trials)
+               if policy is not None and policy.timeout_seconds else None)
+    try:
+        return _run_lockstep(trials, timeout)
+    except PerTrialFailure as failure:
+        # only the crashing trial runs alone; the rest re-batch, since each
+        # trial's streams derive from its own seeds
+        idx = failure.trial_index
+        row, = _rows_alone(trials[idx:idx + 1], policy)
+        row["fallback"] = f"per-trial batch failure: {failure.cause!r}"
+        rest = run_cell_batched(
+            list(trials[:idx]) + list(trials[idx + 1:]), policy)
+        return rest[:idx] + [row] + rest[idx:]
+    except Exception:  # noqa: BLE001 — cells of one contain every failure
+        return _rows_alone(trials, policy)
+
+
+def _rows_alone(trials: Sequence[TrialSpec], policy=None) -> List[Dict]:
+    """The fallback of a multi-trial batch that raised: each trial runs as
+    a cell of one."""
+    return [_run_alone(trial, policy) for trial in trials]
+
+
+def _run_alone(trial: TrialSpec, policy=None) -> Dict:
+    """A cell of one: its own alarm, retries with exponential backoff, and
+    the chaos-injected first-attempt timeout.  Every attempt re-runs the
+    identical trial, so a retried row equals an undisturbed one; it gains
+    an ``attempts`` field only when more than one attempt ran."""
+    from repro.experiments.runner import STATUS_ERROR
+    from repro.faults.resilience import (NO_POLICY, _chaos_hits,
+                                         chaos_timeout_fraction)
+
+    policy = policy or NO_POLICY
+    chaos = chaos_timeout_fraction()
+    hit = _chaos_hits(trial.content_hash(), chaos)
+    attempts = 0
+    while True:
+        attempts += 1
+        row, = _run_lockstep([trial], policy.timeout_seconds,
+                             chaos=chaos if attempts == 1 and hit else 0.0)
+        if row["status"] != STATUS_ERROR or attempts > policy.retries:
+            break
+        delay = policy.backoff_seconds * (2 ** (attempts - 1))
+        if delay > 0:
+            time.sleep(delay)
+    if attempts > 1:
+        row["attempts"] = attempts
+    return row
+
+
+def _run_lockstep(trials: Sequence[TrialSpec], timeout=None,
+                  chaos: float = 0.0) -> List[Dict]:
+    """Run ``trials`` as one lockstep batch and build their rows, the
+    exact serial row schema.  A ``ProfileError`` writes every trial's
+    ``unsupported`` row.  A cell of one turns any other exception into
+    its ``error`` row; a larger batch raises it.  ``chaos`` > 0 injects
+    a timeout before the run."""
     from repro.adversary import PerTrialFailure
     from repro.core.messages import AllToAllInstance
-    from repro.core.vmapped import (BATCHED_PROTOCOLS, make_batched_protocol,
-                                    run_protocol_many)
-    from repro.experiments.runner import STATUS_OK
-    from repro.faults.resilience import (_chaos_hits, chaos_timeout_fraction,
+    from repro.core.profiles import ProfileError
+    from repro.core.vmapped import make_protocol, run_protocol_many
+    from repro.experiments.runner import (STATUS_ERROR, STATUS_OK,
+                                          STATUS_UNSUPPORTED)
+    from repro.faults.resilience import (CHAOS_TIMEOUT_ENV, TrialTimeout,
                                          trial_alarm)
     from repro.obs import tracing
 
     head = trials[0]
-    if head.protocol not in BATCHED_PROTOCOLS:
-        return _rows_serial(trials, policy)
-    chaos = chaos_timeout_fraction()
-    if chaos > 0.0:
-        # chaos-marked trials must go through the resilient serial path so
-        # the injected timeout (and its retries) actually happen; batching
-        # would silently skip the injection
-        hit = [t for t in trials if _chaos_hits(t.content_hash(), chaos)]
-        if hit:
-            hit_hashes = {t.content_hash() for t in hit}
-            calm = [t for t in trials if t.content_hash() not in hit_hashes]
-            by_hash = {r["hash"]: r for r in (
-                run_cell_batched(calm, policy=policy) if calm else [])}
-            for t, row in zip(hit, _rows_serial(hit, policy)):
-                by_hash[row["hash"]] = row
-            return [by_hash[t.content_hash()] for t in trials]
-    limit = max_batch_trials(head)
-    if limit == 0:
-        # one trial's planes already exceed the byte budget: run the cell
-        # serially (same rows — serial is the parity reference)
-        return _rows_serial(trials, policy)
-    if len(trials) > limit:
-        return [row
-                for start in range(0, len(trials), limit)
-                for row in run_cell_batched(
-                    trials[start:start + limit], policy=policy)]
-
     start = time.perf_counter()
-    budget = (policy.timeout_seconds * len(trials)
-              if policy is not None and policy.timeout_seconds else None)
-    try:
-        # the whole cell gets the summed per-trial budget; a cell-level
-        # timeout falls through the generic handler to resilient serial
-        # execution, where each trial is guarded individually
-        with trial_alarm(budget):
-            protocol = make_batched_protocol(head.protocol)
-            adversary = make_batched_adversary(
-                head.adversary, head.alpha,
-                [t.adversary_seed for t in trials])
-            instances = [AllToAllInstance.random(t.n, width=t.width,
-                                                 seed=t.instance_seed)
-                         for t in trials]
-            with tracing.unit_trace("cell") as tracer:
+    with tracing.unit_trace("cell") as tracer:
+        try:
+            if chaos > 0.0:
+                raise TrialTimeout(f"chaos-injected worker timeout "
+                                   f"({CHAOS_TIMEOUT_ENV}={chaos})")
+            with trial_alarm(timeout):
+                protocol = make_protocol(head.protocol)
+                adversary = make_batched_adversary(
+                    head.adversary, head.alpha,
+                    [t.adversary_seed for t in trials])
+                instances = [AllToAllInstance.random(t.n, width=t.width,
+                                                     seed=t.instance_seed)
+                             for t in trials]
                 reports = run_protocol_many(
                     protocol, instances, adversary,
                     bandwidth=head.bandwidth,
                     seeds=[t.protocol_seed for t in trials])
-    except PerTrialFailure as failure:
-        return _rows_per_trial_failure(trials, failure, policy)
-    except Exception:  # noqa: BLE001 — fall back, never guess at parity
-        return _rows_serial(trials, policy)
-    # amortised wall time: the cell ran once for all of its trials
+            outcomes = [{
+                "status": STATUS_OK,
+                "rounds": report.rounds,
+                "bits_sent": report.bits_sent,
+                "accuracy": report.accuracy,
+                "correct_entries": report.correct_entries,
+                "total_entries": report.total_entries,
+                "entries_corrupted": report.entries_corrupted_in_transit,
+            } for report in reports]
+        except ProfileError as exc:
+            outcomes = [{"status": STATUS_UNSUPPORTED,
+                         "reason": str(exc)}] * len(trials)
+        except Exception as exc:  # noqa: BLE001 — containment is the contract
+            if len(trials) > 1:
+                raise
+            cause = exc.cause if isinstance(exc, PerTrialFailure) else exc
+            outcomes = [{"status": STATUS_ERROR, "reason": repr(cause),
+                         "traceback": traceback.format_exc()}]
+    # amortised wall time: the batch ran once for all of its trials
     wall = round((time.perf_counter() - start) / len(trials), 6)
     stamp = round(time.time(), 6)
     snapshot = ({} if tracer is None
                 else {"metrics": dict(tracer.snapshot(), trials=len(trials))})
-    rows = []
-    for trial, report in zip(trials, reports):
-        rows.append({
-            "hash": trial.content_hash(),
-            "trial": trial.to_dict(),
-            "status": STATUS_OK,
-            "rounds": report.rounds,
-            "bits_sent": report.bits_sent,
-            "accuracy": report.accuracy,
-            "correct_entries": report.correct_entries,
-            "total_entries": report.total_entries,
-            "entries_corrupted": report.entries_corrupted_in_transit,
-            "wall_seconds": wall,
-            "recorded_unix": stamp,
-            **snapshot,
-        })
-    return rows
+    return [{"hash": trial.content_hash(), "trial": trial.to_dict(),
+             **outcome, "wall_seconds": wall, "recorded_unix": stamp,
+             **snapshot}
+            for trial, outcome in zip(trials, outcomes)]

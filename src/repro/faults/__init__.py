@@ -24,6 +24,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
                  "ByzantineNodeAdversary", "GilbertElliottChannel",
                  "IIDEdgeChannel", "degree_capped_mask"),
     "resilience": ("CHAOS_TIMEOUT_ENV", "NO_POLICY", "ResiliencePolicy",
-                   "TrialTimeout", "chaos_timeout_fraction",
-                   "execute_trial_resilient", "trial_alarm"),
+                   "TrialTimeout", "chaos_timeout_fraction", "trial_alarm"),
 })

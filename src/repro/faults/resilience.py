@@ -1,24 +1,27 @@
 """Resilient trial execution: timeouts, retries, and chaos injection.
 
 Long heavy-traffic campaigns die for boring reasons — one wedged trial, a
-transient allocation failure, an operator SIGKILL.  This module wraps the
-per-trial execution path so campaigns survive all three:
+transient allocation failure, an operator SIGKILL.  This module holds
+what the trial executor (:func:`repro.experiments.vmap.run_cell_batched`)
+needs so campaigns survive all three:
 
 * :class:`ResiliencePolicy` — per-trial wall-clock timeout (SIGALRM-based,
   active on the main thread of POSIX workers; elsewhere trials simply run
-  unguarded) and bounded retries with exponential backoff;
-* retries re-run the *same* trial dict, so every derived seed is identical
+  unguarded) and bounded retries with exponential backoff.  A lockstep
+  chunk runs under the summed timeout of its trials; a cell of one runs
+  under its own and retries;
+* retries re-run the *same* trial, so every derived seed is identical
   and a retry that succeeds produces the exact row an undisturbed run
   would have produced (bit-identical modulo wall-clock fields);
 * ``REPRO_CHAOS_TIMEOUT=<p>`` injects a deterministic synthetic timeout
   into the first attempt of a ``p``-fraction of trials (keyed on the trial
   hash) — the chaos hook the CI chaos-smoke job uses to prove the retry
-  and resume machinery actually heals.
+  and resume machinery actually heals.  Chaos-marked trials run as cells
+  of one.
 
-Rows that needed more than one attempt carry an ``attempts`` field and
-(on the attempt that failed) the usual ``error`` bookkeeping; rows that
-succeed first try are byte-identical to rows from the plain path, which
-is what keeps the backend parity contract intact.
+Rows that needed more than one attempt carry an ``attempts`` field; rows
+that succeed first try are byte-identical to rows from an unguarded run,
+which is what keeps the backend parity contract intact.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ import hashlib
 import os
 import signal
 import threading
-import time
-import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 #: environment hook: fraction of trials whose first attempt fails with a
 #: synthetic TrialTimeout (deterministic per trial hash)
@@ -103,14 +104,20 @@ def trial_alarm(seconds: Optional[float]):
 
 
 def chaos_timeout_fraction() -> float:
-    """The configured chaos-injection probability (0.0 when disabled)."""
+    """The configured chaos-injection probability (0.0 when disabled).
+    A set value must be a fraction in [0, 1]; anything else raises
+    ``ValueError`` rather than silently turning chaos off or on."""
     raw = os.environ.get(CHAOS_TIMEOUT_ENV)
     if not raw:
         return 0.0
     try:
-        return max(0.0, min(1.0, float(raw)))
+        value = float(raw)
     except ValueError:
-        return 0.0
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{CHAOS_TIMEOUT_ENV} must be a fraction in "
+                         f"[0, 1]; got {raw!r}")
+    return value
 
 
 def _chaos_hits(trial_hash: str, fraction: float) -> bool:
@@ -120,61 +127,3 @@ def _chaos_hits(trial_hash: str, fraction: float) -> bool:
         return False
     digest = hashlib.sha256(f"chaos:{trial_hash}".encode()).hexdigest()
     return int(digest[:8], 16) / float(1 << 32) < fraction
-
-
-def execute_trial_resilient(trial_dict: Dict,
-                            policy: Optional[ResiliencePolicy] = None) -> Dict:
-    """Picklable worker unit with timeout/retry/chaos semantics.
-
-    Every attempt re-runs the identical trial dict, so derived seeds — and
-    therefore any successful row's payload — match a plain
-    :func:`~repro.experiments.runner.execute_trial` run exactly.  The
-    returned row gains an ``attempts`` field only when recovery actually
-    happened (first-try rows stay byte-identical to the legacy path).
-    """
-    from repro.experiments.runner import (
-        STATUS_ERROR,
-        execute_trial,
-        run_single,
-    )
-    from repro.experiments.spec import TrialSpec
-
-    policy = policy or NO_POLICY
-    chaos = chaos_timeout_fraction()
-    if not policy.active and chaos <= 0.0:
-        return execute_trial(trial_dict)
-
-    trial = TrialSpec.from_dict(trial_dict)
-    trial_hash = trial.content_hash()
-    attempts = 0
-    while True:
-        attempts += 1
-        start = time.perf_counter()
-        try:
-            if attempts == 1 and _chaos_hits(trial_hash, chaos):
-                raise TrialTimeout(
-                    f"chaos-injected worker timeout "
-                    f"({CHAOS_TIMEOUT_ENV}={chaos})")
-            with trial_alarm(policy.timeout_seconds):
-                row, _ = run_single(trial)
-        except TrialTimeout as exc:
-            # either the chaos hook, or an alarm that fired outside
-            # run_single's own containment window
-            row = {
-                "hash": trial_hash,
-                "trial": trial.to_dict(),
-                "status": STATUS_ERROR,
-                "reason": repr(exc),
-                "traceback": traceback.format_exc(),
-                "wall_seconds": round(time.perf_counter() - start, 6),
-                "recorded_unix": round(time.time(), 6),
-            }
-        if row["status"] != STATUS_ERROR or attempts > policy.retries:
-            break
-        # exponential backoff before the next attempt
-        delay = policy.backoff_seconds * (2 ** (attempts - 1))
-        if delay > 0:
-            time.sleep(delay)
-    if attempts > 1:
-        row["attempts"] = attempts
-    return row

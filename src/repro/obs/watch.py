@@ -21,7 +21,6 @@ stores.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -30,36 +29,16 @@ from typing import Dict, List, Optional
 
 
 def read_rows(path: str) -> List[Dict]:
-    """All rows of a JSONL store, in file order; duplicate hashes are kept
-    (the last write wins for totals via the hash-keyed pass in
-    :func:`snapshot`), torn lines are skipped, and a missing file reads as
-    no rows.  It is the one tolerant JSONL reader of :mod:`repro.obs`:
-    traces (:func:`repro.obs.tracing.load_jsonl`) and bench history
-    (:func:`repro.obs.trend.load_bench_rows`) read through it.
-
-    The read is binary so an in-flight (or crash-torn) final line —
-    which may end mid-multibyte-character — can never crash the watcher:
-    an unterminated tail is simply not a row yet, so its trial still
-    counts as pending."""
-    rows: List[Dict] = []
-    if not os.path.exists(path):
-        return rows
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data and not data.endswith(b"\n"):
-        # partially-written final line: drop it — the writer (or a resume
-        # after a crash) will complete or quarantine it
-        data = data[:data.rfind(b"\n") + 1]
-    for raw in data.split(b"\n"):
-        if not raw.strip():
-            continue
-        try:
-            row = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            continue  # corrupt line (quarantined on the next store load)
-        if isinstance(row, dict):
-            rows.append(row)
-    return rows
+    """All rows of a JSONL store, in file order: the tolerant store reader
+    :func:`repro.experiments.store.iter_store_rows`, which traces
+    (:func:`repro.obs.tracing.load_jsonl`) and bench history
+    (:func:`repro.obs.trend.load_bench_rows`) read through too.  Duplicate
+    hashes are kept (the last write wins for totals via the hash-keyed
+    pass in :func:`snapshot`), torn or garbled lines are skipped, and a
+    missing file reads as no rows.  An unterminated tail is not a row
+    yet, so its trial still counts as pending."""
+    from repro.experiments.store import iter_store_rows
+    return list(iter_store_rows(path))
 
 
 def read_rows_with_shards(path: str) -> List[Dict]:

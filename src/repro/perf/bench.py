@@ -648,7 +648,7 @@ def bench_trial_batch(n: int, trials: int, repeats: int) -> Dict:
     timing — the speedup is only meaningful because the outcomes are
     bit-identical."""
     from repro.core.alltoall import run_protocol
-    from repro.core.vmapped import make_batched_protocol, run_protocol_many
+    from repro.core.vmapped import run_protocol_many
 
     seeds = [301 + 7 * t for t in range(trials)]
     proto_seeds = [401 + 13 * t for t in range(trials)]
@@ -660,7 +660,7 @@ def bench_trial_batch(n: int, trials: int, repeats: int) -> Dict:
                 for t in range(trials)]
 
     def batched_run():
-        return run_protocol_many(make_batched_protocol("det-sqrt"),
+        return run_protocol_many(make_protocol("det-sqrt"),
                                  instances, None, bandwidth=32,
                                  seeds=proto_seeds)
 
@@ -711,7 +711,7 @@ def bench_adaptive_vmap(smoke: bool, repeats: int) -> Dict:
     serial_rows = run_campaign(spec, backend="serial").rows()
     vmap_rows = run_campaign(spec, backend="vmap").rows()
     assert not any("fallback" in row for row in vmap_rows), \
-        "adaptive vmap cell degraded to the serial fallback"
+        "adaptive vmap cell sent a trial to run alone"
     assert row_digest(serial_rows) == row_digest(vmap_rows), \
         "vmap store rows diverged from the serial backend"
     ref = _best_of(lambda: run_campaign(spec, backend="serial"), repeats)

@@ -6,14 +6,16 @@ inline on a backend string.  This module lifts each branch into a
 (the sharded dispatcher, a future remote pool) is one registered class,
 not another ``if`` arm in the runner:
 
-* ``serial``  — resilient per-trial loop in this process, the parity
-  reference;
-* ``vmap``    — cells batched into single tensor programs
-  (:mod:`repro.experiments.vmap`);
+* ``serial``  — each trial in this process as a cell of one;
+* ``vmap``    — whole cells as single lockstep tensor programs;
 * ``sharded`` — leased shard dispatch across ``jobs`` local worker
   processes and any workers other hosts join
   (:mod:`repro.sched.dispatcher`); each worker runs its shards through
   the ``vmap`` backend.  This is what ``jobs > 1`` means.
+
+All of them write rows through the one trial executor,
+:func:`repro.experiments.vmap.run_cell_batched`, and differ only in how
+many trials share a batch.
 
 Every backend receives a :class:`CampaignRun` — the pending trials, the
 ``record`` sink, the resilience policy, and the optional wall-clock
@@ -123,17 +125,16 @@ def get_backend(name: str) -> Backend:
 
 @register_backend
 class SerialBackend(Backend):
-    """Inline resilient per-trial loop — the reference backend every
-    other one must match row-for-row (modulo volatile fields)."""
+    """Inline per-trial loop: each trial is a cell of one."""
 
     name = "serial"
 
     def execute(self, run: CampaignRun) -> None:
-        from repro.faults.resilience import execute_trial_resilient
+        from repro.experiments.vmap import run_cell_batched
         for trial in run.pending:
             if run.out_of_time():
                 return
-            run.record(execute_trial_resilient(trial.to_dict(), run.policy))
+            run.record(run_cell_batched([trial], policy=run.policy)[0])
 
 
 @register_backend

@@ -16,13 +16,14 @@ def pytest_configure(config):
 
 @pytest.fixture
 def require_batched(monkeypatch):
-    """Make every vmap cell that leaves the batched path fail loudly: the
-    serial fallback (``repro.experiments.vmap._rows_serial``) raises
-    instead of quietly producing serial-identical rows."""
+    """Make every vmap batch that leaves the lockstep path fail loudly:
+    the fallback that runs a raising batch's trials as cells of one
+    (``repro.experiments.vmap._rows_alone``) raises instead of quietly
+    producing serial-identical rows."""
     from repro.experiments import vmap
 
     def refuse(trials, policy=None):
         raise AssertionError(
-            f"cell {trials[0].cell} fell back to serial execution")
+            f"cell {trials[0].cell} fell back to cells of one")
 
-    monkeypatch.setattr(vmap, "_rows_serial", refuse)
+    monkeypatch.setattr(vmap, "_rows_alone", refuse)

@@ -61,9 +61,9 @@ def recovery_spy(monkeypatch):
 
 class TestAdaptiveVmapParity:
     def test_fault_free_cell_is_bit_identical(self, monkeypatch):
-        # spy that the cell actually ran as one batch: a silent whole-cell
-        # serial fallback would also produce matching rows, and the serial
-        # backend runs one-trial batches
+        # spy that the cell actually ran as one batch: a silent fallback to
+        # cells of one would also produce matching rows, and the serial
+        # backend runs cells of one
         ran = {"count": 0}
         original = AdaptiveAllToAll.run_many
 

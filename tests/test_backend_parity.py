@@ -66,8 +66,8 @@ class TestBackendParity:
 
     def test_unsupported_configurations_match_serial_verdicts(self):
         # alpha far outside the proof regime at n=16: every trial must
-        # come back as the exact serial ``unsupported`` row via the
-        # serial fallback, not crash the batch
+        # come back as the exact serial ``unsupported`` row, not crash
+        # the batch
         spec = free_grid(name="parity-unsupported", protocols=("det-sqrt",),
                          adversaries=("nonadaptive",), ns=(16,),
                          alphas=(0.2,), widths=(4,), bandwidths=(8,),
@@ -76,6 +76,43 @@ class TestBackendParity:
         assert digests["serial"][0] == digests["vmap"][0]
         rows = digests["vmap"][1].rows()
         assert all(r["status"] == STATUS_UNSUPPORTED for r in rows)
+
+    def test_unsupported_cell_writes_its_rows_in_one_run(self, monkeypatch,
+                                                        require_batched):
+        # every ProfileError raise site reads cell quantities only, so the
+        # one batched run writes both trials' unsupported rows, each with
+        # that run's metrics snapshot: no trial re-runs alone
+        monkeypatch.setenv(tracing.METRICS_ENV, "1")
+        spec = free_grid(name="parity-unsupported", protocols=("det-sqrt",),
+                         adversaries=("nonadaptive",), ns=(16,),
+                         alphas=(0.2,), widths=(4,), bandwidths=(8,),
+                         replicates=2)
+        rows = run_campaign(spec, store=TrialStore(None),
+                            backend="vmap").rows()
+        assert [r["status"] for r in rows] == [STATUS_UNSUPPORTED] * 2
+        assert rows[0]["reason"] == rows[1]["reason"]
+        assert [r["metrics"]["trials"] for r in rows] == [2, 2]
+
+    def test_over_budget_trials_run_as_cells_of_one(self, monkeypatch,
+                                                    require_batched):
+        # with a one-byte batch budget no two trials fit one batch: each
+        # runs as a cell of one on the same executor, not down a fallback
+        from repro.core import vmapped
+        spec = free_grid(name="parity-over-budget", protocols=("det-logn",),
+                         adversaries=("null",), ns=(16,), alphas=(0.0,),
+                         widths=(4,), bandwidths=(8,), replicates=3)
+        serial = run_backends(spec, backends=("serial",))["serial"][0]
+        batch_sizes = []
+        original = vmapped.run_protocol_many
+
+        def spy(protocol, instances, *args, **kwargs):
+            batch_sizes.append(len(instances))
+            return original(protocol, instances, *args, **kwargs)
+
+        monkeypatch.setattr(vmapped, "run_protocol_many", spy)
+        monkeypatch.setenv("REPRO_BATCH_BYTE_BUDGET", "1")
+        assert run_backends(spec, backends=("vmap",))["vmap"][0] == serial
+        assert batch_sizes == [1, 1, 1]
 
     def test_adaptive_protocol_batches_natively(self, require_batched):
         # the adaptive compiler used to be the one protocol without a

@@ -226,7 +226,9 @@ class TestSerialAdversaryErrors:
             net.exchange(payload_stack(5)[0], width=WIDTH)
         assert info.value is boom
 
-    def test_run_single_error_row_reports_the_adversary_exception(self):
+    def test_run_single_error_row_reports_the_adversary_exception(
+            self, monkeypatch):
+        from repro.experiments import vmap
         from repro.experiments.runner import STATUS_ERROR, run_single
         from repro.experiments.spec import TrialSpec
 
@@ -234,10 +236,12 @@ class TestSerialAdversaryErrors:
             def select_edges(self, view):
                 raise RuntimeError("boom")
 
+        monkeypatch.setattr(
+            vmap, "make_batched_adversary",
+            lambda kind, alpha, seeds: PerTrialAdversaryBatch(
+                [Crashing(alpha, seed=3) for _ in seeds]))
         trial = TrialSpec("det-sqrt", "nonadaptive", 16, 1 / 16, width=8,
                           bandwidth=16)
-        row, report = run_single(
-            trial, adversary_factory=lambda t: Crashing(t.alpha, seed=3))
-        assert report is None
+        row = run_single(trial)
         assert row["status"] == STATUS_ERROR
         assert row["reason"] == repr(RuntimeError("boom"))

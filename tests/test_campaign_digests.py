@@ -81,7 +81,7 @@ TAIL_PINS = [
 def test_tail_node_cells_match_pin(protocol, adversary, n, alpha, pin,
                                    require_batched):
     # batched at 3 trials: a batched-path crash may not hide behind the
-    # serial fallback's identical rows
+    # identical rows of the fallback to cells of one
     spec = free_grid(name="tail-pin", protocols=(protocol,),
                      adversaries=(adversary,), ns=(n,), alphas=(alpha,),
                      widths=(4,), bandwidths=(8,), replicates=3)

@@ -111,11 +111,11 @@ class TestStore:
 
 class TestRunner:
     def test_trial_statuses(self):
-        ok, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16, 1 / 16,
-                                     bandwidth=16))
+        ok = run_single(TrialSpec("det-sqrt", "adaptive", 16, 1 / 16,
+                                  bandwidth=16))
         assert ok["status"] == STATUS_OK and ok["accuracy"] == 1.0
-        unsupported, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16,
-                                              0.4, bandwidth=16))
+        unsupported = run_single(TrialSpec("det-sqrt", "adaptive", 16,
+                                           0.4, bandwidth=16))
         assert unsupported["status"] == STATUS_UNSUPPORTED
         error = execute_trial(TrialSpec("no-such-protocol", "adaptive", 16,
                                         0.0, bandwidth=16).to_dict())
@@ -125,9 +125,9 @@ class TestRunner:
     def test_rows_carry_observability_stamps(self):
         for row in (
             run_single(TrialSpec("det-sqrt", "adaptive", 16, 1 / 16,
-                                 bandwidth=16))[0],
+                                 bandwidth=16)),
             run_single(TrialSpec("det-sqrt", "adaptive", 16, 0.4,
-                                 bandwidth=16))[0],  # unsupported
+                                 bandwidth=16)),  # unsupported
         ):
             assert row["wall_seconds"] >= 0
             assert row["recorded_unix"] > 0
@@ -135,15 +135,15 @@ class TestRunner:
     def test_rows_embed_metrics_when_enabled(self, monkeypatch):
         from repro.obs import tracing
         monkeypatch.setenv(tracing.METRICS_ENV, "1")
-        row, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16,
-                                      1 / 16, bandwidth=16))
+        row = run_single(TrialSpec("det-sqrt", "adaptive", 16,
+                                   1 / 16, bandwidth=16))
         assert row["metrics"]["counters"]["net.rounds"] == row["rounds"]
         assert row["metrics"]["counters"]["net.bits"] == row["bits_sent"]
         assert row["metrics"]["trials"] == 1
         # and without the flag, no snapshot is embedded
         monkeypatch.setenv(tracing.METRICS_ENV, "0")
-        row, _ = run_single(TrialSpec("det-sqrt", "adaptive", 16,
-                                      1 / 16, bandwidth=16))
+        row = run_single(TrialSpec("det-sqrt", "adaptive", 16,
+                                   1 / 16, bandwidth=16))
         assert "metrics" not in row
 
     def test_inline_campaign_and_resume(self, tmp_path):

@@ -21,7 +21,7 @@ import pytest
 from repro.experiments import TrialStore, free_grid, run_campaign
 from repro.experiments.runner import STATUS_ERROR
 from repro.faults import (CHAOS_TIMEOUT_ENV, ResiliencePolicy, TrialTimeout,
-                          execute_trial_resilient, trial_alarm)
+                          chaos_timeout_fraction, trial_alarm)
 
 #: fields that legitimately differ between executions of the same trial
 BOOKKEEPING_FIELDS = ("wall_seconds", "recorded_unix", "attempts", "fallback")
@@ -59,6 +59,14 @@ class TestPolicy:
     def test_trial_alarm_none_is_noop(self):
         with trial_alarm(None):
             pass
+
+    @pytest.mark.parametrize("raw", ["O.4", "-0.1", "1.5", "nan"])
+    def test_malformed_chaos_fraction_raises(self, monkeypatch, raw):
+        # a typo must not turn chaos off (or on for every trial) silently
+        monkeypatch.setenv(CHAOS_TIMEOUT_ENV, raw)
+        with pytest.raises(ValueError, match=CHAOS_TIMEOUT_ENV) as info:
+            chaos_timeout_fraction()
+        assert repr(raw) in str(info.value)
 
 
 class TestChaosRetries:
@@ -229,12 +237,16 @@ class TestPerTrialFallback:
         rows = vmap_mod.run_cell_batched(trials)
         assert [r["hash"] for r in rows] == \
             [t.content_hash() for t in trials]
-        assert "fallback" in rows[2]
+        # the crashing trial runs alone, where its adversary crashes again:
+        # an error row naming the adversary's own exception, labelled
+        assert rows[2]["status"] == STATUS_ERROR
+        assert rows[2]["reason"] == repr(RuntimeError("flaky adversary"))
         assert "flaky adversary" in rows[2]["fallback"]
         assert all("fallback" not in r for i, r in enumerate(rows) if i != 2)
-        # the fallback row and the survivors match plain serial execution
-        baseline = [execute_trial(t.to_dict()) for t in trials]
-        assert digest(rows) == digest(baseline)
+        # the survivors re-batched into the rows cells of one write
+        survivors = [t for i, t in enumerate(trials) if i != 2]
+        baseline = [execute_trial(t.to_dict()) for t in survivors]
+        assert digest(rows[:2] + rows[3:]) == digest(baseline)
 
 
 class TestStochasticBudgetCampaign:
