@@ -92,19 +92,58 @@ def validate_fault_sets(edges: np.ndarray, n: int, alpha: float) -> None:
             f"floor(alpha*n) = {budget}")
 
 
+#: the upper-triangle edge list of the last clique size walked: rows,
+#: columns and flat positions in an (n, n) matrix.  One size only, since a
+#: campaign cell walks one n; at n=1024 the three arrays hold 12 MB.
+_UPPER_EDGES: dict = {}
+
+
+def _upper_edges(n: int):
+    edges = _UPPER_EDGES.get(n)
+    if edges is None:
+        _UPPER_EDGES.clear()
+        iu, iv = np.triu_indices(n, k=1)
+        edges = (iu, iv, iu * n + iv)
+        for array in edges:
+            array.flags.writeable = False  # shared by every caller
+        _UPPER_EDGES[n] = edges
+    return edges
+
+
+def _take_edges(us, vs, left, rows, cols, open_nodes: int) -> int:
+    """Take, in order, each edge {us[i], vs[i]} whose endpoints both have
+    budget ``left``, and return how many nodes still have some.  Stops once
+    fewer than two do: no later edge could be taken."""
+    for u, v in zip(us, vs):
+        if left[u] and left[v]:
+            rows.append(u)
+            cols.append(v)
+            left[u] -= 1
+            left[v] -= 1
+            open_nodes -= (not left[u]) + (not left[v])
+            if open_nodes < 2:
+                break
+    return open_nodes
+
+
 def greedy_symmetric_selection(priorities: np.ndarray, budget: int,
                                rng: np.random.Generator) -> np.ndarray:
     """Build a maximal fault set under the degree budget, preferring
     high-priority edges.
 
-    ``priorities[u, v]`` scores the *undirected* edge {u, v} (the upper
-    triangle is read); random tie-breaking.  Returns a symmetric boolean
-    matrix with all degrees <= budget.  This is the work-horse of the
-    adaptive strategies: score edges by how much damage corrupting them
-    does, then greedily saturate the budget.
+    ``priorities[u, v]`` scores the *undirected* edge {u, v} of an (n, n)
+    matrix (the upper triangle is read); random tie-breaking.  Returns a
+    symmetric boolean matrix with all degrees <= budget.  This is the
+    work-horse of the adaptive strategies: score edges by how much damage
+    corrupting them does, then greedily saturate the budget.
 
     The walk over the sorted edges runs on Python ints and stops once
-    fewer than two nodes have budget left (no later edge could be taken).
+    fewer than two nodes have budget left.  It walks the first 2n edges of
+    the order, then drops, in one array pass, every later edge with an
+    endpoint already at budget: degrees only grow, so the walk would
+    reject such an edge whenever it reached it.  The survivors are walked
+    in order.  The upper-triangle edge list is memoized for the last n.
+
     The mask and the state left in ``rng`` must equal those of the frozen
     per-edge loop,
     :func:`repro.perf.reference.greedy_symmetric_selection_loop`: every
@@ -115,22 +154,21 @@ def greedy_symmetric_selection(priorities: np.ndarray, budget: int,
     mask = np.zeros((n, n), dtype=bool)
     if budget <= 0:
         return mask
-    iu, iv = np.triu_indices(n, k=1)
-    scores = priorities[iu, iv].astype(np.float64)
+    iu, iv, flat = _upper_edges(n)
+    scores = priorities.take(flat).astype(np.float64)
     scores += rng.random(scores.size) * 1e-9  # tie-break
     order = np.argsort(-scores)
-    degrees = [0] * n
-    saturated = 0
+    head, tail = order[:2 * n], order[2 * n:]
+    left = [budget] * n
     rows, cols = [], []
-    for u, v in zip(iu[order].tolist(), iv[order].tolist()):
-        if degrees[u] < budget and degrees[v] < budget:
-            rows.append(u)
-            cols.append(v)
-            degrees[u] += 1
-            degrees[v] += 1
-            saturated += (degrees[u] >= budget) + (degrees[v] >= budget)
-            if saturated > n - 2:
-                break
+    open_nodes = _take_edges(iu.take(head).tolist(), iv.take(head).tolist(),
+                             left, rows, cols, n)
+    if open_nodes >= 2 and tail.size:
+        has_budget = np.array(left, dtype=bool)
+        tail = tail[(has_budget.take(iu) & has_budget.take(iv)).take(tail)]
+        _take_edges(iu.take(tail).tolist(), iv.take(tail).tolist(),
+                    left, rows, cols, open_nodes)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     mask[rows, cols] = True
     mask[cols, rows] = True
     return mask

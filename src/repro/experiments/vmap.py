@@ -14,7 +14,9 @@ it ran in.
 
 * A :class:`~repro.core.profiles.ProfileError` is an outcome: every raise
   site reads only cell quantities, so the one run writes every trial's
-  ``unsupported`` row.
+  ``unsupported`` row.  So is a ``ValueError`` from resolving the protocol
+  or adversary name (an unknown name, say): the one run writes every
+  trial's ``error`` row.
 * A chunk goes down to one trial: a trial over the byte budget is a cell
   of one.
 * A *cell of one* turns any exception into its ``error`` row (the
@@ -222,9 +224,11 @@ def _run_lockstep(trials: Sequence[TrialSpec], timeout=None,
                   chaos: float = 0.0) -> List[Dict]:
     """Run ``trials`` as one lockstep batch and build their rows, the
     exact serial row schema.  A ``ProfileError`` writes every trial's
-    ``unsupported`` row.  A cell of one turns any other exception into
-    its ``error`` row; a larger batch raises it.  ``chaos`` > 0 injects
-    a timeout before the run."""
+    ``unsupported`` row, and a ``ValueError`` from resolving the protocol
+    or adversary name every trial's ``error`` row: both read only cell
+    quantities.  A cell of one turns any other exception into its
+    ``error`` row; a larger batch raises it.  ``chaos`` > 0 injects a
+    timeout before the run."""
     from repro.adversary import PerTrialFailure
     from repro.core.messages import AllToAllInstance
     from repro.core.profiles import ProfileError
@@ -238,6 +242,7 @@ def _run_lockstep(trials: Sequence[TrialSpec], timeout=None,
     head = trials[0]
     start = time.perf_counter()
     with tracing.unit_trace("cell") as tracer:
+        resolving = True
         try:
             if chaos > 0.0:
                 raise TrialTimeout(f"chaos-injected worker timeout "
@@ -247,6 +252,7 @@ def _run_lockstep(trials: Sequence[TrialSpec], timeout=None,
                 adversary = make_batched_adversary(
                     head.adversary, head.alpha,
                     [t.adversary_seed for t in trials])
+                resolving = False
                 instances = [AllToAllInstance.random(t.n, width=t.width,
                                                      seed=t.instance_seed)
                              for t in trials]
@@ -267,11 +273,12 @@ def _run_lockstep(trials: Sequence[TrialSpec], timeout=None,
             outcomes = [{"status": STATUS_UNSUPPORTED,
                          "reason": str(exc)}] * len(trials)
         except Exception as exc:  # noqa: BLE001 — containment is the contract
-            if len(trials) > 1:
+            if len(trials) > 1 and not (resolving
+                                        and isinstance(exc, ValueError)):
                 raise
             cause = exc.cause if isinstance(exc, PerTrialFailure) else exc
             outcomes = [{"status": STATUS_ERROR, "reason": repr(cause),
-                         "traceback": traceback.format_exc()}]
+                         "traceback": traceback.format_exc()}] * len(trials)
     # amortised wall time: the batch ran once for all of its trials
     wall = round((time.perf_counter() - start) / len(trials), 6)
     stamp = round(time.time(), 6)

@@ -150,6 +150,23 @@ class _ZeroRng:
         return np.zeros(size)
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The length of each edge list ``greedy_symmetric_selection`` walks:
+    a selection that reaches the skip pass walks twice, first the head of
+    the order and then the edges that survive the pass."""
+    from repro.adversary import budget as module
+    lengths = []
+    original = module._take_edges
+
+    def spy(us, *rest):
+        lengths.append(len(us))
+        return original(us, *rest)
+
+    monkeypatch.setattr(module, "_take_edges", spy)
+    return lengths
+
+
 class TestGreedySelectionOracle:
     """The list walk must reproduce the frozen per-edge loop exactly: the
     same mask, and the same RNG state afterwards (the ``random`` content
@@ -219,6 +236,59 @@ class TestGreedySelectionOracle:
     def test_matches_loop_on_small_cliques(self, n, budget, levels, seed):
         priorities = make_rng(seed).integers(0, levels, size=(n, n))
         self.assert_matches_loop(priorities, budget, seed)
+
+    #: sizes past the head walk's 2n edges, and budgets from a matching
+    #: to every edge
+    SKIP_PASS = [(n, budget) for n in (96, 128, 200)
+                 for budget in (1, 2, 3, 8, n - 1)]
+
+    @classmethod
+    def assert_skip_pass_matches_loop(cls, walks, priorities, budget, seed):
+        del walks[:]
+        mask = cls.assert_matches_loop(priorities, budget, seed)
+        n = len(priorities)
+        assert walks[0] == 2 * n and len(walks) == 2  # the pass ran
+        return mask
+
+    @pytest.mark.parametrize("n,budget", SKIP_PASS)
+    def test_skip_pass_random_priorities(self, walks, n, budget):
+        priorities = make_rng(n).random((n, n))
+        mask = self.assert_skip_pass_matches_loop(walks, priorities, budget,
+                                                  n + budget)
+        assert fault_degrees(mask).max() == budget
+
+    @pytest.mark.parametrize("n,budget", SKIP_PASS)
+    def test_skip_pass_forced_ties(self, walks, n, budget):
+        # no tie-break noise: three score classes, ordered by argsort alone
+        priorities = make_rng(n + budget).integers(0, 3, size=(n, n))
+        fast_rng, loop_rng = _ZeroRng(), _ZeroRng()
+        del walks[:]
+        fast = greedy_symmetric_selection(priorities, budget, fast_rng)
+        assert len(walks) == 2
+        slow = greedy_symmetric_selection_loop(priorities, budget, loop_rng)
+        assert np.array_equal(fast, slow)
+        assert fast_rng.sizes == loop_rng.sizes == [n * (n - 1) // 2]
+
+    @pytest.mark.parametrize("kind", ["targeted", "sliding"])
+    @pytest.mark.parametrize("n,budget", SKIP_PASS)
+    def test_skip_pass_boosted_priorities(self, walks, kind, n, budget):
+        adversary = (TargetedAdaptiveAdversary(budget / n, victims=[1, n // 2])
+                     if kind == "targeted"
+                     else SlidingWindowAdversary(budget / n))
+        adversary.begin_protocol(n)
+        rng = make_rng(n + budget)
+        intended = np.where(rng.random((n, n)) < 0.5, 1, -1)
+        priorities = adversary.edge_priorities(
+            view_for(n, intended=intended, index=budget))
+        assert priorities.max() > 2  # the victim or window boost
+        self.assert_skip_pass_matches_loop(walks, priorities, budget, budget)
+
+    def test_edge_list_memo_holds_the_last_size_only(self):
+        from repro.adversary import budget as module
+        for n in (12, 40, 12):
+            self.assert_matches_loop(np.ones((n, n)), 1, n)
+            assert list(module._UPPER_EDGES) == [n]
+            assert not module._UPPER_EDGES[n][0].flags.writeable
 
     def test_zero_budget_draws_nothing(self):
         mask = self.assert_matches_loop(np.ones((8, 8)), 0, 9)

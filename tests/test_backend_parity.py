@@ -93,6 +93,27 @@ class TestBackendParity:
         assert rows[0]["reason"] == rows[1]["reason"]
         assert [r["metrics"]["trials"] for r in rows] == [2, 2]
 
+    @pytest.mark.parametrize("protocol,adversary,replicates", [
+        ("det-logn", "no-such-adversary", 4),
+        ("no-such-protocol", "null", 3)])
+    def test_unknown_names_write_their_rows_in_one_run(
+            self, protocol, adversary, replicates, require_batched):
+        # a protocol or adversary name is a cell quantity, like a
+        # ProfileError's inputs: the one batched run writes every trial's
+        # error row, equal to what each trial writes as a cell of one
+        from repro.experiments.runner import STATUS_ERROR
+        from repro.sched import row_digest
+        spec = free_grid(name="parity-unknown-name", protocols=(protocol,),
+                         adversaries=(adversary,), ns=(16,),
+                         alphas=(1 / 16,), widths=(4,), bandwidths=(8,),
+                         replicates=replicates)
+        results = run_backends(spec)
+        serial, vmap = (results[b][1].rows() for b in ("serial", "vmap"))
+        assert [r["status"] for r in vmap] == [STATUS_ERROR] * replicates
+        assert "unknown" in vmap[0]["reason"]
+        assert sorted(map(row_digest, vmap)) == \
+            sorted(map(row_digest, serial))
+
     def test_over_budget_trials_run_as_cells_of_one(self, monkeypatch,
                                                     require_batched):
         # with a one-byte batch budget no two trials fit one batch: each
