@@ -34,10 +34,8 @@ trials one at a time.  The serial names :class:`IIDEdgeChannel`,
 one-seed instances of them.  Every stochastic mask is clamped to the α-BD
 degree budget by :func:`degree_capped_mask` — a vectorised, deterministic
 trim that keeps the highest-priority edges of any node that oversampled
-its budget, ranking only those nodes' sampled edges — and the engine's
+its budget — and the engine's
 :func:`~repro.adversary.budget.validate_fault_sets` checks every mask.
-The channels' per-trial (n, n) draws and their mirroring are pinned by
-the stream layout; the cap reads them but draws nothing.
 """
 
 from __future__ import annotations
@@ -68,45 +66,22 @@ def degree_capped_mask(sample: np.ndarray, priority: np.ndarray,
     """Trim a symmetric candidate mask to the per-node degree budget.
 
     ``sample`` is a (..., n, n) symmetric boolean stack of candidate faulty
-    edges, ``priority`` a matching stack of finite floats.  An edge
-    survives iff it is sampled and ranks inside the top ``budget``
-    candidates of *both* endpoints, where a node ranks its sampled edges
-    by priority, ties by column (a stable argsort of the row).  Every
-    node's degree is then <= ``budget``, and the trim is deterministic
+    edges, ``priority`` a matching symmetric float stack.  An edge survives
+    iff it is sampled and ranks inside the top ``budget`` candidates of
+    *both* endpoints (by priority), which guarantees every node's degree
+    is <= ``budget`` while keeping the trim deterministic and vectorised
     over any leading axes.
-
-    Only a node that sampled more than ``budget`` edges can lose one, so
-    only those nodes' sampled edges are ranked: a padded (nodes, degree)
-    stable argsort, not one over every row of the clique.  The dense
-    every-row argsort stays as the oracle,
-    :func:`repro.perf.reference.degree_capped_mask_dense`.
     """
-    sample = np.asarray(sample, dtype=bool)
     if budget <= 0:
-        return np.zeros_like(sample)
-    n = sample.shape[-1]
-    stack = sample.reshape(-1, n, n)
-    degrees = np.add.reduce(stack, axis=2)
-    trial, node = np.nonzero(degrees > budget)
-    capped = stack.copy()
-    if trial.size:
-        # the oversampled nodes' edges by (node, column); slot i of a
-        # node's keys row is its i-th sampled column, and the unused slots
-        # hold +inf, so they rank after every sampled edge
-        row, col = np.nonzero(stack[trial, node])
-        counts = degrees[trial, node]
-        slot = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-        keys = np.full((trial.size, counts.max()), np.inf)
-        keys[row, slot] = -np.asarray(priority).reshape(-1, n, n)[
-            trial[row], node[row], col]
-        order = np.argsort(keys, axis=1, kind="stable")
-        ranks = np.empty_like(order)
-        ranks[np.arange(len(order))[:, None], order] = np.arange(keys.shape[1])
-        cut = ranks[row, slot] >= budget
-        t, u, v = trial[row[cut]], node[row[cut]], col[cut]
-        capped[t, u, v] = False
-        capped[t, v, u] = False
-    return capped.reshape(sample.shape)
+        return np.zeros_like(sample, dtype=bool)
+    scores = np.where(sample, priority, -np.inf)
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order,
+                      np.broadcast_to(np.arange(sample.shape[-1]),
+                                      sample.shape).copy(), axis=-1)
+    within = ranks < budget
+    return sample & within & np.swapaxes(within, -1, -2)
 
 
 def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:

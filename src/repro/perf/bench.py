@@ -497,34 +497,6 @@ def bench_greedy_selection(planes: int, repeats: int) -> Dict:
     return _entry("greedy-selection-n64", planes, "planes", ref, batched)
 
 
-def bench_degree_cap(n: int, repeats: int) -> Dict:
-    """The stochastic channels' degree cap on one trial's round: the
-    sample and priorities ``iid-corrupt`` draws at α = 1/32, capped to
-    ⌊n/32⌋.  Races the sampled-edge ranking of ``degree_capped_mask``
-    against the frozen dense every-row argsort, 8 caps per timing; the
-    masks are asserted equal first."""
-    from repro.faults.channels import BatchedIIDEdgeChannel, degree_capped_mask
-
-    calls = 8
-    channel = BatchedIIDEdgeChannel(1 / 32, [901])
-    channel.begin_protocol(n, 1)
-    draws, priority = channel._uniform_stack(), channel._uniform_stack()
-    sample = (draws < channel.alpha) & (draws > 0)
-
-    def run(cap) -> np.ndarray:
-        for _ in range(calls):
-            mask = cap(sample, priority, channel.budget)
-        return mask
-
-    assert np.array_equal(run(degree_capped_mask),
-                          run(reference.degree_capped_mask_dense))
-    ref = _best_of(lambda: run(reference.degree_capped_mask_dense),
-                   max(1, repeats - 1))
-    batched = _best_of(lambda: run(degree_capped_mask), repeats)
-    return _entry("degree-cap-n1024", calls * n * (n - 1) // 2, "edges",
-                  ref, batched)
-
-
 def _butterfly_waves(n: int):
     """det-logn's first butterfly step as a blocks-mode routing: every
     node sends n/2 bits to its partner across the top bit, in 2 lockstep
@@ -888,8 +860,6 @@ def _suite_plan(suite: str):
                                               7, r)),
         ("greedy-selection-n64",
          lambda smoke, r: bench_greedy_selection(16 if smoke else 64, r)),
-        ("degree-cap-n1024",
-         lambda smoke, r: bench_degree_cap(256 if smoke else 1024, r)),
         ("route-waves-n512",
          lambda smoke, r: bench_route_waves(128 if smoke else 512, r)),
         ("route-waves-free-n512",

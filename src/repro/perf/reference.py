@@ -287,24 +287,6 @@ def greedy_symmetric_selection_loop(priorities: np.ndarray, budget: int,
     return mask
 
 
-def degree_capped_mask_dense(sample: np.ndarray, priority: np.ndarray,
-                             budget: int) -> np.ndarray:
-    """The pre-rewrite ``degree_capped_mask``: a stable argsort of every
-    row of every trial, sampled or not, then a rank test at both
-    endpoints.  Frozen as the oracle the sampled-edge ranking must equal
-    on symmetric samples."""
-    if budget <= 0:
-        return np.zeros_like(sample, dtype=bool)
-    scores = np.where(sample, priority, -np.inf)
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order,
-                      np.broadcast_to(np.arange(sample.shape[-1]),
-                                      sample.shape).copy(), axis=-1)
-    within = ranks < budget
-    return sample & within & np.swapaxes(within, -1, -2)
-
-
 def sketch_add_scalar_loop(spec, seed: int, ids: np.ndarray,
                            freqs: np.ndarray):
     """The pre-plane sketch update path: one scalar ``KSparseSketch.add``

@@ -26,7 +26,6 @@ from repro.faults.channels import (BatchedByzantineNodeAdversary,
                                    ByzantineNodeAdversary,
                                    GilbertElliottChannel, IIDEdgeChannel,
                                    degree_capped_mask)
-from repro.perf.reference import degree_capped_mask_dense
 from repro.utils.rng import make_rng
 
 
@@ -115,80 +114,6 @@ class TestBudgetProperties:
             BatchedGilbertElliottChannel(0.1, [1], burst=0.5)
         with pytest.raises(ValueError, match="too close to 1"):
             GilbertElliottChannel(0.96)
-
-
-def _symmetric(rng, shape, n):
-    """A stack of symmetric uniform (n, n) matrices with zero diagonals,
-    mirrored from the upper triangle like the channels' draws."""
-    upper = np.triu(rng.random(tuple(shape) + (n, n)), k=1)
-    return upper + np.swapaxes(upper, -1, -2)
-
-
-class TestDegreeCapOracle:
-    """The sampled-edge cap must equal the frozen dense cap, which
-    stable-argsorts every row, on every symmetric sample: same mask,
-    shape and dtype, over any leading axes."""
-
-    @staticmethod
-    def assert_matches_dense(sample, priority, budget):
-        got = degree_capped_mask(sample, priority, budget)
-        want = degree_capped_mask_dense(sample, priority, budget)
-        assert got.dtype == want.dtype == bool
-        assert got.shape == want.shape == sample.shape
-        assert np.array_equal(got, want), budget
-        return got
-
-    @pytest.mark.parametrize("n", [16, 32, 64, 256])
-    @pytest.mark.parametrize("alpha", [0.001, 1 / 64, 1 / 32, 0.1, 0.3])
-    def test_matches_dense_cap(self, n, alpha):
-        rng = make_rng(n)
-        for shape in [(), (3,), (2, 2)]:
-            draws = _symmetric(rng, shape, n)
-            sample = (draws < alpha) & (draws > 0)
-            priority = _symmetric(rng, shape, n)
-            budget = max_faulty_degree(n, alpha)
-            for cap in (budget, 0, 1, n - 1, n + 2):
-                mask = self.assert_matches_dense(sample, priority, cap)
-                assert mask.sum(axis=-1).max(initial=0) <= max(cap, 0)
-            # tied scores rank by column, as the stable argsort orders them
-            self.assert_matches_dense(sample, np.floor(priority * 3), budget)
-            self.assert_matches_dense(sample, np.zeros_like(priority), budget)
-
-    @pytest.mark.parametrize("budget", [1, 2, 3])
-    def test_all_tied_rows_keep_their_lowest_columns(self, budget):
-        # every edge sampled, one priority everywhere: each node ranks its
-        # edges by column, so only nodes 0..budget keep each other
-        n = 12
-        sample = np.broadcast_to(~np.eye(n, dtype=bool), (2, n, n))
-        mask = self.assert_matches_dense(sample, np.ones((2, n, n)), budget)
-        clique = np.zeros((n, n), dtype=bool)
-        clique[:budget + 1, :budget + 1] = ~np.eye(budget + 1, dtype=bool)
-        assert (mask == clique).all()
-
-    def test_gilbert_elliott_run_matches_dense(self, monkeypatch):
-        # a multi-round bursty run carries state between rounds: with the
-        # dense cap patched in, every round's masks, the Markov states
-        # and the channel streams must end up equal
-        from repro.faults import channels
-
-        def run():
-            channel = BatchedGilbertElliottChannel(0.1, [5, 6, 7])
-            channel.begin_protocol(48, 3)
-            masks = [channel.select_edges_many(
-                BatchRoundView(index=r, width=8, intended=_intended(3, 48)))
-                for r in range(12)]
-            states = [rng.bit_generator.state["state"]
-                      for rng in channel._channel_rngs]
-            return np.stack(masks), channel._bad, states
-
-        masks, bad, states = run()
-        monkeypatch.setattr(channels, "degree_capped_mask",
-                            degree_capped_mask_dense)
-        dense_masks, dense_bad, dense_states = run()
-        assert masks.any() and not np.array_equal(masks, bad[None])
-        assert np.array_equal(masks, dense_masks)
-        assert np.array_equal(bad, dense_bad)
-        assert states == dense_states
 
 
 def assert_batch_matches_one_seed_instances(batch, singles, n, rounds=6,

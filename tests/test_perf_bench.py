@@ -15,7 +15,6 @@ from repro.perf import (
     write_results,
 )
 from repro.perf.bench import (
-    bench_degree_cap,
     bench_greedy_selection,
     bench_justesen_encode,
     bench_linear_ml_decode,
@@ -57,13 +56,6 @@ class TestBenchEntries:
         entry = bench_greedy_selection(4, 1)
         assert entry["items"] == 4
         assert entry["unit"] == "planes"
-        assert entry["speedup"] > 0
-
-    def test_degree_cap_entry(self):
-        # the benchmark asserts sampled-edge cap == dense cap before timing
-        entry = bench_degree_cap(64, 1)
-        assert entry["items"] == 8 * 64 * 63 // 2
-        assert entry["unit"] == "edges"
         assert entry["speedup"] > 0
 
     def test_rm_line_decode_entry(self):
