@@ -60,9 +60,7 @@ from repro.core.protocol import (
 )
 from repro.fields.gfp import is_prime
 from repro.obs import tracing
-from repro.sketch.ksparse import (KSparseSketch, SketchPlaneStack,
-                                  SketchRecoveryError, SketchSpec,
-                                  planes_supported)
+from repro.sketch.ksparse import SketchPlaneStack, SketchSpec, planes_supported
 from repro.utils.bits import pack_symbols, unpack_symbols
 from repro.utils.rng import derive, fresh_seed
 
@@ -154,24 +152,12 @@ def _element_ids(sources: np.ndarray, targets: np.ndarray,
                  values: np.ndarray, n: int, width: int,
                  exact: bool) -> np.ndarray:
     """Sketch element ids ``((u * n + v) << width) | value`` of received
-    copies; as Python ints (an object array) unless ``exact`` says the
-    int64 plane arithmetic holds them."""
+    copies, in the sketch planes' dtype: int64 when ``exact`` (the spec
+    passes ``planes_supported``), else Python ints (an object array)."""
     if not exact:
         sources, targets, values = (np.asarray(a).astype(object)
                                     for a in (sources, targets, values))
     return ((sources * n + targets) << width) | values
-
-
-def _scalar_recover(spec: SketchSpec, seed: int, bits: np.ndarray, ids):
-    """One sketch's subtraction outside the plane fast path: decode it,
-    remove the received copies, peel; a failure is returned, not raised."""
-    try:
-        sketch = KSparseSketch.from_bits(spec, seed, bits)
-        for element in ids:
-            sketch.add(element, -1)
-        return sketch.recover()
-    except (SketchRecoveryError, ValueError) as exc:
-        return exc
 
 
 class AdaptiveAllToAll(AllToAllProtocol):
@@ -187,8 +173,8 @@ class AdaptiveAllToAll(AllToAllProtocol):
     :meth:`~repro.core.batched_routing.BatchedRouter.route` takes them as
     per-trial node ids.  The sketch algebra runs as single
     :class:`SketchPlaneStack` calls over every (trial, group, target)
-    sketch at once — or, for a spec outside the int64 plane fast path, as
-    one :class:`KSparseSketch` per sketch over Python-int ids — and LDC
+    sketch at once — on int64 planes, or on Python-int planes for a spec
+    outside :func:`planes_supported` (wide ids) — and LDC
     encode/decode collapse to whole-batch ``encode_many`` /
     ``local_decode_many`` calls (line decoding is position-independent,
     so rows from different trials batch together).
@@ -306,10 +292,9 @@ class AdaptiveAllToAll(AllToAllProtocol):
                 break
         if spec is None:
             raise last_error
-        # element ids exceed int64 once width + 2*log2(n) >= 63, and the
-        # plane arithmetic needs more headroom still; outside it the
-        # sketches hash Python ints
-        use_planes = planes_supported(spec)
+        # element ids exceed int64 once width + 2*log2(n) >= 63, and int64
+        # planes need more headroom still; outside it the ids are Python ints
+        int64_ids = planes_supported(spec)
         t_bits = spec.total_bits
         symbol_bits = (ldc.p - 1).bit_length() - 1   # sketch-bit packing
         wire_bits = (ldc.p - 1).bit_length()         # codeword symbols on the wire
@@ -334,22 +319,11 @@ class AdaptiveAllToAll(AllToAllProtocol):
             per_trial = num_parts * part_size * seg_size      # = J * n
             ids_all = _element_ids(
                 u_idx, v_ids[None, None, :, :, None], vals, n, width,
-                use_planes).reshape(trials * per_trial, part_size)
-            build_seeds = [s for t in range(trials)
-                           for s in [r2[t]] * per_trial]
-            if use_planes:
-                stack = SketchPlaneStack(spec, build_seeds)
-                stack.add_many_lockstep(ids_all, 1)
-                block_bits = stack.to_bits_many()
-            else:
-                block_bits = np.zeros((trials * per_trial, t_bits),
-                                      dtype=np.uint8)
-                for row, (seed, ids) in enumerate(zip(build_seeds,
-                                                      ids_all)):
-                    sketch = KSparseSketch(spec, seed)
-                    for element in ids:
-                        sketch.add(element, 1)
-                    block_bits[row] = sketch.to_bits()
+                int64_ids).reshape(trials * per_trial, part_size)
+            stack = SketchPlaneStack(spec, [s for t in range(trials)
+                                            for s in [r2[t]] * per_trial])
+            stack.add_many_lockstep(ids_all, 1)
+            block_bits = stack.to_bits_many()
             sketch_pad = np.zeros((trials, num_parts, n, t_pad),
                                   dtype=np.uint8)
             sketch_pad[..., :t_bits] = block_bits.reshape(
@@ -594,19 +568,12 @@ class AdaptiveAllToAll(AllToAllProtocol):
             srcs = members_mat[tt, jj]                       # (R, part_size)
             ids = _element_ids(srcs, vv[:, None],
                                tilde[tt[:, None], srcs, vv[:, None]], n,
-                               width, use_planes)
-            seeds_ok = [r2[int(t)] for t in tt]
-            bits_ok = decoded_sk[tt, jj, vv, :t_bits]
-            if not tt.size:
-                outcomes = []
-            elif use_planes:
-                sub = SketchPlaneStack.from_bits_many(spec, seeds_ok, bits_ok)
-                sub.add_many_lockstep(ids, -1)
-                outcomes = sub.recover_many()
-            else:
-                outcomes = [_scalar_recover(spec, seed, row_bits, row_ids)
-                            for seed, row_bits, row_ids
-                            in zip(seeds_ok, bits_ok, ids)]
+                               width, int64_ids)
+            sub = SketchPlaneStack.from_bits_many(
+                spec, [r2[int(t)] for t in tt],
+                decoded_sk[tt, jj, vv, :t_bits])
+            sub.add_many_lockstep(ids, -1)
+            outcomes = sub.recover_many()
             for r, outcome in enumerate(outcomes):
                 t, j, v = int(tt[r]), int(jj[r]), int(vv[r])
                 if isinstance(outcome, Exception):

@@ -225,11 +225,12 @@ def bench_justesen_encode(count: int, repeats: int) -> Dict:
 
 
 def bench_sketch_add_many(count: int, repeats: int) -> Dict:
-    """Plane-native sketch updates: one ``SketchPlanes.add_many`` over a
-    whole group of ``(id, frequency)`` pairs, raced against the frozen
-    per-element scalar loop (``KSparseSketch.add`` once per pair — the
-    pre-refactor Step II(c) shape of the adaptive compiler).  Parity is
-    asserted on all three cell planes *and* the recovered support."""
+    """Plane-native sketch updates: one ``SketchPlanes.add_many`` (a
+    one-trial ``SketchPlaneStack.add_many_lockstep``, the sketch's only
+    update) over a whole group of ``(id, frequency)`` pairs, raced against
+    the frozen per-element scalar loop (``KSparseSketch.add`` once per
+    pair, the oracle).  Parity is asserted on all three cell planes *and*
+    the recovered support."""
     from repro.sketch import SketchPlanes, SketchSpec
 
     # the adaptive compiler's spec shape: M19 fingerprints, pair-id universe

@@ -289,10 +289,10 @@ def greedy_symmetric_selection_loop(priorities: np.ndarray, budget: int,
 
 def sketch_add_scalar_loop(spec, seed: int, ids: np.ndarray,
                            freqs: np.ndarray):
-    """The pre-plane sketch update path: one scalar ``KSparseSketch.add``
-    per ``(id, frequency)`` pair, each hashing the element row by row in
-    Python.  Frozen as the reference the vectorised ``SketchPlanes.add_many``
-    group update races."""
+    """The scalar sketch update path: one ``KSparseSketch.add`` per
+    ``(id, frequency)`` pair, each hashing the element row by row in
+    Python.  Frozen as the oracle that ``SketchPlaneStack.add_many_lockstep``
+    (through ``SketchPlanes.add_many``) races and must equal."""
     from repro.sketch import KSparseSketch
 
     sketch = KSparseSketch(spec, seed)

@@ -11,10 +11,15 @@ high probability — exactly the interface Lemma 2.3 postulates (``L(σ, R)``,
 Sketches serialise to a *fixed* bit width ``spec.total_bits`` (the paper's
 ``t``; Section 5.2 pads all sketches to a common length so that every sketch
 lands at a predictable offset inside the concatenation ``Sk(P_j)``).
+
+:class:`SketchPlaneStack` is the one implementation of the sketch's
+arithmetic; :class:`KSparseSketch`, a grid of Python cells, is its oracle
+and the peel it runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -88,17 +93,19 @@ class SketchSpec:
         return self.rows * self.buckets * self.cell_bits
 
 
-_RANDOMNESS_CACHE: Dict[tuple, tuple] = {}
+#: (spec, seed) randomness entries kept.  Every adaptive trial draws its own
+#: R2 seed, so no entry outlives its batch's use, but within a run Step IV's
+#: stack and peel reuse every seed Step II's stack drew: the cache must hold
+#: one batch's seeds (``MAX_BATCH_TRIALS`` = 64), and twice that bounds the
+#: process's sketch randomness to about 64 MB at n=128.
+_RANDOMNESS_CACHE_SIZE = 128
 
 
+@functools.lru_cache(maxsize=_RANDOMNESS_CACHE_SIZE)
 def _sketch_randomness(spec: SketchSpec, seed: int) -> tuple:
-    """Derive (and cache) the fingerprint base and row hashes for a given
-    (spec, seed).  The adaptive compiler instantiates thousands of sketches
-    sharing the same randomness R2, so this is on the hot path."""
-    key = (spec, seed)
-    cached = _RANDOMNESS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Derive the fingerprint base and row hashes for a given (spec, seed).
+    The adaptive compiler instantiates thousands of sketches sharing the
+    same randomness R2, so this is on the hot path."""
     rng = derive(seed, "ksparse-z")
     z = int(rng.integers(1, spec.fingerprint_prime))
     family = KWiseHashFamily(2, spec.max_id + 1, spec.buckets)
@@ -116,16 +123,14 @@ def _sketch_randomness(spec: SketchSpec, seed: int) -> tuple:
         bucket_table = np.stack([h(ids) for h in hashes])
     else:
         bucket_table = None
-    value = (z, hashes, bucket_table)
-    _RANDOMNESS_CACHE[key] = value
-    return value
+    return z, hashes, bucket_table
 
 
-# -- vectorised plane arithmetic ---------------------------------------------
+# -- plane arithmetic ---------------------------------------------------------
 #
-# The plane representation stores the grid as three (rows, buckets) int64
-# arrays instead of a grid of Python objects.  All of its arithmetic must be
-# exact, so the fast path is only legal when every intermediate fits int64:
+# A plane stack holds the grid as three (trials, rows, buckets) arrays
+# (count / id-sum / fingerprint).  All of its arithmetic must be exact, so
+# the planes are int64 only when every intermediate fits int64:
 #
 #   * modular products need  fingerprint_prime**2 < 2**63      (p < 2**31),
 #   * frequency-scaled fingerprints need  max_abs_count * p < 2**62,
@@ -133,17 +138,16 @@ def _sketch_randomness(spec: SketchSpec, seed: int) -> tuple:
 #     corrupted bit pattern can deserialise to) stay below 2**61 when
 #     max_id * max_abs_count < 2**59, with headroom for further updates.
 #
-# `planes_supported` gates all of this; callers keep the scalar
-# `KSparseSketch` path as the oracle for specs that do not qualify (notably
-# the default 2**61 - 1 fingerprint prime).
+# `planes_supported` says whether a spec qualifies; planes of any other spec
+# (notably the default 2**61 - 1 fingerprint prime) hold Python ints in
+# object arrays and run the same code.
 
 _PLANES_WEIGHT_BUDGET = 1 << 59
 
 
 def planes_supported(spec: SketchSpec) -> bool:
-    """True when the vectorised int64 plane arithmetic is exact for ``spec``
-    (see the module comment above); scalar and plane paths are bit-identical
-    whenever this holds."""
+    """True when int64 plane arithmetic is exact for ``spec`` (see the
+    module comment above); otherwise the planes hold Python ints."""
     prime = spec.fingerprint_prime
     if prime >= 1 << 31:
         return False
@@ -154,13 +158,18 @@ def planes_supported(spec: SketchSpec) -> bool:
     return True
 
 
+def _plane_dtype(spec: SketchSpec) -> np.dtype:
+    return np.dtype(np.int64 if planes_supported(spec) else object)
+
+
 def _pow_mod(base, exponents: np.ndarray, prime: int) -> np.ndarray:
-    """Vectorised ``base ** e mod prime`` by binary powering.  ``base`` may
-    be a scalar or an array broadcastable against ``exponents``; requires
-    ``prime < 2**31`` so every product fits int64 exactly."""
-    exps = np.array(exponents, dtype=np.int64, copy=True)
+    """Vectorised ``base ** e mod prime`` by binary powering, in the dtype of
+    ``exponents`` (int64 needs ``prime < 2**31`` so every product fits;
+    object arrays compute in Python ints).  ``base`` broadcasts against
+    ``exponents``."""
+    exps = exponents.copy()
     result = np.ones_like(exps)
-    power = np.array(base, dtype=np.int64, copy=True) % prime
+    power = np.asarray(base, dtype=exps.dtype) % prime
     while True:
         odd = (exps & 1).astype(bool)
         if odd.any():
@@ -172,20 +181,18 @@ def _pow_mod(base, exponents: np.ndarray, prime: int) -> np.ndarray:
     return result
 
 
-def _as_update(spec: SketchSpec, ids, freqs):
-    """Normalise an (ids, freqs) update pair to int64 arrays and validate the
-    universe bound (the vectorised twin of the scalar range check)."""
-    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-    freqs = np.broadcast_to(np.asarray(freqs, dtype=np.int64), ids.shape)
-    if ids.size and not (0 <= int(ids.min()) and int(ids.max()) <= spec.max_id):
-        raise ValueError(f"ids outside universe [0, {spec.max_id}]")
-    return ids, freqs
-
-
 def _serialise_planes(spec: SketchSpec, count: np.ndarray, id_sum: np.ndarray,
                       fingerprint: np.ndarray) -> np.ndarray:
-    """(..., rows, buckets) int64 planes -> (..., total_bits) uint8 bits,
-    little-endian per field, in the scalar to_bits() field order."""
+    """(..., rows, buckets) planes -> (..., total_bits) uint8 bits,
+    little-endian per field, in the scalar to_bits() field order.  Shifts
+    run in uint64 for int64 planes and in Python ints for object planes,
+    whose id-sum field can outgrow 64 bits."""
+    if count.size and int(np.abs(count).max()) > spec.max_abs_count:
+        raise ValueError("cell count exceeds serialisable range")
+    if id_sum.size and int(np.abs(id_sum).max()) \
+            > spec.max_id * spec.max_abs_count:
+        raise ValueError("cell id_sum exceeds serialisable range")
+    dtype = np.dtype(object if count.dtype == object else np.uint64)
     lead = count.shape[:-2]
     fields = (
         (count + spec.max_abs_count, spec.count_bits),
@@ -194,18 +201,20 @@ def _serialise_planes(spec: SketchSpec, count: np.ndarray, id_sum: np.ndarray,
     )
     parts = []
     for values, width in fields:
-        shifts = np.arange(width, dtype=np.uint64)
-        vals = values.reshape(lead + (-1, 1)).astype(np.uint64)
-        parts.append(((vals >> shifts) & np.uint64(1)).astype(np.uint8))
+        shifts = np.arange(width).astype(dtype)
+        vals = values.reshape(lead + (-1, 1)).astype(dtype)
+        parts.append(((vals >> shifts) & 1).astype(np.uint8))
     cells = np.concatenate(parts, axis=-1)
     return cells.reshape(lead + (spec.total_bits,))
 
 
 def _deserialise_planes(spec: SketchSpec, bits: np.ndarray):
-    """(..., total_bits) uint8 bits -> (count, id_sum, fingerprint) planes."""
+    """(..., total_bits) uint8 bits -> (count, id_sum, fingerprint) planes,
+    C-contiguous, in the spec's plane dtype."""
+    dtype = _plane_dtype(spec)
     lead = bits.shape[:-1]
     cells = bits.reshape(
-        lead + (spec.rows * spec.buckets, spec.cell_bits)).astype(np.int64)
+        lead + (spec.rows * spec.buckets, spec.cell_bits)).astype(dtype)
     planes = []
     cursor = 0
     for width, offset in ((spec.count_bits, spec.max_abs_count),
@@ -213,7 +222,7 @@ def _deserialise_planes(spec: SketchSpec, bits: np.ndarray):
                            spec.max_id * spec.max_abs_count),
                           (spec.fingerprint_bits, 0)):
         field = cells[..., cursor:cursor + width]
-        shifts = np.arange(width, dtype=np.int64)
+        shifts = np.arange(width).astype(dtype)
         values = (field << shifts).sum(axis=-1) - offset
         planes.append(values.reshape(lead + (spec.rows, spec.buckets)))
         cursor += width
@@ -221,7 +230,9 @@ def _deserialise_planes(spec: SketchSpec, bits: np.ndarray):
 
 
 class KSparseSketch:
-    """A k-sparse recovery sketch with shared randomness ``seed``."""
+    """A k-sparse recovery sketch with shared randomness ``seed``: the
+    scalar cell grid, kept as the oracle of :class:`SketchPlaneStack` and
+    as the peel its :meth:`~SketchPlaneStack.recover_many` runs."""
 
     def __init__(self, spec: SketchSpec, seed: int):
         self.spec = spec
@@ -246,47 +257,6 @@ class KSparseSketch:
             for row, hash_fn in enumerate(self._hashes):
                 bucket = int(hash_fn(element_id))
                 self._cells[row][bucket].add(element_id, frequency)
-
-    def add_many(self, ids, freqs) -> None:
-        """Batched ``add``: hash every element of the update at once.
-
-        Bit-identical to calling :meth:`add` element-wise (modular sums are
-        order-independent and the integer counters are exact); falls back to
-        the scalar loop when the spec's arithmetic does not fit the int64
-        plane fast path.
-        """
-        ids, freqs = _as_update(self.spec, ids, freqs)
-        if ids.size == 0:
-            return
-        weight = int(np.abs(freqs).sum())
-        if (not planes_supported(self.spec)
-                or weight * max(1, self.spec.max_id) >= _PLANES_WEIGHT_BUDGET):
-            for element, frequency in zip(ids.tolist(), freqs.tolist()):
-                self.add(element, frequency)
-            return
-        spec = self.spec
-        prime = spec.fingerprint_prime
-        contrib = (freqs % prime) * _pow_mod(self._z, ids, prime) % prime
-        for row in range(spec.rows):
-            if self._bucket_table is not None:
-                buckets = self._bucket_table[row, ids]
-            else:
-                buckets = self._hashes[row](ids)
-            d_count = np.zeros(spec.buckets, dtype=np.int64)
-            d_id_sum = np.zeros(spec.buckets, dtype=np.int64)
-            d_fp = np.zeros(spec.buckets, dtype=np.int64)
-            touched = np.zeros(spec.buckets, dtype=bool)
-            np.add.at(d_count, buckets, freqs)
-            np.add.at(d_id_sum, buckets, ids * freqs)
-            np.add.at(d_fp, buckets, contrib)
-            touched[buckets] = True
-            cells = self._cells[row]
-            for bucket in np.flatnonzero(touched).tolist():
-                cell = cells[bucket]
-                cell.count += int(d_count[bucket])
-                cell.id_sum += int(d_id_sum[bucket])
-                cell.fingerprint = (
-                    cell.fingerprint + int(d_fp[bucket])) % prime
 
     def merge(self, other: "KSparseSketch") -> None:
         if self.spec != other.spec or self.seed != other.seed:
@@ -390,279 +360,127 @@ class KSparseSketch:
         return sketch
 
 
-class SketchPlanes:
-    """The vectorised core of :class:`KSparseSketch`: the same ``rows x
-    buckets`` grid held as three int64 planes (count / id-sum / fingerprint)
-    so a whole group of updates is hashed and scattered in one shot.
-
-    Only legal for specs passing :func:`planes_supported`; within that gate
-    every operation is bit-identical to the scalar cell grid (`to_sketch`
-    round-trips exactly), which is what lets the adaptive compiler race this
-    path against the scalar oracle.
-    """
-
-    __slots__ = ("spec", "seed", "count", "id_sum", "fingerprint",
-                 "_z", "_hashes", "_bucket_table", "_weight")
-
-    def __init__(self, spec: SketchSpec, seed: int):
-        if not planes_supported(spec):
-            raise ValueError(
-                "spec does not fit the int64 plane fast path "
-                "(see planes_supported); use KSparseSketch")
-        self.spec = spec
-        self.seed = seed
-        self._z, self._hashes, self._bucket_table = \
-            _sketch_randomness(spec, seed)
-        shape = (spec.rows, spec.buckets)
-        self.count = np.zeros(shape, dtype=np.int64)
-        self.id_sum = np.zeros(shape, dtype=np.int64)
-        self.fingerprint = np.zeros(shape, dtype=np.int64)
-        self._weight = 0
-
-    # -- updates -------------------------------------------------------------
-    def _buckets_for(self, row: int, ids: np.ndarray) -> np.ndarray:
-        if self._bucket_table is not None:
-            return self._bucket_table[row, ids]
-        return self._hashes[row](ids)
-
-    def _charge(self, weight: int) -> None:
-        self._weight += weight
-        if self._weight * max(1, self.spec.max_id) >= _PLANES_WEIGHT_BUDGET:
-            raise OverflowError(
-                "accumulated update weight exceeds the int64-safe plane "
-                "budget; use the scalar KSparseSketch path")
-
-    def add_many(self, ids, freqs) -> None:
-        """Add every ``(ids[i], freqs[i])`` pair; equivalent to element-wise
-        ``KSparseSketch.add`` over the same sequence."""
-        ids, freqs = _as_update(self.spec, ids, freqs)
-        if ids.size == 0:
-            return
-        self._charge(int(np.abs(freqs).sum()))
-        prime = self.spec.fingerprint_prime
-        contrib = (freqs % prime) * _pow_mod(self._z, ids, prime) % prime
-        weighted = ids * freqs
-        for row in range(self.spec.rows):
-            buckets = self._buckets_for(row, ids)
-            np.add.at(self.count[row], buckets, freqs)
-            np.add.at(self.id_sum[row], buckets, weighted)
-            np.add.at(self.fingerprint[row], buckets, contrib)
-            self.fingerprint[row, buckets] %= prime
-
-    def merge(self, other: "SketchPlanes") -> None:
-        if self.spec != other.spec or self.seed != other.seed:
-            raise ValueError("sketches must share spec and randomness")
-        self._charge(other._weight)
-        self.count += other.count
-        self.id_sum += other.id_sum
-        self.fingerprint = (self.fingerprint + other.fingerprint) \
-            % self.spec.fingerprint_prime
-
-    # -- conversions ---------------------------------------------------------
-    def to_sketch(self) -> KSparseSketch:
-        """Materialise the equivalent scalar sketch (exact, including any
-        unreduced fingerprints deserialised from corrupted bits)."""
-        sketch = KSparseSketch(self.spec, self.seed)
-        for row in range(self.spec.rows):
-            cells = sketch._cells[row]
-            for bucket in range(self.spec.buckets):
-                cell = cells[bucket]
-                cell.count = int(self.count[row, bucket])
-                cell.id_sum = int(self.id_sum[row, bucket])
-                cell.fingerprint = int(self.fingerprint[row, bucket])
-        return sketch
-
-    @classmethod
-    def from_sketch(cls, sketch: KSparseSketch) -> "SketchPlanes":
-        planes = cls(sketch.spec, sketch.seed)
-        for row in range(sketch.spec.rows):
-            for bucket, cell in enumerate(sketch._cells[row]):
-                planes.count[row, bucket] = cell.count
-                planes.id_sum[row, bucket] = cell.id_sum
-                planes.fingerprint[row, bucket] = cell.fingerprint
-        return planes
-
-    # -- recovery ------------------------------------------------------------
-    def recover(self) -> Dict[int, int]:
-        """Identical peel to :meth:`KSparseSketch.recover` (delegates to the
-        scalar grid, so ordering and failure behaviour match exactly)."""
-        return self.to_sketch().recover()
-
-    # -- fixed-width serialisation -------------------------------------------
-    def to_bits(self) -> BitArray:
-        spec = self.spec
-        if self.count.size and int(np.abs(self.count).max()) \
-                > spec.max_abs_count:
-            raise ValueError("cell count exceeds serialisable range")
-        if self.id_sum.size and int(np.abs(self.id_sum).max()) \
-                > spec.max_id * spec.max_abs_count:
-            raise ValueError("cell id_sum exceeds serialisable range")
-        return _serialise_planes(spec, self.count, self.id_sum,
-                                 self.fingerprint)
-
-    @classmethod
-    def from_bits(cls, spec: SketchSpec, seed: int,
-                  bits: BitArray) -> "SketchPlanes":
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size != spec.total_bits:
-            raise ValueError(
-                f"expected {spec.total_bits} bits, got {bits.size}")
-        planes = cls(spec, seed)
-        planes.count, planes.id_sum, planes.fingerprint = \
-            _deserialise_planes(spec, bits)
-        return planes
-
-
 class SketchPlaneStack:
     """A ``(trials, rows, buckets)`` stack of sketch planes advancing in
-    lockstep — one plane set per trial, each with its own shared-randomness
+    lockstep — one sketch per trial, each with its own shared-randomness
     seed (the adaptive compiler derives a distinct R2 per trial).
 
-    Per-trial updates may be ragged (each trial adds its own id set); merge
-    and (de)serialisation are lockstep tensor ops across the whole stack.
+    The planes are int64 where :func:`planes_supported` holds and Python
+    ints (object arrays) otherwise; either way every operation is
+    bit-identical to the scalar :class:`KSparseSketch` grid, whose peel
+    :meth:`recover_many` runs.  Per-trial updates are lockstep (every
+    trial adds the same number of ids, each its own), and
+    (de)serialisation is one tensor op across the whole stack.
     """
 
     __slots__ = ("spec", "seeds", "count", "id_sum", "fingerprint",
-                 "_z", "_hashes", "_bucket_tables", "_weights")
+                 "_z", "_groups", "_weights")
 
     def __init__(self, spec: SketchSpec, seeds):
-        if not planes_supported(spec):
-            raise ValueError(
-                "spec does not fit the int64 plane fast path "
-                "(see planes_supported); use KSparseSketch")
         self.spec = spec
         self.seeds = tuple(int(seed) for seed in seeds)
-        randomness = [_sketch_randomness(spec, seed) for seed in self.seeds]
-        self._z = np.array([r[0] for r in randomness], dtype=np.int64)
-        self._hashes = [r[1] for r in randomness]
-        self._bucket_tables = [r[2] for r in randomness]
+        dtype = _plane_dtype(spec)
+        trials_of: Dict[int, List[int]] = {}
+        for trial, seed in enumerate(self.seeds):
+            trials_of.setdefault(seed, []).append(trial)
+        self._z = np.zeros(len(self.seeds), dtype=dtype)
+        #: (trials, row hashes, bucket table) per distinct seed
+        self._groups = []
+        for seed, trials in trials_of.items():
+            z, hashes, bucket_table = _sketch_randomness(spec, seed)
+            self._z[trials] = z
+            self._groups.append((np.array(trials), hashes, bucket_table))
         shape = (len(self.seeds), spec.rows, spec.buckets)
-        self.count = np.zeros(shape, dtype=np.int64)
-        self.id_sum = np.zeros(shape, dtype=np.int64)
-        self.fingerprint = np.zeros(shape, dtype=np.int64)
-        self._weights = [0] * len(self.seeds)
+        self.count = np.zeros(shape, dtype=dtype)
+        self.id_sum = np.zeros(shape, dtype=dtype)
+        self.fingerprint = np.zeros(shape, dtype=dtype)
+        self._weights = np.zeros(len(self.seeds), dtype=np.int64)
 
     @property
     def trials(self) -> int:
         return len(self.seeds)
 
-    def _trial_planes(self, trial: int) -> SketchPlanes:
-        planes = SketchPlanes(self.spec, self.seeds[trial])
-        planes.count = self.count[trial].copy()
-        planes.id_sum = self.id_sum[trial].copy()
-        planes.fingerprint = self.fingerprint[trial].copy()
-        planes._weight = self._weights[trial]
-        return planes
-
-    def add_many(self, trial: int, ids, freqs) -> None:
-        """Add an update batch to one trial's planes (trials are ragged:
-        each derives its own partition, so id sets differ per trial)."""
-        spec = self.spec
-        ids, freqs = _as_update(spec, ids, freqs)
-        if ids.size == 0:
-            return
-        self._weights[trial] += int(np.abs(freqs).sum())
-        if self._weights[trial] * max(1, spec.max_id) \
-                >= _PLANES_WEIGHT_BUDGET:
-            raise OverflowError(
-                "accumulated update weight exceeds the int64-safe plane "
-                "budget; use the scalar KSparseSketch path")
-        prime = spec.fingerprint_prime
-        z = int(self._z[trial])
-        contrib = (freqs % prime) * _pow_mod(z, ids, prime) % prime
-        weighted = ids * freqs
-        table = self._bucket_tables[trial]
-        for row in range(spec.rows):
-            if table is not None:
-                buckets = table[row, ids]
-            else:
-                buckets = self._hashes[trial][row](ids)
-            np.add.at(self.count[trial, row], buckets, freqs)
-            np.add.at(self.id_sum[trial, row], buckets, weighted)
-            np.add.at(self.fingerprint[trial, row], buckets, contrib)
-            self.fingerprint[trial, row, buckets] %= prime
-
     def add_many_lockstep(self, ids, freqs) -> None:
         """Lockstep add: row ``t`` of ``ids`` (shape ``(trials, m)``)
-        updates trial ``t``'s planes — every trial adds the same number of
-        elements, so the whole stack is hashed and scattered in one shot
-        (e.g. one sketch per segment column built from the same group
-        block)."""
+        updates trial ``t``'s planes with ``freqs`` broadcast to that shape,
+        as element-wise :meth:`KSparseSketch.add` would — every trial adds
+        the same number of elements, so the whole stack is hashed and
+        scattered in one shot (e.g. one sketch per segment column built from
+        the same group block)."""
         spec = self.spec
-        ids = np.asarray(ids, dtype=np.int64)
+        dtype = self.count.dtype
+        ids = np.asarray(ids, dtype=dtype)
         if ids.ndim != 2 or ids.shape[0] != self.trials:
             raise ValueError(
                 f"ids must have shape ({self.trials}, m), got {ids.shape}")
-        freqs = np.broadcast_to(np.asarray(freqs, dtype=np.int64), ids.shape)
+        freqs = np.broadcast_to(np.asarray(freqs, dtype=dtype), ids.shape)
         if ids.size == 0:
             return
         if not (0 <= int(ids.min()) and int(ids.max()) <= spec.max_id):
             raise ValueError(f"ids outside universe [0, {spec.max_id}]")
-        for trial, weight in enumerate(
-                np.abs(freqs).sum(axis=1).tolist()):
-            self._weights[trial] += int(weight)
-            if self._weights[trial] * max(1, spec.max_id) \
+        if dtype == np.int64:
+            self._weights += np.abs(freqs).sum(axis=1)
+            if int(self._weights.max()) * max(1, spec.max_id) \
                     >= _PLANES_WEIGHT_BUDGET:
                 raise OverflowError(
-                    "accumulated update weight exceeds the int64-safe "
-                    "plane budget; use the scalar KSparseSketch path")
+                    "accumulated update weight exceeds the int64-exact "
+                    "plane budget")
+        trials, m = ids.shape
+        buckets = np.empty((trials, spec.rows, m), dtype=np.int64)
+        for members, hashes, bucket_table in self._groups:
+            group_ids = ids[members]
+            for row in range(spec.rows):
+                buckets[members, row] = (
+                    hashes[row](group_ids) if bucket_table is None
+                    else bucket_table[row, group_ids.astype(np.intp,
+                                                          copy=False)])
+        # one flat index, (t * rows + row) * buckets + bucket, into the
+        # C-contiguous planes: a 2-D (trial, bucket) np.add.at is far slower
+        flat = (np.arange(trials * spec.rows).reshape(trials, spec.rows, 1)
+                * spec.buckets + buckets).reshape(-1)
         prime = spec.fingerprint_prime
         contrib = (freqs % prime) \
             * _pow_mod(self._z[:, None], ids, prime) % prime
-        weighted = ids * freqs
-        trial_idx = np.repeat(np.arange(self.trials), ids.shape[1])
-        shared_seed = len(set(self.seeds)) == 1
-        for row in range(spec.rows):
-            if shared_seed and self._bucket_tables[0] is not None:
-                buckets = self._bucket_tables[0][row, ids]
-            else:
-                buckets = np.stack([
-                    self._bucket_tables[t][row, ids[t]]
-                    if self._bucket_tables[t] is not None
-                    else self._hashes[t][row](ids[t])
-                    for t in range(self.trials)])
-            flat = buckets.reshape(-1)
-            np.add.at(self.count[:, row], (trial_idx, flat),
-                      freqs.reshape(-1))
-            np.add.at(self.id_sum[:, row], (trial_idx, flat),
-                      weighted.reshape(-1))
-            np.add.at(self.fingerprint[:, row], (trial_idx, flat),
-                      contrib.reshape(-1))
-            self.fingerprint[:, row][trial_idx, flat] %= prime
+        for plane, values in ((self.count, freqs),
+                              (self.id_sum, ids * freqs),
+                              (self.fingerprint, contrib)):
+            np.add.at(plane.reshape(-1), flat,
+                      np.repeat(values, spec.rows, axis=0).reshape(-1))
+        fingerprint = self.fingerprint.reshape(-1)
+        fingerprint[flat] %= prime
 
-    def merge_many(self, other: "SketchPlaneStack") -> None:
-        """Lockstep merge: every trial's planes absorb the peer trial's."""
-        if self.spec != other.spec or self.seeds != other.seeds:
-            raise ValueError("stacks must share spec and randomness")
-        self._weights = [a + b for a, b in zip(self._weights, other._weights)]
-        self.count += other.count
-        self.id_sum += other.id_sum
-        self.fingerprint = (self.fingerprint + other.fingerprint) \
-            % self.spec.fingerprint_prime
+    def _sketch(self, trial: int) -> KSparseSketch:
+        """Trial ``trial``'s planes as the scalar cell grid (exact,
+        including unreduced fingerprints deserialised from corrupted
+        bits)."""
+        sketch = KSparseSketch(self.spec, self.seeds[trial])
+        for cells, counts, id_sums, fingerprints in zip(
+                sketch._cells, self.count[trial].tolist(),
+                self.id_sum[trial].tolist(),
+                self.fingerprint[trial].tolist()):
+            for cell, count, id_sum, fingerprint in zip(
+                    cells, counts, id_sums, fingerprints):
+                cell.count = count
+                cell.id_sum = id_sum
+                cell.fingerprint = fingerprint
+        return sketch
 
     def recover_many(self):
-        """Per-trial ``recover``; a failed peel yields the
-        :class:`SketchRecoveryError` in that trial's slot instead of
+        """Per-trial :meth:`KSparseSketch.recover`; a failed peel yields
+        the :class:`SketchRecoveryError` in that trial's slot instead of
         aborting the whole stack (recovery outcomes legitimately diverge
         across trials)."""
         results = []
         for trial in range(self.trials):
             try:
-                results.append(self._trial_planes(trial).recover())
+                results.append(self._sketch(trial).recover())
             except SketchRecoveryError as error:
                 results.append(error)
         return results
 
     def to_bits_many(self) -> np.ndarray:
         """(trials, total_bits) uint8 — every trial serialised in one op."""
-        spec = self.spec
-        if self.count.size and int(np.abs(self.count).max()) \
-                > spec.max_abs_count:
-            raise ValueError("cell count exceeds serialisable range")
-        if self.id_sum.size and int(np.abs(self.id_sum).max()) \
-                > spec.max_id * spec.max_abs_count:
-            raise ValueError("cell id_sum exceeds serialisable range")
-        return _serialise_planes(spec, self.count, self.id_sum,
+        return _serialise_planes(self.spec, self.count, self.id_sum,
                                  self.fingerprint)
 
     @classmethod
@@ -677,3 +495,56 @@ class SketchPlaneStack:
         stack.count, stack.id_sum, stack.fingerprint = \
             _deserialise_planes(spec, bits)
         return stack
+
+
+class SketchPlanes:
+    """One sketch as planes: trial 0 of a one-trial
+    :class:`SketchPlaneStack`, whose ``(rows, buckets)`` count / id-sum /
+    fingerprint planes it holds as views.  Every operation is the stack's,
+    so `to_sketch` round-trips exactly."""
+
+    __slots__ = ("spec", "seed", "count", "id_sum", "fingerprint", "_stack")
+
+    def __init__(self, spec: SketchSpec, seed: int):
+        self._hold(SketchPlaneStack(spec, (seed,)))
+
+    def _hold(self, stack: SketchPlaneStack) -> None:
+        self._stack = stack
+        self.spec, self.seed = stack.spec, stack.seeds[0]
+        self.count, self.id_sum, self.fingerprint = (
+            stack.count[0], stack.id_sum[0], stack.fingerprint[0])
+
+    def add_many(self, ids, freqs) -> None:
+        """Add every ``(ids[i], freqs[i])`` pair; equivalent to element-wise
+        ``KSparseSketch.add`` over the same sequence."""
+        self._stack.add_many_lockstep(np.atleast_1d(ids)[None], freqs)
+
+    def to_sketch(self) -> KSparseSketch:
+        """The equivalent scalar sketch (exact, including any unreduced
+        fingerprints deserialised from corrupted bits)."""
+        return self._stack._sketch(0)
+
+    @classmethod
+    def from_sketch(cls, sketch: KSparseSketch) -> "SketchPlanes":
+        planes = cls(sketch.spec, sketch.seed)
+        for row, cells in enumerate(sketch._cells):
+            for bucket, cell in enumerate(cells):
+                planes.count[row, bucket] = cell.count
+                planes.id_sum[row, bucket] = cell.id_sum
+                planes.fingerprint[row, bucket] = cell.fingerprint
+        return planes
+
+    def recover(self) -> Dict[int, int]:
+        """:meth:`KSparseSketch.recover` on the equivalent scalar grid."""
+        return self.to_sketch().recover()
+
+    def to_bits(self) -> BitArray:
+        return self._stack.to_bits_many()[0]
+
+    @classmethod
+    def from_bits(cls, spec: SketchSpec, seed: int,
+                  bits: BitArray) -> "SketchPlanes":
+        planes = cls.__new__(cls)
+        planes._hold(SketchPlaneStack.from_bits_many(
+            spec, (seed,), np.asarray(bits, dtype=np.uint8).reshape(1, -1)))
+        return planes

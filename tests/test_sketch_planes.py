@@ -1,19 +1,35 @@
-"""Plane-native sketch core: `SketchPlanes.add_many` must be the scalar
-`KSparseSketch.add` loop, vectorised — identical planes, identical recovery —
-and `SketchSpec` must reject degenerate layouts loudly.
+"""Plane-native sketch core: `SketchPlaneStack` (and `SketchPlanes`, its
+one-trial view) must be the scalar `KSparseSketch.add` loop, vectorised —
+identical planes, identical bits, identical recovery — on int64 planes and
+on Python-int planes alike, and `SketchSpec` must reject degenerate layouts
+loudly.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments import TrialStore, free_grid, run_campaign
+from repro.experiments.vmap import MAX_BATCH_TRIALS
+from repro.sketch import ksparse
 from repro.sketch.ksparse import (KSparseSketch, SketchPlanes,
                                   SketchPlaneStack, SketchRecoveryError,
                                   SketchSpec, planes_supported)
 
-#: a plane-eligible spec (the default 2^61-1 fingerprint prime is scalar-only)
+#: a spec with int64 planes
 SPEC = SketchSpec(capacity=6, max_id=10_000, max_abs_count=64,
                   fingerprint_prime=(1 << 19) - 1)
+
+#: specs whose planes hold Python ints: the default 2^61-1 fingerprint prime
+#: over a universe small enough for bucket tables, and the adaptive
+#: compiler's M19 spec at n=32, width 50 (ids up to 2^60, a ~68-bit id-sum
+#: field)
+WIDE_SPECS = [
+    SketchSpec(capacity=4, max_id=10_000, max_abs_count=64),
+    SketchSpec(capacity=4, max_id=(1 << 60) - 1, max_abs_count=34, rows=2,
+               fingerprint_prime=(1 << 19) - 1),
+]
+WIDE_IDS = ["p61-table", "m19-width50"]
 
 
 def scalar_reference(spec, seed, updates):
@@ -93,11 +109,110 @@ class TestAddManyParity:
             np.testing.assert_array_equal(stack.fingerprint[t],
                                           solo.fingerprint)
 
-    def test_planes_reject_unsupported_spec(self):
-        wide = SketchSpec(capacity=4, max_id=100, max_abs_count=8)
-        assert not planes_supported(wide)  # 2^61-1 fingerprints: scalar only
-        with pytest.raises(ValueError, match="plane fast path"):
-            SketchPlanes(wide, 0)
+
+
+def outcome_of(recover):
+    try:
+        return recover()
+    except SketchRecoveryError:
+        return SketchRecoveryError
+
+
+class TestPythonIntPlanes:
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=WIDE_IDS)
+    @given(updates=st.data(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_planes_match_the_scalar_oracle(self, spec, updates, seed):
+        """add_many, the to_bits/from_bits round trip and recover agree
+        with the scalar grid exactly."""
+        assert not planes_supported(spec)
+        # at most 10 updates of |frequency| <= 3 keep every cell inside
+        # max_abs_count, so both sides serialise
+        pairs = updates.draw(st.lists(
+            st.tuples(st.integers(0, spec.max_id),
+                      st.integers(-3, 3).filter(lambda f: f != 0)),
+            max_size=10))
+        ref = scalar_reference(spec, seed, pairs)
+        planes = SketchPlanes(spec, seed)
+        if pairs:
+            ids, freqs = zip(*pairs)
+            planes.add_many(np.array(ids, dtype=object), list(freqs))
+        assert planes.count.dtype == object
+        mirror = SketchPlanes.from_sketch(ref)
+        for name in ("count", "id_sum", "fingerprint"):
+            np.testing.assert_array_equal(getattr(planes, name),
+                                          getattr(mirror, name))
+        bits = planes.to_bits()
+        np.testing.assert_array_equal(bits, ref.to_bits())
+        back = SketchPlanes.from_bits(spec, seed, bits)
+        np.testing.assert_array_equal(back.to_bits(), bits)
+        np.testing.assert_array_equal(back.to_sketch().to_bits(), bits)
+        expected = outcome_of(ref.recover)
+        assert outcome_of(planes.recover) == expected
+        assert outcome_of(back.recover) == expected
+
+    @pytest.mark.parametrize("spec", [SPEC] + WIDE_SPECS,
+                             ids=["m19-int64"] + WIDE_IDS)
+    def test_step_iv_subtraction_matches_the_scalar_oracle(self, spec):
+        """The adaptive compiler's Step IV on a stack: decode every sketch,
+        subtract the received copies with frequency -1, peel each — against
+        KSparseSketch.from_bits, add and recover.  Trial 3's bits are
+        corrupted in transit, so its peel fails on both sides."""
+        rng = np.random.default_rng(17)
+        trials, group = 6, 8
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=trials)]
+        seeds[1] = seeds[0]  # trials of one batch may share their seed
+        sent = rng.integers(0, spec.max_id + 1, size=(trials, group))
+        received = sent.copy()
+        received[:, :2] = rng.integers(0, spec.max_id + 1, size=(trials, 2))
+        bits = np.stack([scalar_reference(spec, seed,
+                                          [(int(e), 1) for e in row])
+                         .to_bits() for seed, row in zip(seeds, sent)])
+        # one flipped fingerprint bit: that cell can never peel to zero
+        bits[3, spec.count_bits + spec.id_sum_bits] ^= 1
+        if not planes_supported(spec):
+            received = received.astype(object)
+
+        stack = SketchPlaneStack.from_bits_many(spec, seeds, bits)
+        stack.add_many_lockstep(received, -1)
+        outcomes = stack.recover_many()
+
+        for t, (seed, outcome) in enumerate(zip(seeds, outcomes)):
+            oracle = KSparseSketch.from_bits(spec, seed, bits[t])
+            for element in received[t]:
+                oracle.add(int(element), -1)
+            expected = outcome_of(oracle.recover)
+            if isinstance(outcome, SketchRecoveryError):
+                outcome = SketchRecoveryError
+            assert outcome == expected, t
+        assert isinstance(outcomes[3], SketchRecoveryError)
+        # every intact sketch hands back its two corrections
+        for t in set(range(trials)) - {3}:
+            assert outcomes[t] == {**{int(e): -1 for e in received[t, :2]},
+                                   **{int(e): 1 for e in sent[t, :2]}}, t
+
+
+class TestRandomnessCache:
+    def test_adaptive_cells_keep_the_cache_within_its_bound(self):
+        """Each adaptive trial draws its own R2 seed, so an unbounded
+        (spec, seed) cache grows with every trial a process runs."""
+        cache = ksparse._sketch_randomness
+        cache.cache_clear()
+        for base_seed in (0, 1):
+            spec = free_grid(name=f"sketch-cache-{base_seed}",
+                             protocols=("adaptive",), adversaries=("null",),
+                             ns=(16,), alphas=(0.0,), widths=(4,),
+                             bandwidths=(8,), replicates=2,
+                             base_seed=base_seed)
+            run_campaign(spec, store=TrialStore(None), backend="vmap")
+        # one entry per trial: four trials, four seeds
+        assert cache.cache_info().currsize == 4
+        # the bound holds one batch's seeds, and nothing past it stays
+        assert ksparse._RANDOMNESS_CACHE_SIZE >= MAX_BATCH_TRIALS
+        tiny = SketchSpec(capacity=1, max_id=7, max_abs_count=1)
+        for seed in range(2 * ksparse._RANDOMNESS_CACHE_SIZE):
+            KSparseSketch(tiny, seed)
+        assert cache.cache_info().currsize == ksparse._RANDOMNESS_CACHE_SIZE
 
 
 class TestSketchSpecValidation:
