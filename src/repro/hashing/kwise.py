@@ -30,11 +30,14 @@ class KWiseHash:
         self.range_size = range_size
 
     def __call__(self, xs) -> np.ndarray:
-        xs_arr = np.atleast_1d(np.asarray(xs, dtype=np.int64)) % self.prime
+        # a product of two residues wraps int64 once the prime passes
+        # 2**31.5, so from 2**31 on the polynomial runs in Python ints
+        dtype = np.int64 if self.prime < 1 << 31 else object
+        xs_arr = np.atleast_1d(np.asarray(xs, dtype=dtype)) % self.prime
         acc = np.zeros_like(xs_arr)
         for c in self.coefficients[::-1]:
             acc = (acc * xs_arr + int(c)) % self.prime
-        result = acc % self.range_size
+        result = (acc % self.range_size).astype(np.int64, copy=False)
         if np.isscalar(xs) or np.asarray(xs).ndim == 0:
             return int(result[0])
         return result

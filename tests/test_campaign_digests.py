@@ -177,11 +177,12 @@ def test_n64_cells_match_serial_body_pin(protocol, pin, backend, request):
 
 
 #: adaptive under the adaptive adversary at n=32, width 50, alpha=1/32:
-#: element ids ``((u * n + v) << width) | value`` outgrow int64, so the
-#: sketch spec fails ``planes_supported`` and the compiler hashes them as
-#: Python ints (computed on the serial backend like the pins above)
+#: element ids ``((u * n + v) << width) | value`` need more headroom than
+#: int64 planes have, so the sketch spec fails ``planes_supported`` and the
+#: planes hold Python ints; the row hashes' 61-bit prime is evaluated in
+#: Python ints too (computed on the serial backend like the pins above)
 WIDE_SKETCH_PIN = \
-    "07c1fcdfee02a2e5dc8c29fb0acd803959da2cf4f6658076cd61393ca7629485"
+    "e0254501bef0dd5699f2bb01f67717372f4cf45d6f9f435993ed9e2682d245ea"
 
 
 @pytest.mark.parametrize("backend", ["serial", "vmap"])

@@ -50,6 +50,22 @@ class TestFamily:
         family = KWiseHashFamily(5, 100, 10)
         assert family.random_bits_used() == 5 * family.prime.bit_length()
 
+    def test_polynomial_is_exact_at_a_61_bit_prime(self):
+        """The adaptive compiler's sketch universe at n=32, width 50 takes a
+        61-bit prime, past which int64 products of residues wrap; the hash
+        must still be ((c1 * x + c0) mod p) mod range."""
+        family = KWiseHashFamily(2, 1 << 60, 8)
+        prime = family.prime
+        assert prime == 1152921504606847009
+        xs = [0, 1, (1 << 31) + 11, (1 << 59) + 7, (1 << 60) - 1]
+        xs += make_rng(8).integers(0, 1 << 60, size=50).tolist()
+        for seed in range(4):
+            h = family.sample(make_rng(seed))
+            c0, c1 = (int(c) for c in h.coefficients)
+            expected = [(c1 * x + c0) % prime % 8 for x in xs]
+            assert [h(x) for x in xs] == expected
+            assert h(np.array(xs, dtype=np.int64)).tolist() == expected
+
 
 class TestBounds:
     def test_tail_bound_in_unit_interval(self):
