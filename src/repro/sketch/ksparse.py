@@ -93,11 +93,12 @@ class SketchSpec:
         return self.rows * self.buckets * self.cell_bits
 
 
-#: (spec, seed) randomness entries kept.  Every adaptive trial draws its own
-#: R2 seed, so no entry outlives its batch's use, but within a run Step IV's
-#: stack and peel reuse every seed Step II's stack drew: the cache must hold
-#: one batch's seeds (``MAX_BATCH_TRIALS`` = 64), and twice that bounds the
-#: process's sketch randomness to about 64 MB at n=128.
+#: (spec, seed) entries the randomness cache keeps.  Each adaptive trial
+#: draws its own R2 seed, so an entry is reused only within its own run,
+#: where Step IV's stack and peel read every seed Step II's stack drew: the
+#: bound must hold one batch's seeds (``MAX_BATCH_TRIALS`` = 64).  Twice
+#: that caps the cache at about 64 MB at n=128 (512 KB of bucket tables per
+#: entry).
 _RANDOMNESS_CACHE_SIZE = 128
 
 

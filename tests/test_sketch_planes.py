@@ -110,7 +110,6 @@ class TestAddManyParity:
                                           solo.fingerprint)
 
 
-
 def outcome_of(recover):
     try:
         return recover()
@@ -190,6 +189,19 @@ class TestPythonIntPlanes:
         for t in set(range(trials)) - {3}:
             assert outcomes[t] == {**{int(e): -1 for e in received[t, :2]},
                                    **{int(e): 1 for e in sent[t, :2]}}, t
+
+    def test_only_int64_planes_carry_a_weight_budget(self):
+        """Updates past the int64 weight budget raise on int64 planes and
+        stay exact on Python-int planes, whose id sums here outgrow int64."""
+        freqs = np.full(4, 1 << 44)
+        with pytest.raises(OverflowError):
+            SketchPlanes(SPEC, 3).add_many(np.arange(4), freqs)
+        wide = WIDE_SPECS[1]
+        ids = wide.max_id - np.arange(4)
+        planes = SketchPlanes(wide, 3)
+        planes.add_many(ids, freqs)
+        assert planes.id_sum.sum() == wide.rows * sum(int(e) << 44
+                                                      for e in ids)
 
 
 class TestRandomnessCache:
